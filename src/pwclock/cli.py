@@ -341,16 +341,17 @@ def _run_oracle_check(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     times = np.sort(rng.uniform(lo, hi, int(cfg.options["num_readings"]))) * cfg.clock.n_reset
 
+    readings = [position_expectation(float(n), cfg.clock) for n in times]
+    conds_a = conditional_system_probability(history, readings, proj_a).tolist()
+    conds_b = conditional_system_probability(history, readings, proj_b).tolist()
+
     rows = []
     max_err = 0.0
     max_residual = 0.0
-    for n in times:
-        x = position_expectation(float(n), cfg.clock)
+    for n, x, cond_a, cond_b in zip(times, readings, conds_a, conds_b):
         recovered = n_from_x_exact(x, cfg.clock)
         evolved = evolve_exact(cfg.system, recovered)
         exact_a = float(abs(np.vdot(probe, evolved)) ** 2)
-        cond_a = conditional_system_probability(history, x, proj_a)
-        cond_b = conditional_system_probability(history, x, proj_b)
         err_a = abs(cond_a - exact_a)
         err_b = abs(cond_b - (1.0 - exact_a))
         residual = abs(cond_a + cond_b - 1.0)
@@ -398,6 +399,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    """Write strict JSON: a NaN or infinity raises ValueError before the file opens."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def _derived_constants(cfg: ExperimentConfig) -> dict:
     derived = {
         "damped_frequency": cfg.clock.damped_frequency,
@@ -439,9 +447,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
         "derived": _derived_constants(cfg),
     }
     meta.update(extras)
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(meta_path, meta)
     return RunResult(csv_path=csv_path, meta_path=meta_path)
 
 
@@ -475,8 +481,9 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> list[dict]:
     """Run the experiment once per value; write per-value outputs and an index.
 
     Each run writes into ``<output_path>/<parameter>=<value>/``; the index
-    file mapping values to outputs is written last. Failures are recorded
-    per value and re-raised after the index is complete.
+    file mapping values to outputs is written last. A failing value is
+    recorded in its index entry (status "error", type and message) and the
+    other values still run; ``main`` exits 1 when any entry failed.
     """
     if parameter not in SWEEPABLE:
         raise ValidationError(f"parameter {parameter!r} is not sweepable; expected one of {SWEEPABLE}")
@@ -511,9 +518,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> list[dict]:
         "parameter": parameter,
         "runs": entries,
     }
-    with open(out_dir / "sweep_index.json", "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "sweep_index.json", index)
     return entries
 
 
@@ -529,6 +534,8 @@ def _parse_sweep_flag(text: str) -> tuple[str, list[float]]:
     name = name.strip()
     pieces = [p for p in raw.split(",") if p.strip()]
     values = [float(p) for p in pieces]
+    if not all(np.isfinite(values)):
+        raise ValidationError(f"--sweep values must be finite, got {raw!r}")
     if name == "grid_size":
         values = [int(v) for v in values]
     return name, values
@@ -573,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         run(cfg)
         return 0
-    except (OSError, IOError) as exc:
+    except OSError as exc:
         _emit_error(exc)
         return 2
     except (ValidationError, NumericalError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -9,11 +9,16 @@ on a clock position.
 Abstract time is integrated over [0, min(n_reset, 1/r)] on uniform trapezoid
 grids (deterministic, smooth Gaussian integrands). Quadrature weights double
 as the discretized entanglement coefficients of the history state.
+
+Building a history state costs O(K*d): conditioning divides by <v|v>, so the
+global norm cancels there and its O(K^2) contraction over clock-state
+overlaps runs only when ``HistoryState.norm`` is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +47,9 @@ __all__ = [
 # Below this, an unnormalized integral is treated as an unreachable reading.
 _SUPPORT_FLOOR = 1e-300
 
-# Rows per block when contracting the K x K joint Gram structure.
-_GRAM_BLOCK = 256
+# Rows per block, bounding temporaries to O(block * K): grid rows of the
+# K x K joint Gram structure, or readings conditioned at once.
+_BLOCK_ROWS = 256
 
 
 def position_given_n(x, n, params: ClockParams):
@@ -170,14 +176,21 @@ class HistoryState:
 
     The joint state is (1/norm) * sum_k weights[k] |clock(n_k)> |sys_states[k]>
     with trapezoid weights on [0, n_reset]; ``norm`` makes it unit under the
-    joint inner product, clock-state overlaps included.
+    joint inner product, clock-state overlaps included. It is contracted on
+    first access, in O(K^2) time, and cached; conditioning never reads it.
     """
 
     grid: np.ndarray
     weights: np.ndarray
     sys_states: np.ndarray
     clock_params: ClockParams
-    norm: float
+
+    @cached_property
+    def norm(self) -> float:
+        """Global norm sqrt(sum_{j,k} w_j w_k <clock_j|clock_k> <sys_j|sys_k>)."""
+        return float(
+            np.sqrt(_joint_quadratic_form(self.grid, self.weights, self.sys_states, self.clock_params))
+        )
 
     def joint_norm(self) -> float:
         """Norm of the normalized joint state; 1 up to discretization rounding."""
@@ -192,8 +205,8 @@ def _joint_quadratic_form(
 ) -> float:
     """sum_{j,k} w_j w_k <clock_j|clock_k> <sys_j|sys_k>, contracted blockwise."""
     total = 0.0
-    for start in range(0, grid.size, _GRAM_BLOCK):
-        stop = min(start + _GRAM_BLOCK, grid.size)
+    for start in range(0, grid.size, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, grid.size)
         clock_block = coherent_overlap(grid[start:stop, None], grid[None, :], params)
         sys_block = sys_states[start:stop].conj() @ sys_states.T
         total += float(
@@ -208,8 +221,8 @@ def build_history_state(
     """Entangled history state on a uniform grid over [0, n_reset].
 
     System slices are exp(+i*H*n_k) applied to the initial state; weights
-    are trapezoid weights; the global norm contracts the full joint Gram
-    structure, clock-state overlaps included.
+    are trapezoid weights. The build costs O(K*d) and evaluates no clock
+    overlaps: the global norm is left to ``HistoryState.norm``.
     """
     if grid_size < 16:
         raise ValueError(f"grid_size must be >= 16, got {grid_size}")
@@ -217,33 +230,33 @@ def build_history_state(
     step = grid[1] - grid[0]
     weights = np.full(grid_size, step)
     weights[0] = weights[-1] = step / 2.0
-    sys_states = evolve_exact_many(spec, grid)
-    norm = float(np.sqrt(_joint_quadratic_form(grid, weights, sys_states, params)))
     return HistoryState(
         grid=grid,
         weights=weights,
-        sys_states=sys_states,
+        sys_states=evolve_exact_many(spec, grid),
         clock_params=params,
-        norm=norm,
     )
 
 
-def conditional_system_probability(
-    history: HistoryState, x: float, projector: np.ndarray
-) -> float:
-    """Probability of the projector outcome given a clock reading x.
+def conditional_system_probability(history: HistoryState, x, projector: np.ndarray):
+    """Probability of the projector outcome given clock reading(s) x.
 
     Conditions the history state on position x: with
-    v = sum_k w_k <x|clock(n_k)> |sys_k>, returns <v|P|v> / <v|v>. The
-    double sum over grid indices is contracted in fixed ascending order, so
-    results are reproducible bit-for-bit.
+    v = sum_k w_k <x|clock(n_k)> |sys_k>, returns <v|P|v> / <v|v>. An array
+    of readings gives an array of the same shape, a scalar a float. Readings
+    are conditioned in blocks of at most ``_BLOCK_ROWS``; each v is
+    contracted on its own, in ascending grid order, so every value is
+    bit-for-bit the one a scalar call for that reading returns.
 
     Raises
     ------
     NotAProjector
         If the projector is not Hermitian idempotent within 1e-10.
+    InvalidAbstractTime
+        If the history grid leaves the clock's running window.
     DegenerateSupport
-        If the conditioning denominator underflows (x unreachable).
+        If the conditioning denominator underflows for any reading (x
+        unreachable), or a value's imaginary residue or range is off.
     """
     projector = np.asarray(projector, dtype=np.complex128)
     if projector.shape != (history.sys_states.shape[1],) * 2:
@@ -253,20 +266,30 @@ def conditional_system_probability(
     if np.max(np.abs(projector @ projector - projector)) > 1e-10:
         raise NotAProjector("projector is not idempotent within 1e-10")
 
-    amplitudes = wavefunction(x, history.grid, history.clock_params)
-    conditioned = (history.weights * amplitudes) @ history.sys_states
-    denominator = np.vdot(conditioned, conditioned).real
-    if not np.isfinite(denominator) or denominator < _SUPPORT_FLOOR:
-        raise DegenerateSupport(
-            f"reading x = {x} is unreachable: conditioning weight {denominator}"
-        )
-    numerator = np.vdot(conditioned, projector @ conditioned)
-    value = numerator / denominator
-    if abs(value.imag) > 1e-9:
-        raise DegenerateSupport(
-            f"imaginary residue {value.imag} exceeds 1e-9; projector arithmetic degenerated"
-        )
-    real = value.real
-    if real < -1e-9 or real > 1.0 + 1e-9:
-        raise DegenerateSupport(f"conditional probability {real} outside [0, 1] tolerance")
-    return min(max(real, 0.0), 1.0)
+    x = np.asarray(x, dtype=float)
+    readings = x.reshape(-1)
+    out = np.empty(readings.size)
+    for start in range(0, readings.size, _BLOCK_ROWS):
+        block = readings[start:start + _BLOCK_ROWS]
+        amplitudes = wavefunction(block[:, None], history.grid, history.clock_params)
+        weighted = history.weights * amplitudes
+        for i, reading in enumerate(block):
+            conditioned = weighted[i] @ history.sys_states
+            denominator = np.vdot(conditioned, conditioned).real
+            if not np.isfinite(denominator) or denominator < _SUPPORT_FLOOR:
+                raise DegenerateSupport(
+                    f"reading x = {reading} is unreachable: conditioning weight {denominator}"
+                )
+            value = np.vdot(conditioned, projector @ conditioned) / denominator
+            if abs(value.imag) > 1e-9:
+                raise DegenerateSupport(
+                    f"imaginary residue {value.imag} exceeds 1e-9 at reading x = {reading};"
+                    " projector arithmetic degenerated"
+                )
+            if value.real < -1e-9 or value.real > 1.0 + 1e-9:
+                raise DegenerateSupport(
+                    f"conditional probability {value.real} at reading x = {reading}"
+                    " outside [0, 1] tolerance"
+                )
+            out[start + i] = min(max(value.real, 0.0), 1.0)
+    return out.reshape(x.shape) if x.ndim else float(out[0])

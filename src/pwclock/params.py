@@ -214,20 +214,27 @@ class SystemSpec:
 def validate_clock_params(params: ClockParams) -> ClockParams:
     """Check all ClockParams invariants; return the params unchanged.
 
+    Non-finite values fail the check of their field.
+
     Raises
     ------
     NonPositiveScale, NegativeDamping, OverDamped, ResetTooLate,
-    NonPositiveAmplitude
+    NonPositiveAmplitude, ValidationError
     """
-    if params.hbar <= 0.0 or params.mass <= 0.0 or params.omega <= 0.0:
+    scales = (params.hbar, params.mass, params.omega)
+    if not np.all(np.isfinite(scales)) or min(scales) <= 0.0:
         raise NonPositiveScale(
-            f"hbar, mass, omega must be > 0, got "
+            f"hbar, mass, omega must be positive finite numbers, got "
             f"({params.hbar}, {params.mass}, {params.omega})"
         )
     if not np.isfinite(params.n_reset) or params.n_reset <= 0.0:
         raise NonPositiveScale(f"n_reset must be a positive finite number, got {params.n_reset}")
-    if params.damping < 0.0:
-        raise NegativeDamping(f"damping must be >= 0, got {params.damping}")
+    if not np.isfinite(params.damping) or params.damping < 0.0:
+        raise NegativeDamping(f"damping must be a finite number >= 0, got {params.damping}")
+    if not np.isfinite(complex(params.alpha)) or not np.isfinite(params.phase):
+        raise ValidationError(
+            f"alpha and phase must be finite, got alpha = {params.alpha}, phase = {params.phase}"
+        )
     if params.damping / 2.0 >= params.omega:
         raise OverDamped(
             f"under-damping requires r/2 < omega, got r/2 = {params.damping / 2.0}"
@@ -238,7 +245,7 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
             f"n_reset = {params.n_reset} exceeds the running-time limit "
             f"1/r = {1.0 / params.damping}"
         )
-    if params.amplitude <= 0.0:
+    if not np.isfinite(params.amplitude) or params.amplitude <= 0.0:
         raise NonPositiveAmplitude(
             f"amplitude sqrt(2*hbar/(m*omega))*Re(alpha) = {params.amplitude} "
             "must be > 0 for the time-map inversion"
@@ -247,7 +254,7 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
 
 
 def validate_system_spec(spec: SystemSpec, atol: float = 1e-12) -> SystemSpec:
-    """Check Hermiticity, normalization and dimension; return spec unchanged.
+    """Check finiteness, Hermiticity, normalization and dimension; return spec unchanged.
 
     Raises
     ------
@@ -258,11 +265,15 @@ def validate_system_spec(spec: SystemSpec, atol: float = 1e-12) -> SystemSpec:
     h = spec.hamiltonian
     if h.shape != (spec.dim, spec.dim):
         raise NotHermitian(f"generator must be {spec.dim}x{spec.dim}, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise NotHermitian("generator has non-finite entries")
     if not np.all(np.abs(h - h.conj().T) <= atol):
         raise NotHermitian("generator is not Hermitian within 1e-12 entrywise")
     psi = spec.initial_state
     if psi.shape != (spec.dim,):
         raise NotNormalized(f"initial state must have length {spec.dim}, got {psi.shape}")
+    if not np.all(np.isfinite(psi)):
+        raise NotNormalized("initial state has non-finite entries")
     if abs(np.linalg.norm(psi) - 1.0) > atol:
         raise NotNormalized(f"initial state norm {np.linalg.norm(psi)} is not 1 within 1e-12")
     return spec

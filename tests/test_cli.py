@@ -153,6 +153,21 @@ def test_empty_sweep_flag_exits_one(tmp_path, capsys):
     assert err["error"]["type"] == "NoValues"
 
 
+@pytest.mark.parametrize("values", ["nan", "0.5,nan", "inf"])
+def test_non_finite_sweep_flag_exits_one(tmp_path, capsys, values):
+    out = tmp_path / "o"
+    assert main(["timemap", "--out", str(out), "--sweep", f"r={values}"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValidationError"
+    assert not out.exists()
+
+
+def test_sweep_index_is_strict_json(tmp_path):
+    cfg = resolve_config("clock-profile", None, out=str(tmp_path / "sw"))
+    with pytest.raises(ValueError):
+        sweep(cfg, "r", [math.nan])  # the run fails, and NaN has no JSON spelling
+    assert not (tmp_path / "sw" / "sweep_index.json").exists()
+
+
 def test_sweep_records_per_value_failures(tmp_path):
     cfg = resolve_config("clock-profile", None, out=str(tmp_path / "sw"))
     entries = sweep(cfg, "r", [0.1, 5.0])  # 5.0 is over-damped

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from pwclock import conditional
 from pwclock import (
     ClockParams,
     DegenerateSupport,
+    InvalidAbstractTime,
     NotAProjector,
     OutOfRange,
     SystemSpec,
@@ -261,19 +264,28 @@ def test_conditional_probability_is_dynamical(history):
     assert abs(p1 - p2) > 0.05
 
 
-def test_conditional_probability_rejects_bad_projectors(history):
+def test_conditional_probability_rejects_bad_projectors(history, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("amplitudes computed before the projector checks")
+
+    monkeypatch.setattr(conditional, "wavefunction", forbidden)
     x = position_expectation(0.5, history.clock_params)
-    with pytest.raises(NotAProjector):
-        conditional_system_probability(history, x, np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotAProjector):
-        conditional_system_probability(history, x, 0.5 * np.eye(2))
-    with pytest.raises(NotAProjector):
-        conditional_system_probability(history, x, np.eye(3))
+    for readings in (x, np.full(4, x)):
+        with pytest.raises(NotAProjector):
+            conditional_system_probability(history, readings, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotAProjector):
+            conditional_system_probability(history, readings, 0.5 * np.eye(2))
+        with pytest.raises(NotAProjector):
+            conditional_system_probability(history, readings, np.eye(3))
 
 
 def test_conditional_probability_unreachable_reading(history):
     with pytest.raises(DegenerateSupport):
         conditional_system_probability(history, 80.0, PROJECTOR_PLUS)
+    # One unreachable reading fails the whole batch, and the message names it.
+    xs = np.array([position_expectation(n, history.clock_params) for n in (0.4, 0.7)] + [80.0])
+    with pytest.raises(DegenerateSupport, match="x = 80.0"):
+        conditional_system_probability(history, xs, PROJECTOR_PLUS)
 
 
 def test_weights_are_trapezoid(history):
@@ -283,3 +295,49 @@ def test_weights_are_trapezoid(history):
     assert np.all(history.weights[1:-1] == step)
     assert history.grid[0] == 0.0
     assert history.grid[-1] == history.clock_params.n_reset
+
+
+def test_history_build_computes_no_clock_overlaps(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("clock overlaps evaluated")
+
+    params = narrow_clock()
+    with monkeypatch.context() as patch:
+        patch.setattr(conditional, "coherent_overlap", forbidden)
+        hist = build_history_state(default_qubit_spec(), params, 256)
+        x = position_expectation(0.5, params)
+        assert 0.0 < conditional_system_probability(hist, x, PROJECTOR_PLUS) < 1.0
+        assert "norm" not in vars(hist)
+    expected = math.sqrt(
+        conditional._joint_quadratic_form(hist.grid, hist.weights, hist.sys_states, params)
+    )
+    assert hist.norm == expected
+    assert vars(hist)["norm"] == expected  # cached after the first access
+
+
+def test_conditional_probability_array_matches_scalar(history):
+    rng = np.random.default_rng(41)
+    times = rng.uniform(0.05, 0.95, 64) * history.clock_params.n_reset
+    xs = np.array([position_expectation(float(n), history.clock_params) for n in times])
+    for projector in (PROJECTOR_PLUS, PROJECTOR_MINUS, np.eye(2, dtype=complex)):
+        batch = conditional_system_probability(history, xs, projector)
+        assert batch.shape == xs.shape
+        scalars = [conditional_system_probability(history, float(x), projector) for x in xs]
+        assert all(type(p) is float for p in scalars)
+        assert np.array_equal(batch, np.array(scalars))
+        grid_shaped = conditional_system_probability(history, xs.reshape(8, 8), projector)
+        assert np.array_equal(grid_shaped, batch.reshape(8, 8))
+
+
+def test_conditional_probability_batch_spans_blocks(history, monkeypatch):
+    xs = np.array([position_expectation(n, history.clock_params) for n in (0.3, 0.6, 0.9, 1.2, 1.4)])
+    whole = conditional_system_probability(history, xs, PROJECTOR_PLUS)
+    monkeypatch.setattr(conditional, "_BLOCK_ROWS", 2)
+    assert np.array_equal(conditional_system_probability(history, xs, PROJECTOR_PLUS), whole)
+
+
+def test_conditional_probability_rejects_grid_outside_window(history):
+    shorter = dataclasses.replace(history.clock_params, n_reset=history.clock_params.n_reset / 2)
+    outside = dataclasses.replace(history, clock_params=shorter)
+    with pytest.raises(InvalidAbstractTime):
+        conditional_system_probability(outside, np.array([0.5, 0.6]), PROJECTOR_PLUS)

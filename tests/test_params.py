@@ -16,6 +16,7 @@ from pwclock import (
     OverDamped,
     ResetTooLate,
     SystemSpec,
+    ValidationError,
     ZeroDamping,
     check_abstract_time,
     validate_clock_params,
@@ -77,6 +78,25 @@ def test_negative_damping_rejected():
         validate_clock_params(ClockParams(damping=-0.1))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"damping": math.nan},
+        {"damping": math.inf},
+        {"hbar": math.nan},
+        {"mass": math.inf},
+        {"omega": math.nan},
+        {"n_reset": math.nan},
+        {"alpha": complex(math.nan, 0.0)},
+        {"alpha": complex(1.0, math.inf)},
+        {"phase": math.nan},
+    ],
+)
+def test_non_finite_clock_params_rejected(kwargs):
+    with pytest.raises(ValidationError):
+        validate_clock_params(ClockParams(**kwargs))
+
+
 def test_undamped_clock_allowed():
     params = validate_clock_params(ClockParams(damping=0.0, n_reset=5.0))
     assert params.damped_frequency == params.omega
@@ -129,6 +149,21 @@ def test_not_normalized_rejected():
         initial_state=np.array([1.0, 1.0]),
     )
     with pytest.raises(NotNormalized):
+        validate_system_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, initial_state, error",
+    [
+        (np.diag([0.5, -0.5]), [math.nan, 1.0], NotNormalized),
+        (np.diag([0.5, -0.5]), [1.0, complex(0.0, math.inf)], NotNormalized),
+        (np.diag([math.nan, -0.5]), [1.0, 0.0], NotHermitian),
+        (np.diag([math.inf, -0.5]), [1.0, 0.0], NotHermitian),
+    ],
+)
+def test_non_finite_system_spec_rejected(hamiltonian, initial_state, error):
+    spec = SystemSpec(dim=2, hamiltonian=hamiltonian, initial_state=np.array(initial_state))
+    with pytest.raises(error):
         validate_system_spec(spec)
 
 
