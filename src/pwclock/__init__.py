@@ -23,7 +23,6 @@ from .params import (
     InvalidAbstractTime,
     NonPositiveTime,
     UnderDampingViolated,
-    NegativeRadicand,
     OutOfRange,
     NonMonotonicWindow,
     ZeroDamping,
@@ -46,7 +45,6 @@ from .clock import (
     decoherence_rate,
     damping_stationary_point,
     recommend_damping,
-    semiclassical_position,
 )
 from .timemap import (
     TimeMapResult,
@@ -69,13 +67,10 @@ from .conditional import (
 from .evolution import (
     EvolutionComparison,
     EvolutionComparisonTable,
-    ScalarParameterReport,
     fidelity,
     evolve_exact,
-    evolve_exact_many,
     evolve_via_clock,
     compare_evolutions,
-    scalar_parameter_check,
     default_qubit_spec,
 )
 

@@ -5,19 +5,17 @@ system generator is a row-major flat list of such pairs. Every run writes one
 UTF-8 CSV (header row, shortest round-trip float formatting, so identical
 configs reproduce identical bytes) and a ``<name>.meta.json`` sidecar with the
 fully resolved config, derived constants and timing.
-
-``PWCLOCK_THREADS`` caps the sweep worker pool; per-run outputs never depend
-on the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+# Unused: sweeps run serially. The benchmark's tracer (perfbench/tracing.py)
+# swaps ``cli.ThreadPoolExecutor`` for a span-recording pool, so the name stays.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -50,6 +48,10 @@ from .conditional import (
 from .evolution import compare_evolutions, default_qubit_spec, evolve_exact
 
 SCHEMA_VERSION = 1
+
+# Rows formatted and written per block by _write_csv, bounding the strings
+# held at once.
+_CSV_BLOCK_ROWS = 1024
 
 EXPERIMENTS = (
     "clock-profile",
@@ -246,44 +248,34 @@ def resolve_config(
 
 
 # ---------------------------------------------------------------------------
-# Experiment implementations: each returns (header, rows, extras).
+# Experiment implementations: each returns (header, columns, extras), one
+# column per header entry.
 # ---------------------------------------------------------------------------
 
 
 def _run_clock_profile(cfg: ExperimentConfig):
-    grid = np.linspace(0.0, cfg.clock.n_reset, cfg.grid_size)
-    rows = [
-        (
-            float(n),
-            position_expectation(float(n), cfg.clock),
-            width(float(n), cfg.clock),
-            decoherence_rate(float(n), cfg.clock),
-        )
-        for n in grid
+    n = np.linspace(0.0, cfg.clock.n_reset, cfg.grid_size)
+    columns = [
+        n,
+        position_expectation(n, cfg.clock),
+        width(n, cfg.clock),
+        decoherence_rate(n, cfg.clock),
     ]
-    return ["n", "mean_x", "width", "decoherence_rate"], rows, {}
+    return ["n", "mean_x", "width", "decoherence_rate"], columns, {}
 
 
 def _run_damping_opt(cfg: ExperimentConfig):
-    grid = np.linspace(0.0, cfg.clock.n_reset, cfg.grid_size + 1)[1:]  # exclude n = 0
-    rows = []
-    for n in grid:
-        point = damping_stationary_point(float(n), cfg.clock)
-        at_star = replace(cfg.clock, damping=point.r_star)  # may be over-damped; rate only
-        rows.append(
-            (float(n), point.r_star, decoherence_rate(float(n), at_star), point.classification)
-        )
-    return ["n", "r_star", "rate_at_r_star", "classification"], rows, {}
+    n = np.linspace(0.0, cfg.clock.n_reset, cfg.grid_size + 1)[1:]  # exclude n = 0
+    point = damping_stationary_point(n, cfg.clock)
+    columns = [n, point.r_star, point.rate, point.classification]
+    return ["n", "r_star", "rate_at_r_star", "classification"], columns, {}
 
 
 def _run_timemap(cfg: ExperimentConfig):
     table = linearization_report(cfg.clock, cfg.grid_size)
-    rows = [
-        (row.x, row.y, row.n_exact, row.n_log, row.n_linear, row.rel_error_linear)
-        for row in table
-    ]
     header = ["x", "y", "n_exact", "n_log", "n_linear", "rel_error_linear"]
-    return header, rows, {"max_rel_error_linear": max(r.rel_error_linear for r in table)}
+    columns = [getattr(table, name) for name in header]
+    return header, columns, {"max_rel_error_linear": float(np.max(table.rel_error_linear))}
 
 
 def _run_posterior(cfg: ExperimentConfig):
@@ -291,39 +283,39 @@ def _run_posterior(cfg: ExperimentConfig):
     if x is None:
         x = position_expectation(cfg.clock.n_reset / 2.0, cfg.clock)
     posterior = posterior_over_n(float(x), cfg.clock, cfg.grid_size)
-    rows = list(zip(posterior.grid.tolist(), posterior.density.tolist()))
     extras = {
         "x": float(x),
         "norm_raw": posterior.norm_raw,
         "integration_bound": float(posterior.grid[-1]),
     }
-    return ["n_prime", "density"], rows, extras
+    return ["n_prime", "density"], [posterior.grid, posterior.density], extras
 
 
 def _run_ideal_limit(cfg: ExperimentConfig):
-    scales = list(cfg.options["scales"])
+    scales = [float(scale) for scale in cfg.options["scales"]]
     if not scales:
         raise NoValues("ideal-limit requires at least one m*omega scale")
     window = float(cfg.options["window"])
     probe_time = float(cfg.options.get("probe_time", cfg.clock.n_reset / 3.0))
     target_amplitude = cfg.clock.amplitude
-    rows = []
-    for scale in scales:
-        scaled = replace(cfg.clock, mass=float(scale) / cfg.clock.omega).with_amplitude(
+    readings, fractions = [], []
+    for scale in scales:  # one clock per scale
+        scaled = replace(cfg.clock, mass=scale / cfg.clock.omega).with_amplitude(
             target_amplitude
         )
         validate_clock_params(scaled)
         x = position_expectation(probe_time, scaled)
-        fraction = ideal_limit_concentration(x, scaled, window, cfg.grid_size)
-        rows.append((float(scale), window, float(x), fraction))
+        readings.append(x)
+        fractions.append(ideal_limit_concentration(x, scaled, window, cfg.grid_size))
+    columns = [scales, [window] * len(scales), readings, fractions]
     extras = {"probe_time": probe_time, "amplitude": target_amplitude}
-    return ["mass_omega", "window", "x", "mass_fraction"], rows, extras
+    return ["mass_omega", "window", "x", "mass_fraction"], columns, extras
 
 
 def _run_evolve_compare(cfg: ExperimentConfig):
     table = compare_evolutions(cfg.system, cfg.clock, cfg.grid_size)
-    rows = [(row.n, row.x, row.y, row.fidelity) for row in table.rows]
-    return ["n", "x", "y", "fidelity"], rows, {"worst_row_fidelity": table.worst_fidelity}
+    columns = [table.n, table.x, table.y, table.fidelity]
+    return ["n", "x", "y", "fidelity"], columns, {"worst_row_fidelity": table.worst_fidelity}
 
 
 def _probe_projectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -341,23 +333,16 @@ def _run_oracle_check(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     times = np.sort(rng.uniform(lo, hi, int(cfg.options["num_readings"]))) * cfg.clock.n_reset
 
-    readings = [position_expectation(float(n), cfg.clock) for n in times]
-    conds_a = conditional_system_probability(history, readings, proj_a).tolist()
-    conds_b = conditional_system_probability(history, readings, proj_b).tolist()
+    readings = position_expectation(times, cfg.clock)
+    cond_a = conditional_system_probability(history, readings, proj_a)
+    cond_b = conditional_system_probability(history, readings, proj_b)
 
-    rows = []
-    max_err = 0.0
-    max_residual = 0.0
-    for n, x, cond_a, cond_b in zip(times, readings, conds_a, conds_b):
-        recovered = n_from_x_exact(x, cfg.clock)
-        evolved = evolve_exact(cfg.system, recovered)
-        exact_a = float(abs(np.vdot(probe, evolved)) ** 2)
-        err_a = abs(cond_a - exact_a)
-        err_b = abs(cond_b - (1.0 - exact_a))
-        residual = abs(cond_a + cond_b - 1.0)
-        max_err = max(max_err, err_a, err_b)
-        max_residual = max(max_residual, residual)
-        rows.append((float(n), float(x), cond_a, exact_a, err_a, cond_b, 1.0 - exact_a, err_b))
+    evolved = evolve_exact(cfg.system, n_from_x_exact(readings, cfg.clock))
+    exact_a = np.abs(np.matmul(probe.conj(), evolved[..., None])[..., 0]) ** 2  # |<probe|psi>|^2
+    exact_b = 1.0 - exact_a
+    err_a = np.abs(cond_a - exact_a)
+    err_b = np.abs(cond_b - exact_b)
+    residual = np.abs(cond_a + cond_b - 1.0)
     header = [
         "n",
         "x",
@@ -368,7 +353,12 @@ def _run_oracle_check(cfg: ExperimentConfig):
         "p_exact_b",
         "abs_err_b",
     ]
-    return header, rows, {"max_abs_err": max_err, "max_complement_residual": max_residual}
+    columns = [times, readings, cond_a, exact_a, err_a, cond_b, exact_b, err_b]
+    extras = {
+        "max_abs_err": float(np.max([err_a, err_b], initial=0.0)),
+        "max_complement_residual": float(np.max(residual, initial=0.0)),
+    }
+    return header, columns, extras
 
 
 _RUNNERS = {
@@ -382,21 +372,27 @@ _RUNNERS = {
 }
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, str)):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    raise TypeError(f"unsupported CSV cell type {type(value)!r}")
+def _format_column(column) -> list[str]:
+    """CSV cells of one column: shortest round-trip repr for floats, text as is."""
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    if column.dtype.kind == "U":
+        return column.tolist()
+    raise TypeError(f"unsupported CSV column dtype {column.dtype}")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns as CSV rows, formatting one block of rows at a time."""
+    columns = [np.asarray(column) for column in columns]
+    rows = len(columns[0]) if columns else 0
+    if any(len(column) != rows for column in columns):
+        raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            cells = [_format_column(column[start:start + _CSV_BLOCK_ROWS]) for column in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -451,19 +447,6 @@ def run(cfg: ExperimentConfig) -> RunResult:
     return RunResult(csv_path=csv_path, meta_path=meta_path)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("PWCLOCK_THREADS")
-    if env is not None:
-        try:
-            count = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"PWCLOCK_THREADS must be an integer, got {env!r}") from exc
-        if count < 1:
-            raise ValidationError(f"PWCLOCK_THREADS must be >= 1, got {count}")
-        return count
-    return min(4, os.cpu_count() or 1)
-
-
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
     if parameter == "grid_size":
         return replace(cfg, grid_size=int(value))
@@ -490,25 +473,19 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> list[dict]:
     if not values:
         raise NoValues("sweep requires at least one value")
 
-    def run_one(value):
-        sub_out = Path(cfg.output_path) / f"{parameter}={value}"
-        sub = _apply_sweep_value(replace(cfg, output_path=str(sub_out)), parameter, value)
-        return run(sub)
-
     entries: list[dict] = []
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        futures = [pool.submit(run_one, value) for value in values]
-        for value, future in zip(values, futures):
-            entry: dict = {"value": value}
-            try:
-                result = future.result()
-                entry["status"] = "ok"
-                entry["csv"] = str(result.csv_path)
-                entry["meta"] = str(result.meta_path)
-            except Exception as exc:  # recorded per value, index still written
-                entry["status"] = "error"
-                entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
-            entries.append(entry)
+    for value in values:
+        entry: dict = {"value": value}
+        try:
+            sub_out = Path(cfg.output_path) / f"{parameter}={value}"
+            result = run(_apply_sweep_value(replace(cfg, output_path=str(sub_out)), parameter, value))
+            entry["status"] = "ok"
+            entry["csv"] = str(result.csv_path)
+            entry["meta"] = str(result.meta_path)
+        except Exception as exc:  # recorded per value, index still written
+            entry["status"] = "error"
+            entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        entries.append(entry)
 
     out_dir = Path(cfg.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -24,10 +24,10 @@ import numpy as np
 from .params import (
     AbstractTime,
     ClockParams,
-    InvalidAbstractTime,
-    NegativeRadicand,
     NonPositiveTime,
     UnderDampingViolated,
+    check_abstract_time,
+    first_outside,
 )
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "decoherence_rate",
     "damping_stationary_point",
     "recommend_damping",
-    "semiclassical_position",
 ]
 
 # Central-stencil steps balancing truncation and roundoff at double precision.
@@ -60,11 +59,16 @@ class ClockMoments:
 
 @dataclass(frozen=True)
 class StationaryDamping:
-    """Stationary point of the decoherence rate along the damping axis."""
+    """Stationary point of the decoherence rate along the damping axis.
 
-    r_star: float
-    classification: Literal["maximum", "minimum", "flat"]
-    second_difference: float
+    Each field is a scalar for one time n and an array, one entry per time,
+    for an array of times; ``rate`` is the decoherence rate at r_star.
+    """
+
+    r_star: float | np.ndarray
+    classification: Literal["maximum", "minimum", "flat"] | np.ndarray
+    second_difference: float | np.ndarray
+    rate: float | np.ndarray
 
 
 def position_expectation(n, params: ClockParams):
@@ -130,9 +134,7 @@ def wavefunction(x, n, params: ClockParams):
     InvalidAbstractTime
         If any n lies outside [0, n_reset].
     """
-    n = np.asarray(n, dtype=float)
-    if np.any(n < 0.0) or np.any(n > params.n_reset):
-        raise InvalidAbstractTime(f"n outside the running window [0, {params.n_reset}]")
+    n = np.asarray(check_abstract_time(n, params), dtype=float)
     x = np.asarray(x, dtype=float)
     delta = width(n, params)
     mean = position_expectation(n, params)
@@ -162,36 +164,41 @@ def _rate_at_damping(r: float, n: float, params: ClockParams) -> float:
     return r * params.hbar * np.exp(-r * n) / (params.mass * params.omega)
 
 
-def damping_stationary_point(n: AbstractTime, params: ClockParams) -> StationaryDamping:
+def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
     """Stationary point of the decoherence rate along r at fixed n.
 
     The rate r*hbar*exp(-r*n)/(m*omega) is stationary in r exactly where
     r*n = 1; the returned classification (by central second difference,
     step 1e-3) reports whether that point is a maximum or minimum of the
-    rate along the damping axis.
+    rate along the damping axis. An array of times gives array fields.
 
     Raises
     ------
     NonPositiveTime
-        If n <= 0.
+        If any n <= 0, or is NaN; names the first.
     """
-    if n <= 0.0:
-        raise NonPositiveTime(f"stationary damping requires n > 0, got {n}")
+    n = np.asarray(n, dtype=float)
+    bad = first_outside(n, n > 0.0)
+    if bad is not None:
+        raise NonPositiveTime(f"stationary damping requires n > 0, got {bad}")
     r_star = 1.0 / n
     h = _FD_STEP_SECOND
+    scale = _rate_at_damping(r_star, n, params)
     d2 = (
         _rate_at_damping(r_star + h, n, params)
-        - 2.0 * _rate_at_damping(r_star, n, params)
+        - 2.0 * scale
         + _rate_at_damping(r_star - h, n, params)
     ) / h**2
-    scale = _rate_at_damping(r_star, n, params)
-    if abs(d2) <= 1e-9 * max(scale, 1.0):
-        kind: Literal["maximum", "minimum", "flat"] = "flat"
-    elif d2 < 0.0:
-        kind = "maximum"
-    else:
-        kind = "minimum"
-    return StationaryDamping(r_star=r_star, classification=kind, second_difference=d2)
+    kind = np.where(
+        np.abs(d2) <= 1e-9 * np.maximum(scale, 1.0),
+        "flat",
+        np.where(d2 < 0.0, "maximum", "minimum"),
+    )
+    if n.ndim:
+        return StationaryDamping(r_star=r_star, classification=kind, second_difference=d2, rate=scale)
+    return StationaryDamping(
+        r_star=float(r_star), classification=str(kind), second_difference=float(d2), rate=float(scale)
+    )
 
 
 def recommend_damping(n_reset: float, params: ClockParams) -> float:
@@ -213,22 +220,3 @@ def recommend_damping(n_reset: float, params: ClockParams) -> float:
         )
     return r
 
-
-def semiclassical_position(
-    energy: float, momentum: float, n: AbstractTime, params: ClockParams
-) -> float:
-    """Scalar position exp(-r*n/2) * sqrt(2*E/(m*omega) + p^2/omega^2).
-
-    Illustrative scalar substitution for the operator relation linking
-    position to energy and momentum; meaningful in natural units only and
-    feeds no other operation.
-
-    Raises
-    ------
-    NegativeRadicand
-        If 2*E/(m*omega) + p^2/omega^2 < 0.
-    """
-    radicand = 2.0 * energy / (params.mass * params.omega) + momentum**2 / params.omega**2
-    if radicand < 0.0:
-        raise NegativeRadicand(f"2E/(m*omega) + p^2/omega^2 = {radicand} < 0")
-    return np.exp(-params.damping * n / 2.0) * sqrt(radicand)

@@ -30,7 +30,7 @@ from .params import (
     SystemSpec,
 )
 from .clock import position_expectation, wavefunction, width
-from .evolution import evolve_exact_many
+from .evolution import evolve_exact
 from .timemap import n_from_x_exact, n_from_x_log
 
 __all__ = [
@@ -192,13 +192,6 @@ class HistoryState:
             np.sqrt(_joint_quadratic_form(self.grid, self.weights, self.sys_states, self.clock_params))
         )
 
-    def joint_norm(self) -> float:
-        """Norm of the normalized joint state; 1 up to discretization rounding."""
-        return (
-            np.sqrt(_joint_quadratic_form(self.grid, self.weights, self.sys_states, self.clock_params))
-            / self.norm
-        )
-
 
 def _joint_quadratic_form(
     grid: np.ndarray, weights: np.ndarray, sys_states: np.ndarray, params: ClockParams
@@ -233,7 +226,7 @@ def build_history_state(
     return HistoryState(
         grid=grid,
         weights=weights,
-        sys_states=evolve_exact_many(spec, grid),
+        sys_states=evolve_exact(spec, grid),
         clock_params=params,
     )
 

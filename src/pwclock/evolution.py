@@ -23,19 +23,17 @@ from .params import (
     OutOfRange,
     SystemSpec,
     ZeroDamping,
+    first_outside,
 )
 from .clock import position_expectation
 
 __all__ = [
     "EvolutionComparison",
     "EvolutionComparisonTable",
-    "ScalarParameterReport",
     "fidelity",
     "evolve_exact",
-    "evolve_exact_many",
     "evolve_via_clock",
     "compare_evolutions",
-    "scalar_parameter_check",
     "default_qubit_spec",
 ]
 
@@ -54,25 +52,48 @@ class EvolutionComparison:
 
 @dataclass(frozen=True)
 class EvolutionComparisonTable:
-    rows: list[EvolutionComparison]
+    """Exact vs clock-parameterized evolution on a grid, as columns.
+
+    ``n``, ``x``, ``y`` and ``fidelity`` hold one entry per row; the state
+    arrays hold one state per row.
+    """
+
+    n: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    state_exact: np.ndarray
+    state_clock: np.ndarray
+    fidelity: np.ndarray
     worst_fidelity: float
 
+    @property
+    def rows(self) -> list[EvolutionComparison]:
+        """The table row by row, built from the columns on each access."""
+        return [
+            EvolutionComparison(*row)
+            for row in zip(
+                self.n.tolist(),
+                self.x.tolist(),
+                self.y.tolist(),
+                self.state_exact,
+                self.state_clock,
+                self.fidelity.tolist(),
+            )
+        ]
 
-@dataclass(frozen=True)
-class ScalarParameterReport:
-    """Operational check that the clock reading acts as a plain number."""
 
-    commutator_norm: float
-    repeat_identical: bool
-    rerepresentation_identical: bool
-    all_pass: bool
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> over the last axis; each value equals np.vdot of its pair."""
+    return np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared overlap |<a|b>|^2 of two state vectors, normalization-safe."""
-    num = abs(np.vdot(a, b)) ** 2
-    den = np.vdot(a, a).real * np.vdot(b, b).real
-    return float(num / den)
+def fidelity(a: np.ndarray, b: np.ndarray):
+    """Squared overlap |<a|b>|^2 of state vectors, normalization-safe.
+
+    Stacks of states (leading axes) give an array of fidelities.
+    """
+    out = np.abs(_inner(a, b)) ** 2 / (_inner(a, a).real * _inner(b, b).real)
+    return out if out.ndim else float(out)
 
 
 def _eigensystem(spec: SystemSpec):
@@ -85,53 +106,48 @@ def _eigensystem(spec: SystemSpec):
     return energies, modes
 
 
-def evolve_exact(spec: SystemSpec, n: AbstractTime) -> np.ndarray:
+def evolve_exact(spec: SystemSpec, n) -> np.ndarray:
     """State exp(+i*H*n) applied to the initial state, via eigendecomposition.
 
-    Unitarity holds to rounding because the propagator is assembled from
-    real eigenphases. ``n = 0`` returns the initial state itself.
+    ``n`` is an abstract time or an array of them; the result has one state
+    per time along its last axis, (*n.shape, d). One eigendecomposition
+    serves every time, and each state is assembled on its own, so a row
+    equals the state a scalar call for its time returns. Unitarity holds to
+    rounding because the propagator is assembled from real eigenphases.
+    Rows with ``n == 0`` are the initial state itself.
     """
-    if n == 0.0:
-        return spec.initial_state.copy()
+    n = np.asarray(n, dtype=float)
     energies, modes = _eigensystem(spec)
     coeffs = modes.conj().T @ spec.initial_state
-    return modes @ (np.exp(1j * energies * n) * coeffs)
+    phased = np.exp(1j * energies * n[..., None]) * coeffs
+    states = np.matmul(modes, phased[..., None])[..., 0]
+    states[n == 0.0] = spec.initial_state
+    return states
 
 
-def evolve_exact_many(spec: SystemSpec, n_values: np.ndarray) -> np.ndarray:
-    """States exp(+i*H*n_k) applied to the initial state, one row per n_k."""
-    energies, modes = _eigensystem(spec)
-    coeffs = modes.conj().T @ spec.initial_state
-    n_values = np.asarray(n_values, dtype=float)
-    phases = np.exp(1j * np.outer(n_values, energies))  # (K, d)
-    return (phases * coeffs) @ modes.T  # row k: modes @ (phases_k * coeffs)
-
-
-def evolve_via_clock(spec: SystemSpec, x: float, params: ClockParams) -> np.ndarray:
+def evolve_via_clock(spec: SystemSpec, x, params: ClockParams) -> np.ndarray:
     """State exp(+i * (2*H/(r*A)) * (A - x)) applied to the initial state.
 
     The clock reading x enters only through the scalar displacement
-    y = A - x; ``x = A`` returns the initial state itself.
+    y = A - x, so this is ``evolve_exact`` at 2*(A - x)/(r*A); ``x = A``
+    returns the initial state itself. An array of readings gives one state
+    per reading.
 
     Raises
     ------
     ZeroDamping
         If r = 0 (the rescaled generator is undefined).
     OutOfRange
-        If x > A.
+        If any x > A; names the first.
     """
     if params.damping == 0.0:
         raise ZeroDamping("clock-parameterized evolution requires damping r > 0")
     amp = params.amplitude
-    if x > amp:
-        raise OutOfRange(f"reading x = {x} exceeds the amplitude {amp}")
-    y = amp - x
-    if y == 0.0:
-        return spec.initial_state.copy()
-    effective_time = 2.0 * y / (params.damping * amp)
-    energies, modes = _eigensystem(spec)
-    coeffs = modes.conj().T @ spec.initial_state
-    return modes @ (np.exp(1j * energies * effective_time) * coeffs)
+    x = np.asarray(x, dtype=float)
+    bad = first_outside(x, x <= amp)
+    if bad is not None:
+        raise OutOfRange(f"reading x = {bad} exceeds the amplitude {amp}")
+    return evolve_exact(spec, 2.0 * (amp - x) / (params.damping * amp))
 
 
 def compare_evolutions(
@@ -139,75 +155,25 @@ def compare_evolutions(
 ) -> EvolutionComparisonTable:
     """Exact vs clock-parameterized evolution on a uniform n-grid over [0, n_reset).
 
-    Each row pairs n with the expected reading x = <x>(n). The fidelity is 1
-    exactly at n = 0 and degrades smoothly along the run; the table also
+    Row k pairs n_k with the expected reading x = <x>(n_k). The fidelity is
+    1 exactly at n = 0 and degrades smoothly along the run; the table also
     carries the worst-row fidelity.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    step = params.n_reset / grid_size
-    rows = []
-    worst = 1.0
-    for k in range(grid_size):
-        n = k * step
-        x = position_expectation(n, params)
-        state_exact = evolve_exact(spec, n)
-        state_clock = evolve_via_clock(spec, x, params)
-        fid = fidelity(state_exact, state_clock)
-        worst = min(worst, fid)
-        rows.append(
-            EvolutionComparison(
-                n=n,
-                x=x,
-                y=params.amplitude - x,
-                state_exact=state_exact,
-                state_clock=state_clock,
-                fidelity=fid,
-            )
-        )
-    return EvolutionComparisonTable(rows=rows, worst_fidelity=worst)
-
-
-def _default_probe_operators(dim: int) -> list[np.ndarray]:
-    shift = np.eye(dim, k=1) + np.eye(dim, k=-1)
-    graded = np.diag(np.arange(dim, dtype=float))
-    return [shift.astype(np.complex128), graded.astype(np.complex128)]
-
-
-def scalar_parameter_check(
-    spec: SystemSpec,
-    params: ClockParams,
-    x: float,
-    operators: list[np.ndarray] | None = None,
-) -> ScalarParameterReport:
-    """Confirm that a reading x behaves as a plain number for the system.
-
-    Checks, at the representation level, that x*identity commutes exactly
-    with every probe operator, that repeated evaluation of the
-    clock-parameterized evolution is bit-identical, and that any float
-    re-representation of the same reading yields bit-identical states.
-    """
-    if operators is None:
-        operators = [spec.hamiltonian] + _default_probe_operators(spec.dim)
-    scaled_identity = x * np.eye(spec.dim, dtype=np.complex128)
-    comm_norm = 0.0
-    for op in operators:
-        comm = scaled_identity @ op - op @ scaled_identity
-        comm_norm = max(comm_norm, float(np.max(np.abs(comm))))
-
-    first = evolve_via_clock(spec, x, params)
-    second = evolve_via_clock(spec, x, params)
-    repeat_ok = np.array_equal(first, second)
-
-    rerep_ok = True
-    for same_x in (float(np.float64(x)), x * 1.0, x + 0.0):
-        rerep_ok = rerep_ok and np.array_equal(first, evolve_via_clock(spec, same_x, params))
-
-    return ScalarParameterReport(
-        commutator_norm=comm_norm,
-        repeat_identical=repeat_ok,
-        rerepresentation_identical=rerep_ok,
-        all_pass=(comm_norm == 0.0) and repeat_ok and rerep_ok,
+    n = np.arange(grid_size) * (params.n_reset / grid_size)
+    x = position_expectation(n, params)
+    state_exact = evolve_exact(spec, n)
+    state_clock = evolve_via_clock(spec, x, params)
+    fid = fidelity(state_exact, state_clock)
+    return EvolutionComparisonTable(
+        n=n,
+        x=x,
+        y=params.amplitude - x,
+        state_exact=state_exact,
+        state_clock=state_clock,
+        fidelity=fid,
+        worst_fidelity=min(1.0, float(fid.min())),
     )
 
 

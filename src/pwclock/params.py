@@ -2,8 +2,8 @@
 
 Natural units (hbar = mass = omega = 1) are the documented default, but every
 formula keeps the symbols so non-default values are exercised in tests.
-Abstract time ``n`` is carried as a plain float; ``check_abstract_time``
-enforces membership in the clock's running window.
+Abstract time ``n`` is carried as a plain float or an array of floats;
+``check_abstract_time`` enforces membership in the clock's running window.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "InvalidAbstractTime",
     "NonPositiveTime",
     "UnderDampingViolated",
-    "NegativeRadicand",
     "OutOfRange",
     "NonMonotonicWindow",
     "ZeroDamping",
@@ -98,10 +97,6 @@ class NonPositiveTime(ValidationError):
 
 class UnderDampingViolated(ValidationError):
     """Recommended damping 1/n_reset would break r/2 < omega."""
-
-
-class NegativeRadicand(ValidationError):
-    """Square-root argument of the semiclassical position is negative."""
 
 
 class OutOfRange(ValidationError):
@@ -279,12 +274,22 @@ def validate_system_spec(spec: SystemSpec, atol: float = 1e-12) -> SystemSpec:
     return spec
 
 
-def check_abstract_time(n: float, params: ClockParams) -> float:
-    """Require 0 <= n <= n_reset; return n.
+def first_outside(values, inside) -> float | None:
+    """First of the values (in C order) where ``inside`` is False; None if there is none."""
+    inside = np.asarray(inside).reshape(-1)
+    if inside.all():
+        return None
+    return float(np.asarray(values, dtype=float).reshape(-1)[np.argmin(inside)])
+
+
+def check_abstract_time(n, params: ClockParams):
+    """Require 0 <= n <= n_reset for a time or every time in an array; return n.
 
     The reset point itself is admitted so quadrature grids can close the
-    running window.
+    running window. NaN is rejected.
     """
-    if not 0.0 <= n <= params.n_reset:
-        raise InvalidAbstractTime(f"n = {n} outside the running window [0, {params.n_reset}]")
+    times = np.asarray(n, dtype=float)
+    bad = first_outside(times, (times >= 0.0) & (times <= params.n_reset))
+    if bad is not None:
+        raise InvalidAbstractTime(f"n = {bad} outside the running window [0, {params.n_reset}]")
     return n

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from pwclock import (
     ClockParams,
     InvalidAbstractTime,
-    NegativeRadicand,
     NonPositiveTime,
     UnderDampingViolated,
     damping_stationary_point,
@@ -14,7 +14,6 @@ from pwclock import (
     moments,
     position_expectation,
     recommend_damping,
-    semiclassical_position,
     validate_clock_params,
     wavefunction,
     width,
@@ -51,6 +50,8 @@ def test_wavefunction_rejects_out_of_window_time():
         wavefunction(0.0, -0.5, params)
     with pytest.raises(InvalidAbstractTime):
         wavefunction(0.0, 2.5, params)
+    with pytest.raises(InvalidAbstractTime, match="n = nan "):
+        wavefunction(0.0, np.array([0.5, np.nan]), params)
 
 
 def test_normalization_randomized():
@@ -160,6 +161,20 @@ def test_stationary_damping_classification():
 def test_stationary_damping_rejects_nonpositive_time():
     with pytest.raises(NonPositiveTime):
         damping_stationary_point(0.0, ClockParams(n_reset=1.0))
+    with pytest.raises(NonPositiveTime, match="got -1.0"):
+        damping_stationary_point(np.array([1.0, -1.0, 0.0]), ClockParams(n_reset=1.0))
+
+
+def test_stationary_damping_array_matches_scalar_calls():
+    params = ClockParams(damping=0.5, n_reset=2.0)
+    n = np.linspace(0.0, 2.0, 65)[1:]
+    points = damping_stationary_point(n, params)
+    singles = [damping_stationary_point(float(t), params) for t in n]
+    for name in ("r_star", "second_difference", "rate"):
+        assert np.array_equal(getattr(points, name), [getattr(p, name) for p in singles])
+    assert points.classification.tolist() == [p.classification for p in singles]
+    at_star = [decoherence_rate(t, replace(params, damping=r)) for t, r in zip(n, points.r_star)]
+    assert np.array_equal(points.rate, at_star)
 
 
 def test_recommend_damping():
@@ -168,20 +183,6 @@ def test_recommend_damping():
     with pytest.raises(UnderDampingViolated):
         recommend_damping(0.4, params)
     assert recommend_damping(math.inf, params) == 0.0
-
-
-def test_semiclassical_position():
-    params = ClockParams(n_reset=1.0)
-    assert semiclassical_position(0.5, 0.0, 0.0, params) == pytest.approx(1.0, rel=1e-15)
-    assert semiclassical_position(0.5, 1.0, 0.0, params) == pytest.approx(
-        math.sqrt(2.0), rel=1e-15
-    )
-    damped = ClockParams(damping=0.4, n_reset=2.0)
-    for n in (0.5, 1.5):
-        expected = math.exp(-0.4 * n / 2.0) * math.sqrt(2.0 * 0.5)
-        assert semiclassical_position(0.5, 0.0, n, damped) == pytest.approx(expected, rel=1e-14)
-    with pytest.raises(NegativeRadicand):
-        semiclassical_position(-1.0, 0.0, 0.0, params)
 
 
 def test_width_damping_derivative_matches_fd():

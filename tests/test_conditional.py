@@ -201,7 +201,6 @@ def test_history_state_slice_norms():
 def test_history_state_unit_joint_norm():
     params = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0))
     hist = build_history_state(default_qubit_spec(), params, 48)
-    assert hist.joint_norm() == pytest.approx(1.0, abs=1e-9)
 
     # Independent dense Gram oracle: clock overlaps by quadrature over x.
     xs = np.linspace(-12.0, 12.0, 20001)

@@ -12,14 +12,14 @@ from pwclock import (
     compare_evolutions,
     default_qubit_spec,
     evolve_exact,
-    evolve_exact_many,
     evolve_via_clock,
     fidelity,
     position_expectation,
-    scalar_parameter_check,
     validate_clock_params,
     validate_system_spec,
 )
+
+from hypothesis import given, settings, strategies as st
 
 from calibration import FIDELITY_LOSS_PREFACTOR, WORST_ROW_FIDELITY_FLOOR
 from oracles import expm_state, loglog_slope, random_hermitian, random_state
@@ -72,12 +72,44 @@ def test_evolution_composes():
     np.testing.assert_allclose(evolve_exact(midway, 1.3), once, atol=1e-10)
 
 
-def test_evolve_many_matches_single():
-    spec = default_qubit_spec()
-    ns = np.array([0.2, 0.9, 1.7])
-    many = evolve_exact_many(spec, ns)
-    for k, n in enumerate(ns):
-        np.testing.assert_allclose(many[k], evolve_exact(spec, float(n)), atol=1e-14)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    times=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=16),
+)
+def test_evolve_many_matches_single(dim, seed, times):
+    # One array call equals the stacked scalar calls and the one-state
+    # formula bit for bit, and scipy's expm within 1e-12; a row with n == 0
+    # is exactly the initial state.
+    rng = np.random.default_rng(seed)
+    spec = validate_system_spec(
+        SystemSpec(dim=dim, hamiltonian=random_hermitian(rng, dim), initial_state=random_state(rng, dim))
+    )
+    ns = np.array(times + [0.0])
+    many = evolve_exact(spec, ns)
+    assert many.shape == (ns.size, dim)
+    assert np.array_equal(many, np.stack([evolve_exact(spec, float(n)) for n in ns]))
+    energies, modes = np.linalg.eigh(spec.hamiltonian)
+    coeffs = modes.conj().T @ spec.initial_state
+    moved = ns != 0.0
+    one_by_one = [modes @ (np.exp(1j * energies * n) * coeffs) for n in ns[moved].tolist()]
+    assert np.array_equal(many[moved], np.array(one_by_one).reshape(-1, dim))
+    np.testing.assert_allclose(many, np.stack([expm_state(spec, n) for n in ns]), atol=1e-12)
+    assert np.array_equal(many[-1], spec.initial_state)
+
+
+def test_comparison_decomposes_the_generator_at_most_twice(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    compare_evolutions(default_qubit_spec(), default_clock(), 512)
+    assert 1 <= len(calls) <= 2
 
 
 def test_eigen_failure_on_malformed_matrix():
@@ -175,22 +207,3 @@ def test_comparison_rows_unit_norm():
         assert 0.0 <= row.fidelity <= 1.0 + 1e-12
 
 
-def test_scalar_parameter_report():
-    params = default_clock()
-    x = position_expectation(0.8, params)
-    report = scalar_parameter_check(default_qubit_spec(), params, x)
-    assert report.commutator_norm == 0.0
-    assert report.repeat_identical
-    assert report.rerepresentation_identical
-    assert report.all_pass
-
-
-def test_scalar_parameter_randomized_spec():
-    rng = np.random.default_rng(43)
-    spec = validate_system_spec(
-        SystemSpec(dim=3, hamiltonian=random_hermitian(rng, 3), initial_state=random_state(rng, 3))
-    )
-    params = default_clock()
-    operators = [random_hermitian(rng, 3) for _ in range(4)]
-    report = scalar_parameter_check(spec, params, 0.37, operators=operators)
-    assert report.all_pass

@@ -199,3 +199,8 @@ def test_check_abstract_time_window():
         check_abstract_time(-0.1, params)
     with pytest.raises(InvalidAbstractTime):
         check_abstract_time(2.1, params)
+    times = np.array([0.0, 1.0, 2.0])
+    assert check_abstract_time(times, params) is times
+    for bad in (2.1, -0.1, np.nan):
+        with pytest.raises(InvalidAbstractTime, match=f"n = {bad} "):
+            check_abstract_time(np.array([0.5, bad, 3.0]), params)

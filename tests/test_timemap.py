@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from pwclock import (
     ClockParams,
@@ -19,6 +22,39 @@ from pwclock import (
 
 from calibration import LINEAR_REL_ERR_AT_RN_0_1, LINEAR_REL_ERR_PER_RN
 from oracles import loglog_slope, random_invertible_params
+
+
+def scalar_secant_bisection(x: float, params) -> float:
+    """Reference: the one-reading loop the array inverter runs for all readings at once."""
+    amp, lo, hi = params.amplitude, 0.0, params.n_reset
+    floor = position_expectation(hi, params)
+    if x == amp:
+        return 0.0
+    f_lo, f_hi = amp - x, floor - x
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        span = hi - lo
+        cand = lo - f_lo * span / (f_hi - f_lo)
+        if not lo < cand < hi:
+            cand = 0.5 * (lo + hi)
+        f_cand = position_expectation(cand, params) - x
+        if f_cand == 0.0:
+            return cand
+        if f_cand > 0.0:
+            lo, f_lo = cand, f_cand
+        else:
+            hi, f_hi = cand, f_cand
+        if hi - lo > 0.5 * span:
+            mid = 0.5 * (lo + hi)
+            f_mid = position_expectation(mid, params) - x
+            if f_mid == 0.0:
+                return mid
+            if f_mid > 0.0:
+                lo, f_lo = mid, f_mid
+            else:
+                hi, f_hi = mid, f_mid
+    return 0.5 * (lo + hi)
 
 
 def narrow_window_clock():
@@ -68,6 +104,39 @@ def test_out_of_range_readings():
         n_from_x_exact(floor, params)
     with pytest.raises(OutOfRange):
         n_from_x_exact(floor - 0.01, params)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=24),
+    bad_at=st.integers(0, 23),
+    above=st.booleans(),
+)
+def test_exact_inversion_of_arrays(seed, fractions, bad_at, above):
+    # One array call equals the scalar calls and the one-reading loop bit for
+    # bit, and scipy's brentq within 1e-10; one out-of-window reading fails
+    # the whole array, by name.
+    params = random_invertible_params(np.random.default_rng(seed))
+    x = position_expectation(np.array(fractions) * params.n_reset, params)
+    found = n_from_x_exact(x, params)
+    assert found.shape == x.shape
+    assert np.array_equal(found, [n_from_x_exact(float(v), params) for v in x])
+    assert np.array_equal(found, [scalar_secant_bisection(v, params) for v in x.tolist()])
+    for reading, n in zip(x.tolist(), found.tolist()):
+        reference = brentq(
+            lambda t: position_expectation(t, params) - reading,
+            0.0,
+            params.n_reset,
+            xtol=1e-14,
+        )
+        assert abs(n - reference) <= 1e-10
+
+    floor = position_expectation(params.n_reset, params)
+    bad = params.amplitude * 1.001 if above else floor
+    x = np.insert(x, min(bad_at, x.size), bad)
+    with pytest.raises(OutOfRange, match=re.escape(f"x = {bad} ")):
+        n_from_x_exact(x, params)
 
 
 def test_non_monotonic_window_guard():
@@ -121,18 +190,19 @@ def test_report_structure_and_error_growth():
     params = validate_clock_params(
         ClockParams(omega=1.0, damping=2.0 / 3.0, n_reset=1.5, alpha=1.0)
     )
-    rows = linearization_report(params, 64)
-    assert len(rows) == 64
-    first = rows[0]
-    assert (first.n_exact, first.n_log, first.n_linear, first.rel_error_linear) == (0, 0, 0, 0)
-    errors = np.array([row.rel_error_linear for row in rows])
+    table = linearization_report(params, 64)
+    for column in (table.x, table.y, table.n_exact, table.n_log, table.n_linear):
+        assert column.shape == (64,)
+    first = (table.n_exact[0], table.n_log[0], table.n_linear[0], table.rel_error_linear[0])
+    assert first == (0, 0, 0, 0)
+    errors = table.rel_error_linear
     # The relative error grows along the run; at this damping it turns over
     # by ~1e-4 inside the last two percent of the window, so allow that much.
     cutoff = int(len(errors) * 0.95)
     assert np.all(np.diff(errors[:cutoff]) > 0.0)
     assert np.all(np.diff(errors) >= -2e-4)
-    within = [row for row in rows if row.n_exact * params.damping <= 0.1]
-    assert within[-1].rel_error_linear <= LINEAR_REL_ERR_AT_RN_0_1
+    within = errors[table.n_exact * params.damping <= 0.1]
+    assert within[-1] <= LINEAR_REL_ERR_AT_RN_0_1
 
 
 def test_report_rejects_tiny_grid():
