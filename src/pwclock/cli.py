@@ -206,6 +206,19 @@ def _clock_to_doc(params: ClockParams) -> dict:
     }
 
 
+def _checked_grid_size(value) -> int:
+    """``value`` as an int grid size; anything but a whole number >= 16 raises ValidationError."""
+    try:
+        size = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"grid_size must be a whole number, got {value!r}") from exc
+    if size != value:
+        raise ValidationError(f"grid_size must be a whole number, got {value!r}")
+    if size < 16:
+        raise ValidationError(f"grid_size must be >= 16, got {value!r}")
+    return size
+
+
 def resolve_config(
     experiment: str,
     doc: dict | None = None,
@@ -228,9 +241,9 @@ def resolve_config(
     else:
         system = default_qubit_spec()
 
-    grid_size = int(grid if grid is not None else doc.get("grid_size", defaults["grid_size"]))
-    if grid_size < 16:
-        raise ValidationError(f"grid_size must be >= 16, got {grid_size}")
+    grid_size = _checked_grid_size(
+        grid if grid is not None else doc.get("grid_size", defaults["grid_size"])
+    )
 
     options = dict(defaults["options"])
     options.update(doc.get("options", {}))
@@ -318,24 +331,19 @@ def _run_evolve_compare(cfg: ExperimentConfig):
     return ["n", "x", "y", "fidelity"], columns, {"worst_row_fidelity": table.worst_fidelity}
 
 
-def _probe_projectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    probe = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-    projector = np.outer(probe, probe.conj())
-    return projector, np.eye(dim, dtype=np.complex128) - projector
-
-
 def _run_oracle_check(cfg: ExperimentConfig):
     history = build_history_state(cfg.system, cfg.clock, cfg.grid_size)
-    proj_a, proj_b = _probe_projectors(cfg.system.dim)
-    probe = np.full(cfg.system.dim, 1.0 / np.sqrt(cfg.system.dim), dtype=np.complex128)
+    dim = cfg.system.dim
+    probe = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
+    proj_a = np.outer(probe, probe.conj())
+    projectors = np.stack([proj_a, np.eye(dim, dtype=np.complex128) - proj_a])
 
     lo, hi = cfg.options["reading_span"]
     rng = np.random.default_rng(cfg.seed)
     times = np.sort(rng.uniform(lo, hi, int(cfg.options["num_readings"]))) * cfg.clock.n_reset
 
     readings = position_expectation(times, cfg.clock)
-    cond_a = conditional_system_probability(history, readings, proj_a)
-    cond_b = conditional_system_probability(history, readings, proj_b)
+    cond_a, cond_b = conditional_system_probability(history, readings, projectors)
 
     evolved = evolve_exact(cfg.system, n_from_x_exact(readings, cfg.clock))
     exact_a = np.abs(np.matmul(probe.conj(), evolved[..., None])[..., 0]) ** 2  # |<probe|psi>|^2
@@ -449,7 +457,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
 
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
     if parameter == "grid_size":
-        return replace(cfg, grid_size=int(value))
+        return replace(cfg, grid_size=_checked_grid_size(value))
     name = "damping" if parameter == "r" else parameter
     clock = replace(cfg.clock, **{name: float(value)})
     # Re-resolve fields the original config tied to the swept one.
@@ -514,7 +522,7 @@ def _parse_sweep_flag(text: str) -> tuple[str, list[float]]:
     if not all(np.isfinite(values)):
         raise ValidationError(f"--sweep values must be finite, got {raw!r}")
     if name == "grid_size":
-        values = [int(v) for v in values]
+        values = [_checked_grid_size(v) for v in values]
     return name, values
 
 

@@ -47,9 +47,15 @@ __all__ = [
 # Below this, an unnormalized integral is treated as an unreachable reading.
 _SUPPORT_FLOOR = 1e-300
 
-# Rows per block, bounding temporaries to O(block * K): grid rows of the
-# K x K joint Gram structure, or readings conditioned at once.
-_BLOCK_ROWS = 256
+# Elements per block of a (rows x K) temporary: grid rows of the K x K joint
+# Gram structure, or clock amplitudes of the readings conditioned at once.
+# A block holds max(1, _BLOCK_ELEMENTS // K) rows, so its temporaries stay
+# at about this many elements for any K up to it, rather than growing as K.
+_BLOCK_ELEMENTS = 2**18
+
+
+def _block_rows(grid_size: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // grid_size)
 
 
 def position_given_n(x, n, params: ClockParams):
@@ -198,8 +204,9 @@ def _joint_quadratic_form(
 ) -> float:
     """sum_{j,k} w_j w_k <clock_j|clock_k> <sys_j|sys_k>, contracted blockwise."""
     total = 0.0
-    for start in range(0, grid.size, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, grid.size)
+    rows = _block_rows(grid.size)
+    for start in range(0, grid.size, rows):
+        stop = min(start + rows, grid.size)
         clock_block = coherent_overlap(grid[start:stop, None], grid[None, :], params)
         sys_block = sys_states[start:stop].conj() @ sys_states.T
         total += float(
@@ -231,41 +238,55 @@ def build_history_state(
     )
 
 
-def conditional_system_probability(history: HistoryState, x, projector: np.ndarray):
-    """Probability of the projector outcome given clock reading(s) x.
+def conditional_system_probability(history: HistoryState, x, projector):
+    """Probability of each projector outcome given clock reading(s) x.
 
     Conditions the history state on position x: with
-    v = sum_k w_k <x|clock(n_k)> |sys_k>, returns <v|P|v> / <v|v>. An array
-    of readings gives an array of the same shape, a scalar a float. Readings
-    are conditioned in blocks of at most ``_BLOCK_ROWS``; each v is
-    contracted on its own, in ascending grid order, so every value is
-    bit-for-bit the one a scalar call for that reading returns.
+    v = sum_k w_k <x|clock(n_k)> |sys_k>, returns <v|P|v> / <v|v>.
+    ``projector`` is one (d, d) matrix P, or a stack of shape (p, d, d).
+    For one matrix, an array of readings gives an array of the same shape
+    and a scalar a float; a stack gives an array of shape (p, *x.shape),
+    row j for projector j. Each v is built once and serves every projector.
+
+    Readings are conditioned in blocks whose clock amplitudes hold at most
+    ``_BLOCK_ELEMENTS`` values; each v is contracted on its own, in
+    ascending grid order, so every value is bit-for-bit the one a
+    single-projector call for that reading returns.
 
     Raises
     ------
     NotAProjector
-        If the projector is not Hermitian idempotent within 1e-10.
+        If the shape does not match the system, or a projector is not
+        Hermitian idempotent within 1e-10 (the message names its index in
+        a stack). Every projector is checked before any amplitude.
     InvalidAbstractTime
         If the history grid leaves the clock's running window.
     DegenerateSupport
         If the conditioning denominator underflows for any reading (x
         unreachable), or a value's imaginary residue or range is off.
     """
-    projector = np.asarray(projector, dtype=np.complex128)
-    if projector.shape != (history.sys_states.shape[1],) * 2:
-        raise NotAProjector(f"projector shape {projector.shape} does not match the system")
-    if np.max(np.abs(projector - projector.conj().T)) > 1e-10:
-        raise NotAProjector("projector is not Hermitian within 1e-10")
-    if np.max(np.abs(projector @ projector - projector)) > 1e-10:
-        raise NotAProjector("projector is not idempotent within 1e-10")
+    dim = history.sys_states.shape[1]
+    projectors = np.asarray(projector, dtype=np.complex128)
+    single = projectors.ndim == 2
+    if projectors.ndim not in (2, 3) or projectors.shape[-2:] != (dim, dim):
+        raise NotAProjector(f"projector shape {projectors.shape} does not match the system")
+    if single:
+        projectors = projectors[None]
+    for index, matrix in enumerate(projectors):
+        name = "projector" if single else f"projector {index}"
+        if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10:
+            raise NotAProjector(f"{name} is not Hermitian within 1e-10")
+        if np.max(np.abs(matrix @ matrix - matrix)) > 1e-10:
+            raise NotAProjector(f"{name} is not idempotent within 1e-10")
 
     x = np.asarray(x, dtype=float)
     readings = x.reshape(-1)
-    out = np.empty(readings.size)
-    for start in range(0, readings.size, _BLOCK_ROWS):
-        block = readings[start:start + _BLOCK_ROWS]
-        amplitudes = wavefunction(block[:, None], history.grid, history.clock_params)
-        weighted = history.weights * amplitudes
+    out = np.empty((len(projectors), readings.size))
+    rows = _block_rows(history.grid.size)
+    for start in range(0, readings.size, rows):
+        block = readings[start:start + rows]
+        weighted = wavefunction(block[:, None], history.grid, history.clock_params)
+        np.multiply(history.weights, weighted, out=weighted)
         for i, reading in enumerate(block):
             conditioned = weighted[i] @ history.sys_states
             denominator = np.vdot(conditioned, conditioned).real
@@ -273,16 +294,19 @@ def conditional_system_probability(history: HistoryState, x, projector: np.ndarr
                 raise DegenerateSupport(
                     f"reading x = {reading} is unreachable: conditioning weight {denominator}"
                 )
-            value = np.vdot(conditioned, projector @ conditioned) / denominator
-            if abs(value.imag) > 1e-9:
-                raise DegenerateSupport(
-                    f"imaginary residue {value.imag} exceeds 1e-9 at reading x = {reading};"
-                    " projector arithmetic degenerated"
-                )
-            if value.real < -1e-9 or value.real > 1.0 + 1e-9:
-                raise DegenerateSupport(
-                    f"conditional probability {value.real} at reading x = {reading}"
-                    " outside [0, 1] tolerance"
-                )
-            out[start + i] = min(max(value.real, 0.0), 1.0)
-    return out.reshape(x.shape) if x.ndim else float(out[0])
+            for j, matrix in enumerate(projectors):
+                value = np.vdot(conditioned, matrix @ conditioned) / denominator
+                if abs(value.imag) > 1e-9:
+                    raise DegenerateSupport(
+                        f"imaginary residue {value.imag} exceeds 1e-9 at reading x = {reading};"
+                        " projector arithmetic degenerated"
+                    )
+                if value.real < -1e-9 or value.real > 1.0 + 1e-9:
+                    raise DegenerateSupport(
+                        f"conditional probability {value.real} at reading x = {reading}"
+                        " outside [0, 1] tolerance"
+                    )
+                out[j, start + i] = min(max(value.real, 0.0), 1.0)
+    if single:
+        return out[0].reshape(x.shape) if x.ndim else float(out[0, 0])
+    return out.reshape(out.shape[:1] + x.shape)

@@ -243,8 +243,8 @@ def test_criterion_9_determinism(tmp_path):
     that holds the ``pwclock`` this test imported: the children then run the
     same code as the parent, from ``src/`` or from an install, whatever
     directory pytest starts in. The thread counts varied are BLAS's, because
-    ``all`` never reads ``PWCLOCK_THREADS`` while the history-state
-    contraction and ``eigh`` go through BLAS.
+    pwclock starts no threads of its own while its conditioning contractions
+    and ``eigh`` go through BLAS.
     """
     package_root = Path(pwclock.__file__).resolve().parent.parent
     expected = {f"{name}.csv" for name in EXPERIMENTS}

@@ -1,8 +1,11 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwclock import NoValues, ValidationError
 from pwclock.cli import (
@@ -177,6 +180,14 @@ def test_non_finite_sweep_flag_exits_one(tmp_path, capsys, values):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["100.7", "8", "-4"])
+def test_grid_size_sweep_flag_rejects_what_grid_rejects(tmp_path, capsys, value):
+    out = tmp_path / "o"
+    assert main(["oracle-check", "--out", str(out), "--sweep", f"grid_size={value}"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValidationError"
+    assert not out.exists()
+
+
 def test_sweep_index_is_strict_json(tmp_path):
     cfg = resolve_config("clock-profile", None, out=str(tmp_path / "sw"))
     with pytest.raises(ValueError):
@@ -283,3 +294,78 @@ def test_system_config_round_trip(tmp_path):
         cfg.system.hamiltonian, np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
     )
     np.testing.assert_allclose(cfg.system.initial_state, np.array([c, 1j * c]))
+
+
+@st.composite
+def clock_docs(draw):
+    """Valid clocks inside the monotone window, which every experiment accepts."""
+    omega = draw(st.floats(0.5, 2.0))
+    damping = draw(st.floats(0.05, 0.9)) * 2.0 * omega
+    damped = math.sqrt(omega**2 - damping**2 / 4.0)
+    horizon = min(1.0 / damping, 0.95 * (math.pi / 2.0) / damped)
+    return {
+        "hbar": draw(st.floats(0.5, 2.0)),
+        "mass": draw(st.floats(0.5, 2.0)),
+        "omega": omega,
+        "damping": damping,
+        "alpha": [draw(st.floats(0.3, 2.0)), draw(st.floats(-1.0, 1.0))],
+        "n_reset": draw(st.floats(0.3, 1.0)) * horizon,
+        "phase": draw(st.floats(-3.0, 3.0)),
+    }
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@settings(max_examples=8)
+@given(
+    clock=st.one_of(st.none(), clock_docs()),
+    grid=st.integers(16, 256),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_config_survives_the_meta_round_trip(experiment, clock, grid, seed):
+    doc = {"grid_size": grid, "seed": seed} | ({"clock": clock} if clock else {})
+    with tempfile.TemporaryDirectory() as tmp:
+        first = resolve_config(experiment, doc, out=tmp)
+        meta = json.loads(run(first).meta_path.read_text(encoding="utf-8"))
+    again = resolve_config(experiment, meta["config"])
+    assert again.clock == first.clock
+    assert again.system.dim == first.system.dim
+    assert np.array_equal(again.system.hamiltonian, first.system.hamiltonian)
+    assert np.array_equal(again.system.initial_state, first.system.initial_state)
+    assert (again.grid_size, again.options, again.seed) == (first.grid_size, first.options, first.seed)
+
+
+def invalid_docs():
+    non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+    fields = st.sampled_from(["hbar", "mass", "omega", "damping", "n_reset", "phase"])
+    scales = st.sampled_from(["hbar", "mass", "omega", "n_reset"])
+    return st.one_of(
+        st.builds(lambda name, value: {"clock": {name: value}}, fields, non_finite),
+        st.builds(lambda value: {"clock": {"alpha": [value, 0.0]}}, non_finite),
+        st.builds(
+            lambda name, value: {"clock": {name: value}},
+            scales,
+            st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+        ),
+        st.builds(
+            lambda value: {"clock": {"damping": value}},
+            st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+        ),
+        st.builds(lambda grid: {"grid_size": grid}, st.integers(max_value=15)),
+        st.builds(
+            lambda grid: {"grid_size": grid},
+            st.floats(16.0, 1e4).filter(lambda g: not g.is_integer()),
+        ),
+    )
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@settings(max_examples=10)
+@given(doc=invalid_docs())
+def test_invalid_config_raises_and_writes_no_csv(experiment, doc):
+    with pytest.raises(ValidationError):
+        resolve_config(experiment, doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")  # NaN and Infinity as JSON extensions
+        assert main([experiment, "--config", str(config), "--out", str(Path(tmp) / "out")]) == 1
+        assert not list(Path(tmp).rglob("*.csv"))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwclock import conditional
 from pwclock import (
@@ -52,6 +53,25 @@ def narrow_clock(mass_omega: float = 10000.0) -> ClockParams:
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 PROJECTOR_PLUS = np.outer(PLUS, PLUS.conj())
 PROJECTOR_MINUS = np.eye(2, dtype=complex) - PROJECTOR_PLUS
+PROJECTORS = {
+    "plus": PROJECTOR_PLUS,
+    "minus": PROJECTOR_MINUS,
+    "identity": np.eye(2, dtype=complex),
+    "zero": np.zeros((2, 2), dtype=complex),
+}
+
+
+def record_amplitude_calls(monkeypatch):
+    """Patch the clock amplitudes seen by conditioning to record each call's size."""
+    sizes = []
+
+    def recording(x, n, params):
+        out = wavefunction(x, n, params)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(conditional, "wavefunction", recording)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -270,12 +290,16 @@ def test_conditional_probability_rejects_bad_projectors(history, monkeypatch):
     monkeypatch.setattr(conditional, "wavefunction", forbidden)
     x = position_expectation(0.5, history.clock_params)
     for readings in (x, np.full(4, x)):
-        with pytest.raises(NotAProjector):
-            conditional_system_probability(history, readings, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(NotAProjector):
-            conditional_system_probability(history, readings, 0.5 * np.eye(2))
-        with pytest.raises(NotAProjector):
-            conditional_system_probability(history, readings, np.eye(3))
+        for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5 * np.eye(2)):
+            with pytest.raises(NotAProjector, match="^projector is not"):
+                conditional_system_probability(history, readings, bad)
+            # In a stack, the message names the failing index.
+            stack = np.stack([PROJECTOR_PLUS, bad, PROJECTOR_MINUS])
+            with pytest.raises(NotAProjector, match="^projector 1 is not"):
+                conditional_system_probability(history, readings, stack)
+        for wrong_shape in (np.eye(3), np.stack([np.eye(3)] * 2), np.ones((1, 1, 2, 2)), np.ones(2)):
+            with pytest.raises(NotAProjector, match="shape"):
+                conditional_system_probability(history, readings, wrong_shape)
 
 
 def test_conditional_probability_unreachable_reading(history):
@@ -330,9 +354,45 @@ def test_conditional_probability_array_matches_scalar(history):
 
 def test_conditional_probability_batch_spans_blocks(history, monkeypatch):
     xs = np.array([position_expectation(n, history.clock_params) for n in (0.3, 0.6, 0.9, 1.2, 1.4)])
+    stack = np.stack([PROJECTOR_PLUS, PROJECTOR_MINUS])
     whole = conditional_system_probability(history, xs, PROJECTOR_PLUS)
-    monkeypatch.setattr(conditional, "_BLOCK_ROWS", 2)
+    whole_stack = conditional_system_probability(history, xs, stack)
+    # A budget of two rows per block: the five readings span three blocks.
+    monkeypatch.setattr(conditional, "_BLOCK_ELEMENTS", 2 * history.grid.size)
+    sizes = record_amplitude_calls(monkeypatch)
     assert np.array_equal(conditional_system_probability(history, xs, PROJECTOR_PLUS), whole)
+    assert np.array_equal(conditional_system_probability(history, xs, stack), whole_stack)
+    assert len(sizes) == 2 * 3
+
+
+@settings(max_examples=30)
+@given(
+    fractions=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=6),
+    names=st.lists(st.sampled_from(sorted(PROJECTORS)), min_size=1, max_size=5),
+)
+def test_projector_stack_matches_single_calls(history, fractions, names):
+    xs = position_expectation(np.array(fractions) * history.clock_params.n_reset, history.clock_params)
+    stack = np.stack([PROJECTORS[name] for name in names])
+    stacked = conditional_system_probability(history, xs, stack)
+    assert stacked.shape == (len(names),) + xs.shape
+    at_first = conditional_system_probability(history, float(xs[0]), stack)
+    assert at_first.shape == (len(names),)
+    for row, first, name in zip(stacked, at_first, names):
+        assert np.array_equal(row, conditional_system_probability(history, xs, PROJECTORS[name]))
+        assert first == conditional_system_probability(history, float(xs[0]), PROJECTORS[name])
+
+
+@pytest.mark.parametrize("names", [None, ("plus",), ("plus", "minus"), tuple(sorted(PROJECTORS))])
+def test_conditioning_computes_amplitudes_once_per_block(history, monkeypatch, names):
+    projector = PROJECTOR_PLUS if names is None else np.stack([PROJECTORS[n] for n in names])
+    rows = conditional._block_rows(history.grid.size)
+    readings = 2 * rows + 1
+    times = np.linspace(0.05, 0.95, readings) * history.clock_params.n_reset
+    xs = position_expectation(times, history.clock_params)
+    sizes = record_amplitude_calls(monkeypatch)
+    conditional_system_probability(history, xs, projector)
+    assert len(sizes) == math.ceil(readings / rows) == 3
+    assert max(sizes) <= conditional._BLOCK_ELEMENTS
 
 
 def test_conditional_probability_rejects_grid_outside_window(history):

@@ -72,7 +72,7 @@ def test_evolution_composes():
     np.testing.assert_allclose(evolve_exact(midway, 1.3), once, atol=1e-10)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     dim=st.integers(2, 5),
     seed=st.integers(0, 2**32 - 1),

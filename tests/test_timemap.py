@@ -106,7 +106,7 @@ def test_out_of_range_readings():
         n_from_x_exact(floor - 0.01, params)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     seed=st.integers(0, 2**32 - 1),
     fractions=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=24),
