@@ -7,7 +7,6 @@ over abstract time, and the evolution-transfer comparison.
 """
 
 from .params import (
-    AbstractTime,
     ClockParams,
     SystemSpec,
     ValidationError,
@@ -35,13 +34,11 @@ from .params import (
     check_abstract_time,
 )
 from .clock import (
-    ClockMoments,
     StationaryDamping,
     wavefunction,
     position_expectation,
     width,
     width_damping_derivative,
-    moments,
     decoherence_rate,
     damping_stationary_point,
     recommend_damping,
@@ -60,7 +57,6 @@ from .conditional import (
     position_given_n,
     posterior_over_n,
     ideal_limit_concentration,
-    coherent_overlap,
     build_history_state,
     conditional_system_probability,
 )

@@ -206,17 +206,52 @@ def _clock_to_doc(params: ClockParams) -> dict:
     }
 
 
-def _checked_grid_size(value) -> int:
-    """``value`` as an int grid size; anything but a whole number >= 16 raises ValidationError."""
+def _checked_whole(name: str, value, minimum: int) -> int:
+    """``value`` as an int; anything but a whole number >= minimum raises ValidationError."""
     try:
-        size = int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"grid_size must be a whole number, got {value!r}") from exc
-    if size != value:
-        raise ValidationError(f"grid_size must be a whole number, got {value!r}")
-    if size < 16:
-        raise ValidationError(f"grid_size must be >= 16, got {value!r}")
-    return size
+        raise ValidationError(f"{name} must be a whole number, got {value!r}") from exc
+    if number != value:
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    if number < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+    return number
+
+
+def _check_options(options: dict, clock: ClockParams) -> None:
+    """Raise ValidationError for any option a runner reads whose value is out of range.
+
+    Every key is checked wherever it appears, whichever experiment reads it,
+    so a bad value fails before any run writes a file.
+    """
+    rules = {  # option: (test of its values as a float array, the rule it states)
+        "window": (lambda v: v.ndim == 0 and v > 0.0, "a finite number > 0"),
+        "scales": (
+            lambda v: v.ndim == 1 and v.size > 0 and np.all(v > 0.0),
+            "a non-empty list of finite numbers > 0",
+        ),
+        "probe_time": (
+            lambda v: v.ndim == 0 and 0.0 <= v <= clock.n_reset,
+            f"a finite number in [0, n_reset = {clock.n_reset}]",
+        ),
+        "reading_span": (
+            lambda v: v.shape == (2,) and 0.0 <= v[0] < v[1] <= 1.0,
+            "two finite numbers [lo, hi] with 0 <= lo < hi <= 1",
+        ),
+        "x": (lambda v: v.ndim == 0, "a finite number"),
+    }
+    for name, (valid, rule) in rules.items():
+        if name not in options:
+            continue
+        try:
+            value = np.asarray(options[name], dtype=float)
+        except (TypeError, ValueError):
+            value = np.array(np.nan)
+        if not (np.all(np.isfinite(value)) and valid(value)):
+            raise ValidationError(f"option {name} must be {rule}, got {options[name]!r}")
+    if "num_readings" in options:
+        _checked_whole("num_readings", options["num_readings"], 1)
 
 
 def resolve_config(
@@ -226,7 +261,11 @@ def resolve_config(
     grid: int | None = None,
     seed: int | None = None,
 ) -> ExperimentConfig:
-    """Merge per-experiment defaults, a config document and CLI overrides."""
+    """Merge per-experiment defaults, a config document and CLI overrides.
+
+    Raises ValidationError for any clock, system, grid, seed or option value
+    outside its documented range, before anything is run.
+    """
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
     doc = dict(doc or {})
@@ -241,12 +280,13 @@ def resolve_config(
     else:
         system = default_qubit_spec()
 
-    grid_size = _checked_grid_size(
-        grid if grid is not None else doc.get("grid_size", defaults["grid_size"])
+    grid_size = _checked_whole(
+        "grid_size", grid if grid is not None else doc.get("grid_size", defaults["grid_size"]), 16
     )
 
     options = dict(defaults["options"])
     options.update(doc.get("options", {}))
+    _check_options(options, clock)
 
     return ExperimentConfig(
         clock=clock,
@@ -254,7 +294,7 @@ def resolve_config(
         experiment=experiment,
         grid_size=grid_size,
         output_path=str(out if out is not None else doc.get("output_path", "out")),
-        seed=int(seed if seed is not None else doc.get("seed", 0)),
+        seed=_checked_whole("seed", seed if seed is not None else doc.get("seed", 0), 0),
         options=options,
         auto_fields=auto_fields,
     )
@@ -306,8 +346,6 @@ def _run_posterior(cfg: ExperimentConfig):
 
 def _run_ideal_limit(cfg: ExperimentConfig):
     scales = [float(scale) for scale in cfg.options["scales"]]
-    if not scales:
-        raise NoValues("ideal-limit requires at least one m*omega scale")
     window = float(cfg.options["window"])
     probe_time = float(cfg.options.get("probe_time", cfg.clock.n_reset / 3.0))
     target_amplitude = cfg.clock.amplitude
@@ -457,7 +495,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
 
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
     if parameter == "grid_size":
-        return replace(cfg, grid_size=_checked_grid_size(value))
+        return replace(cfg, grid_size=_checked_whole("grid_size", value, 16))
     name = "damping" if parameter == "r" else parameter
     clock = replace(cfg.clock, **{name: float(value)})
     # Re-resolve fields the original config tied to the swept one.
@@ -522,7 +560,7 @@ def _parse_sweep_flag(text: str) -> tuple[str, list[float]]:
     if not all(np.isfinite(values)):
         raise ValidationError(f"--sweep values must be finite, got {raw!r}")
     if name == "grid_size":
-        values = [_checked_grid_size(v) for v in values]
+        values = [_checked_whole("grid_size", v, 16) for v in values]
     return name, values
 
 
@@ -549,8 +587,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.experiment == "all":
             if args.sweep is not None:
                 raise ValidationError("--sweep is not supported with the 'all' bundle")
-            for name in EXPERIMENTS:
-                cfg = resolve_config(name, doc, args.out, args.grid, args.seed)
+            # Resolve every config before the first run, so a bad one writes no CSV.
+            configs = [
+                resolve_config(name, doc, args.out, args.grid, args.seed) for name in EXPERIMENTS
+            ]
+            for cfg in configs:
                 run(cfg)
             return 0
 

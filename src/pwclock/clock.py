@@ -22,7 +22,6 @@ from typing import Literal
 import numpy as np
 
 from .params import (
-    AbstractTime,
     ClockParams,
     NonPositiveTime,
     UnderDampingViolated,
@@ -31,13 +30,11 @@ from .params import (
 )
 
 __all__ = [
-    "ClockMoments",
     "StationaryDamping",
     "wavefunction",
     "position_expectation",
     "width",
     "width_damping_derivative",
-    "moments",
     "decoherence_rate",
     "damping_stationary_point",
     "recommend_damping",
@@ -46,15 +43,6 @@ __all__ = [
 # Central-stencil steps balancing truncation and roundoff at double precision.
 _FD_STEP_FIRST = 1e-5
 _FD_STEP_SECOND = 1e-3
-
-
-@dataclass(frozen=True)
-class ClockMoments:
-    """Mean position and Gaussian width of the clock at abstract time n."""
-
-    mean_x: float
-    width: float
-    n: AbstractTime
 
 
 @dataclass(frozen=True)
@@ -106,11 +94,6 @@ def width_damping_derivative(n, params: ClockParams):
     n = np.asarray(n, dtype=float)
     out = -(n / 2.0) * width(n, params)
     return out if out.ndim else float(out)
-
-
-def moments(n: AbstractTime, params: ClockParams) -> ClockMoments:
-    """Mean and width of the position density at abstract time n."""
-    return ClockMoments(mean_x=position_expectation(n, params), width=width(n, params), n=n)
 
 
 def wavefunction(x, n, params: ClockParams):

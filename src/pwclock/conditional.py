@@ -10,15 +10,13 @@ Abstract time is integrated over [0, min(n_reset, 1/r)] on uniform trapezoid
 grids (deterministic, smooth Gaussian integrands). Quadrature weights double
 as the discretized entanglement coefficients of the history state.
 
-Building a history state costs O(K*d): conditioning divides by <v|v>, so the
-global norm cancels there and its O(K^2) contraction over clock-state
-overlaps runs only when ``HistoryState.norm`` is first read.
+The history state is stored unnormalized and built in O(K*d); conditioning
+normalizes each reading on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from .params import (
     OutOfRange,
     SystemSpec,
 )
-from .clock import position_expectation, wavefunction, width
+from .clock import wavefunction
 from .evolution import evolve_exact
 from .timemap import n_from_x_exact, n_from_x_log
 
@@ -39,7 +37,6 @@ __all__ = [
     "position_given_n",
     "posterior_over_n",
     "ideal_limit_concentration",
-    "coherent_overlap",
     "build_history_state",
     "conditional_system_probability",
 ]
@@ -47,10 +44,9 @@ __all__ = [
 # Below this, an unnormalized integral is treated as an unreachable reading.
 _SUPPORT_FLOOR = 1e-300
 
-# Elements per block of a (rows x K) temporary: grid rows of the K x K joint
-# Gram structure, or clock amplitudes of the readings conditioned at once.
-# A block holds max(1, _BLOCK_ELEMENTS // K) rows, so its temporaries stay
-# at about this many elements for any K up to it, rather than growing as K.
+# Clock amplitudes per block of readings conditioned at once. A block holds
+# max(1, _BLOCK_ELEMENTS // K) readings, so its (readings x K) temporaries
+# stay at about this many elements for any K up to it, rather than growing as K.
 _BLOCK_ELEMENTS = 2**18
 
 
@@ -157,62 +153,20 @@ def ideal_limit_concentration(
     return posterior.mass_within(center - window, center + window)
 
 
-def coherent_overlap(n_a, n_b, params: ClockParams):
-    """Closed-form overlap <clock(n_a)|clock(n_b)> of two clock states.
-
-    Both states are Gaussians with real profile (the constant global phase
-    cancels), so the overlap is the standard two-Gaussian integral
-
-        sqrt(2*d_a*d_b / (d_a^2 + d_b^2)) * exp(-(mu_a - mu_b)^2 / (4*(d_a^2 + d_b^2)))
-
-    with d = width and mu = position expectation at each time.
-    """
-    d_a = np.asarray(width(n_a, params))
-    d_b = np.asarray(width(n_b, params))
-    mu_a = np.asarray(position_expectation(n_a, params))
-    mu_b = np.asarray(position_expectation(n_b, params))
-    ssum = d_a**2 + d_b**2
-    out = np.sqrt(2.0 * d_a * d_b / ssum) * np.exp(-((mu_a - mu_b) ** 2) / (4.0 * ssum))
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class HistoryState:
     """Discretized entangled clock+system state over an abstract-time grid.
 
-    The joint state is (1/norm) * sum_k weights[k] |clock(n_k)> |sys_states[k]>
-    with trapezoid weights on [0, n_reset]; ``norm`` makes it unit under the
-    joint inner product, clock-state overlaps included. It is contracted on
-    first access, in O(K^2) time, and cached; conditioning never reads it.
+    The state is sum_k weights[k] |clock(n_k)> |sys_states[k]>, with
+    trapezoid weights on [0, n_reset]. It is stored unnormalized:
+    conditioning normalizes each reading by <v|v>, so the global norm
+    cancels and is never formed.
     """
 
     grid: np.ndarray
     weights: np.ndarray
     sys_states: np.ndarray
     clock_params: ClockParams
-
-    @cached_property
-    def norm(self) -> float:
-        """Global norm sqrt(sum_{j,k} w_j w_k <clock_j|clock_k> <sys_j|sys_k>)."""
-        return float(
-            np.sqrt(_joint_quadratic_form(self.grid, self.weights, self.sys_states, self.clock_params))
-        )
-
-
-def _joint_quadratic_form(
-    grid: np.ndarray, weights: np.ndarray, sys_states: np.ndarray, params: ClockParams
-) -> float:
-    """sum_{j,k} w_j w_k <clock_j|clock_k> <sys_j|sys_k>, contracted blockwise."""
-    total = 0.0
-    rows = _block_rows(grid.size)
-    for start in range(0, grid.size, rows):
-        stop = min(start + rows, grid.size)
-        clock_block = coherent_overlap(grid[start:stop, None], grid[None, :], params)
-        sys_block = sys_states[start:stop].conj() @ sys_states.T
-        total += float(
-            np.real(weights[start:stop] @ ((clock_block * sys_block) @ weights))
-        )
-    return total
 
 
 def build_history_state(
@@ -222,7 +176,7 @@ def build_history_state(
 
     System slices are exp(+i*H*n_k) applied to the initial state; weights
     are trapezoid weights. The build costs O(K*d) and evaluates no clock
-    overlaps: the global norm is left to ``HistoryState.norm``.
+    amplitude.
     """
     if grid_size < 16:
         raise ValueError(f"grid_size must be >= 16, got {grid_size}")

@@ -16,16 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (
-    AbstractTime,
-    ClockParams,
-    EigenFailure,
-    OutOfRange,
-    SystemSpec,
-    ZeroDamping,
-    first_outside,
-)
+from .params import ClockParams, EigenFailure, SystemSpec
 from .clock import position_expectation
+from .timemap import n_from_x_linear
 
 __all__ = [
     "EvolutionComparison",
@@ -42,7 +35,7 @@ __all__ = [
 class EvolutionComparison:
     """One grid row pairing exact and clock-parameterized evolution."""
 
-    n: AbstractTime
+    n: float
     x: float
     y: float
     state_exact: np.ndarray
@@ -128,8 +121,8 @@ def evolve_exact(spec: SystemSpec, n) -> np.ndarray:
 def evolve_via_clock(spec: SystemSpec, x, params: ClockParams) -> np.ndarray:
     """State exp(+i * (2*H/(r*A)) * (A - x)) applied to the initial state.
 
-    The clock reading x enters only through the scalar displacement
-    y = A - x, so this is ``evolve_exact`` at 2*(A - x)/(r*A); ``x = A``
+    The clock reading x enters only through the linear time map, so this is
+    ``evolve_exact`` at ``n_from_x_linear(x)`` = 2*(A - x)/(r*A); ``x = A``
     returns the initial state itself. An array of readings gives one state
     per reading.
 
@@ -138,16 +131,9 @@ def evolve_via_clock(spec: SystemSpec, x, params: ClockParams) -> np.ndarray:
     ZeroDamping
         If r = 0 (the rescaled generator is undefined).
     OutOfRange
-        If any x > A; names the first.
+        If any x > A, or is NaN; names the first.
     """
-    if params.damping == 0.0:
-        raise ZeroDamping("clock-parameterized evolution requires damping r > 0")
-    amp = params.amplitude
-    x = np.asarray(x, dtype=float)
-    bad = first_outside(x, x <= amp)
-    if bad is not None:
-        raise OutOfRange(f"reading x = {bad} exceeds the amplitude {amp}")
-    return evolve_exact(spec, 2.0 * (amp - x) / (params.damping * amp))
+    return evolve_exact(spec, n_from_x_linear(x, params))
 
 
 def compare_evolutions(

@@ -14,7 +14,6 @@ from math import sqrt
 import numpy as np
 
 __all__ = [
-    "AbstractTime",
     "ClockParams",
     "SystemSpec",
     "ValidationError",
@@ -41,11 +40,6 @@ __all__ = [
     "validate_system_spec",
     "check_abstract_time",
 ]
-
-# Abstract time is a nonnegative float; its pairing with a ClockParams window
-# is enforced by check_abstract_time, not by a wrapper type.
-AbstractTime = float
-
 
 class ValidationError(ValueError):
     """An input violates a documented invariant."""

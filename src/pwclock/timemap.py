@@ -19,7 +19,6 @@ from math import pi
 import numpy as np
 
 from .params import (
-    AbstractTime,
     ClockParams,
     NonMonotonicWindow,
     OutOfRange,
@@ -56,9 +55,9 @@ class TimeMapResult:
 
     x: float | np.ndarray
     y: float | np.ndarray
-    n_exact: AbstractTime | np.ndarray
-    n_log: AbstractTime | np.ndarray
-    n_linear: AbstractTime | np.ndarray
+    n_exact: float | np.ndarray
+    n_log: float | np.ndarray
+    n_linear: float | np.ndarray
     rel_error_linear: float | np.ndarray
 
 

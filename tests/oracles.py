@@ -3,7 +3,8 @@
 Everything here goes through a different route than the code under test:
 moments by brute-force quadrature of the density, derivatives by central
 finite differences, propagators by scipy's matrix exponential, extrema by
-bounded scalar minimization.
+bounded scalar minimization, clock-state overlaps by the closed-form
+two-Gaussian integral.
 """
 
 from __future__ import annotations
@@ -12,7 +13,15 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from pwclock import ClockParams, SystemSpec, position_given_n, validate_clock_params
+from pwclock import (
+    ClockParams,
+    SystemSpec,
+    position_expectation,
+    position_given_n,
+    validate_clock_params,
+    wavefunction,
+    width,
+)
 
 QUAD_POINTS = 20001
 QUAD_SIGMA_SPAN = 12.0
@@ -34,8 +43,6 @@ def quadrature_moments(params: ClockParams, n: float, mean_hint: float, width_hi
 
 def quadrature_overlap(params: ClockParams, n_a: float, n_b: float) -> complex:
     """<clock(n_a)|clock(n_b)> by trapezoid quadrature over position."""
-    from pwclock import position_expectation, wavefunction, width
-
     mus = [position_expectation(n_a, params), position_expectation(n_b, params)]
     ds = [width(n_a, params), width(n_b, params)]
     lo = min(mus) - QUAD_SIGMA_SPAN * max(ds)
@@ -43,6 +50,26 @@ def quadrature_overlap(params: ClockParams, n_a: float, n_b: float) -> complex:
     xs = np.linspace(lo, hi, QUAD_POINTS)
     vals = np.conj(wavefunction(xs, n_a, params)) * wavefunction(xs, n_b, params)
     return complex(np.trapezoid(vals, xs))
+
+
+def coherent_overlap(n_a, n_b, params: ClockParams):
+    """Closed-form overlap <clock(n_a)|clock(n_b)> of two clock states.
+
+    Both states are Gaussians with real profile (the constant global phase
+    cancels), so the overlap is the standard two-Gaussian integral
+
+        sqrt(2*d_a*d_b / (d_a^2 + d_b^2)) * exp(-(mu_a - mu_b)^2 / (4*(d_a^2 + d_b^2)))
+
+    with d = width and mu = position expectation at each time. Arrays of
+    times broadcast against each other.
+    """
+    d_a = np.asarray(width(n_a, params))
+    d_b = np.asarray(width(n_b, params))
+    mu_a = np.asarray(position_expectation(n_a, params))
+    mu_b = np.asarray(position_expectation(n_b, params))
+    ssum = d_a**2 + d_b**2
+    out = np.sqrt(2.0 * d_a * d_b / ssum) * np.exp(-((mu_a - mu_b) ** 2) / (4.0 * ssum))
+    return out if out.ndim else float(out)
 
 
 def central_difference(f, x: float, h: float) -> float:

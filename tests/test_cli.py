@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pwclock import NoValues, ValidationError
 from pwclock.cli import (
@@ -233,6 +233,24 @@ def test_sweep_reset_horizon_rederives_recommended_damping(tmp_path):
     assert meta["config"]["clock"]["damping"] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize(
+    "extra, doc",
+    [
+        (["--seed", "-1"], None),
+        # Valid for the first experiments' clock (n_reset = 2), not for the
+        # time-map clock (n_reset = 1.5), so the bundle fails part way through.
+        ([], {"options": {"probe_time": 1.8}}),
+    ],
+)
+def test_all_bundle_resolves_every_config_before_running(tmp_path, capsys, extra, doc):
+    argv = ["all", "--out", str(tmp_path / "out")] + extra
+    if doc is not None:
+        argv += ["--config", write_config(tmp_path, doc)]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValidationError"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_resolve_config_guards():
     with pytest.raises(ValidationError):
         resolve_config("not-an-experiment")
@@ -355,12 +373,78 @@ def invalid_docs():
             lambda grid: {"grid_size": grid},
             st.floats(16.0, 1e4).filter(lambda g: not g.is_integer()),
         ),
+        st.builds(
+            lambda seed: {"seed": seed},
+            st.one_of(
+                st.integers(max_value=-1),
+                st.floats(0.0, 1e6).filter(lambda s: not s.is_integer()),
+                non_finite,
+                st.just("7"),
+            ),
+        ),
+        st.builds(lambda options: {"options": options}, invalid_options(non_finite)),
     )
+
+
+def invalid_options(non_finite):
+    """Options outside the ranges the runners need, each alone in a document."""
+    not_positive = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+    below_zero = st.floats(max_value=-1e-9)
+    fractional = st.floats(0.0, 1e4).filter(lambda v: not v.is_integer())
+    return st.one_of(
+        st.builds(lambda v: {"window": v}, st.one_of(non_finite, not_positive)),
+        st.builds(lambda v: {"scales": v}, st.just([])),
+        st.builds(lambda v: {"scales": [10.0, v]}, st.one_of(non_finite, not_positive)),
+        st.builds(lambda v: {"probe_time": v}, st.one_of(non_finite, below_zero)),
+        st.builds(lambda v: {"probe_time": v}, st.floats(min_value=2.01, allow_infinity=False)),
+        st.builds(lambda v: {"num_readings": v}, st.one_of(st.integers(max_value=0), fractional)),
+        st.builds(
+            lambda lo, hi: {"reading_span": [lo, hi]},
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1.0),
+        ).filter(lambda o: o["reading_span"][0] >= o["reading_span"][1]),
+        st.builds(lambda v: {"reading_span": [v, 0.5]}, st.one_of(non_finite, below_zero)),
+        st.builds(lambda v: {"reading_span": [0.5, v]}, st.one_of(non_finite, st.floats(1.01))),
+        st.builds(lambda v: {"reading_span": v}, st.sampled_from([[0.25], [0.1, 0.5, 0.9], 0.5])),
+        st.builds(lambda v: {"x": v}, st.one_of(non_finite, st.just("mid"))),
+    )
+
+
+# One document per rule of the seed and option checks, run for every
+# experiment ahead of the drawn documents.
+BAD_DOCS = [
+    {"seed": -1},
+    {"seed": 1.5},
+    {"seed": "7"},
+    {"options": {"window": math.nan}},
+    {"options": {"window": -1.0}},
+    {"options": {"scales": []}},
+    {"options": {"scales": [10.0, math.inf]}},
+    {"options": {"scales": [10.0, 0.0]}},
+    {"options": {"probe_time": -0.1}},
+    {"options": {"probe_time": 2.5}},
+    {"options": {"num_readings": 0}},
+    {"options": {"num_readings": 2.5}},
+    {"options": {"reading_span": [0.85, 0.25]}},
+    {"options": {"reading_span": [-0.1, 0.5]}},
+    {"options": {"reading_span": [0.25, math.nan]}},
+    {"options": {"x": math.nan}},
+]
+
+
+def with_examples(docs):
+    def attach(test):
+        for doc in reversed(docs):
+            test = example(doc=doc)(test)
+        return test
+
+    return attach
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 @settings(max_examples=10)
 @given(doc=invalid_docs())
+@with_examples(BAD_DOCS)
 def test_invalid_config_raises_and_writes_no_csv(experiment, doc):
     with pytest.raises(ValidationError):
         resolve_config(experiment, doc)

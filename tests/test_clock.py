@@ -11,7 +11,6 @@ from pwclock import (
     UnderDampingViolated,
     damping_stationary_point,
     decoherence_rate,
-    moments,
     position_expectation,
     recommend_damping,
     validate_clock_params,
@@ -217,11 +216,3 @@ def test_imaginary_alpha_part_affects_no_shipped_quantity():
     )
     assert position_expectation(0.7, real_only) == position_expectation(0.7, with_imag)
 
-
-def test_moments_record():
-    params = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0))
-    record = moments(0.8, params)
-    assert record.mean_x == position_expectation(0.8, params)
-    assert record.width == width(0.8, params)
-    assert record.width > 0.0
-    assert record.n == 0.8

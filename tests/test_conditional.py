@@ -14,7 +14,6 @@ from pwclock import (
     OutOfRange,
     SystemSpec,
     build_history_state,
-    coherent_overlap,
     conditional_system_probability,
     default_qubit_spec,
     ideal_limit_concentration,
@@ -37,7 +36,13 @@ from calibration import (
     NARROW_OMEGA,
     NARROW_PROBE_TIME,
 )
-from oracles import expm_state, quadrature_overlap, random_clock_params, random_probe_time
+from oracles import (
+    coherent_overlap,
+    expm_state,
+    quadrature_overlap,
+    random_clock_params,
+    random_probe_time,
+)
 
 
 def narrow_clock(mass_omega: float = 10000.0) -> ClockParams:
@@ -219,20 +224,43 @@ def test_history_state_slice_norms():
 
 
 def test_history_state_unit_joint_norm():
+    # The state is stored unnormalized; scaled by its closed-form norm (clock
+    # overlaps in closed form), it must have unit norm under an independent
+    # dense Gram whose clock overlaps come from quadrature over x.
     params = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0))
     hist = build_history_state(default_qubit_spec(), params, 48)
+    system_gram = hist.sys_states.conj() @ hist.sys_states.T
 
-    # Independent dense Gram oracle: clock overlaps by quadrature over x.
+    closed_gram = coherent_overlap(hist.grid[:, None], hist.grid[None, :], params)
+    norm = math.sqrt(np.real(hist.weights @ ((closed_gram * system_gram) @ hist.weights)))
+
     xs = np.linspace(-12.0, 12.0, 20001)
     profiles = np.array([wavefunction(xs, n, params) for n in hist.grid])
     dx = xs[1] - xs[0]
     quad_weights = np.full(xs.size, dx)
     quad_weights[0] = quad_weights[-1] = dx / 2.0
     clock_gram = (profiles.conj() * quad_weights) @ profiles.T
-    system_gram = hist.sys_states.conj() @ hist.sys_states.T
-    scaled = hist.weights / hist.norm
+    scaled = hist.weights / norm
     joint = np.real(scaled @ ((clock_gram * system_gram) @ scaled))
     assert joint == pytest.approx(1.0, abs=1e-9)
+
+
+def test_history_state_completeness_identity():
+    # Integrating <v(x)|v(x)> over every reading x must give the state's
+    # squared norm sum_{j,k} w_j w_k <clock_j|clock_k> <sys_j|sys_k>, since
+    # the position basis is complete. v(x) is built as conditioning builds
+    # it; the clock overlaps come from the independent closed form.
+    params = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0))
+    hist = build_history_state(default_qubit_spec(), params, 48)
+
+    xs = np.linspace(-12.0, 12.0, 20001)
+    conditioned = (hist.weights * wavefunction(xs[:, None], hist.grid, params)) @ hist.sys_states
+    integral = np.trapezoid(np.sum(np.abs(conditioned) ** 2, axis=1), xs)
+
+    clock_gram = coherent_overlap(hist.grid[:, None], hist.grid[None, :], params)
+    system_gram = hist.sys_states.conj() @ hist.sys_states.T
+    closed = np.real(hist.weights @ ((clock_gram * system_gram) @ hist.weights))
+    assert integral == pytest.approx(closed, abs=1e-9)
 
 
 def test_history_state_rejects_tiny_grid():
@@ -320,22 +348,16 @@ def test_weights_are_trapezoid(history):
     assert history.grid[-1] == history.clock_params.n_reset
 
 
-def test_history_build_computes_no_clock_overlaps(monkeypatch):
+def test_history_build_computes_no_clock_amplitudes(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("clock overlaps evaluated")
+        raise AssertionError("clock amplitudes evaluated")
 
     params = narrow_clock()
     with monkeypatch.context() as patch:
-        patch.setattr(conditional, "coherent_overlap", forbidden)
+        patch.setattr(conditional, "wavefunction", forbidden)
         hist = build_history_state(default_qubit_spec(), params, 256)
-        x = position_expectation(0.5, params)
-        assert 0.0 < conditional_system_probability(hist, x, PROJECTOR_PLUS) < 1.0
-        assert "norm" not in vars(hist)
-    expected = math.sqrt(
-        conditional._joint_quadratic_form(hist.grid, hist.weights, hist.sys_states, params)
-    )
-    assert hist.norm == expected
-    assert vars(hist)["norm"] == expected  # cached after the first access
+    x = position_expectation(0.5, params)
+    assert 0.0 < conditional_system_probability(hist, x, PROJECTOR_PLUS) < 1.0
 
 
 def test_conditional_probability_array_matches_scalar(history):

@@ -146,6 +146,8 @@ def test_clock_route_guards():
     params = default_clock()
     with pytest.raises(OutOfRange):
         evolve_via_clock(spec, params.amplitude + 0.1, params)
+    with pytest.raises(OutOfRange, match="x = nan "):
+        evolve_via_clock(spec, np.array([0.5, math.nan]), params)
 
 
 def test_fidelity_loss_scaling_with_clock_scale():
