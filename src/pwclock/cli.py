@@ -206,6 +206,13 @@ def _clock_to_doc(params: ClockParams) -> dict:
     }
 
 
+def _json_object(name: str, value) -> dict:
+    """A copy of ``value``, which must be a JSON object, else ValidationError."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return dict(value)
+
+
 def _checked_whole(name: str, value, minimum: int) -> int:
     """``value`` as an int; anything but a whole number >= minimum raises ValidationError."""
     try:
@@ -220,10 +227,10 @@ def _checked_whole(name: str, value, minimum: int) -> int:
 
 
 def _check_options(options: dict, clock: ClockParams) -> None:
-    """Raise ValidationError for any option a runner reads whose value is out of range.
+    """Raise ValidationError for an option no runner reads, or one out of range.
 
     Every key is checked wherever it appears, whichever experiment reads it,
-    so a bad value fails before any run writes a file.
+    so a bad value or a misspelt key fails before any run writes a file.
     """
     rules = {  # option: (test of its values as a float array, the rule it states)
         "window": (lambda v: v.ndim == 0 and v > 0.0, "a finite number > 0"),
@@ -241,6 +248,10 @@ def _check_options(options: dict, clock: ClockParams) -> None:
         ),
         "x": (lambda v: v.ndim == 0, "a finite number"),
     }
+    known = set(rules) | {"num_readings"}
+    unknown = sorted(set(options) - known)
+    if unknown:
+        raise ValidationError(f"unknown option(s) {unknown}; expected any of {sorted(known)}")
     for name, (valid, rule) in rules.items():
         if name not in options:
             continue
@@ -268,15 +279,15 @@ def resolve_config(
     """
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-    doc = dict(doc or {})
+    doc = _json_object("config", {} if doc is None else doc)
     defaults = _DEFAULTS[experiment]
 
     clock_doc = dict(defaults["clock"])
-    clock_doc.update(doc.get("clock", {}))
+    clock_doc.update(_json_object("clock", doc.get("clock", {})))
     clock, auto_fields = _clock_from_doc(clock_doc)
 
     if "system" in doc:
-        system = _system_from_doc(doc["system"])
+        system = _system_from_doc(_json_object("system", doc["system"]))
     else:
         system = default_qubit_spec()
 
@@ -285,7 +296,7 @@ def resolve_config(
     )
 
     options = dict(defaults["options"])
-    options.update(doc.get("options", {}))
+    options.update(_json_object("options", doc.get("options", {})))
     _check_options(options, clock)
 
     return ExperimentConfig(
@@ -461,10 +472,22 @@ def _derived_constants(cfg: ExperimentConfig) -> dict:
     return derived
 
 
-def run(cfg: ExperimentConfig) -> RunResult:
-    """Run one experiment; write its CSV and meta sidecar; return the paths."""
+def _compute(cfg: ExperimentConfig):
+    """One experiment's (header, columns, extras) and the seconds it took."""
     started = time.perf_counter()
-    header, rows, extras = _RUNNERS[cfg.experiment](cfg)
+    header, columns, extras = _RUNNERS[cfg.experiment](cfg)
+    return header, columns, extras, time.perf_counter() - started
+
+
+def run(cfg: ExperimentConfig, computed=None) -> RunResult:
+    """Run one experiment; write its CSV and meta sidecar; return the paths.
+
+    ``computed`` is the experiment's ``_compute(cfg)`` when it already ran:
+    ``main`` computes a whole bundle before writing, so a failing experiment
+    leaves no file behind.
+    """
+    header, rows, extras, seconds = computed or _compute(cfg)
+    started = time.perf_counter()
     out_dir = Path(cfg.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.experiment}.csv"
@@ -476,7 +499,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
         "csv_header": header,
         "csv_file": csv_path.name,
         "library_version": __version__,
-        "duration_seconds": time.perf_counter() - started,
+        "duration_seconds": seconds + time.perf_counter() - started,
         "config": {
             "clock": _clock_to_doc(cfg.clock),
             "system": _system_to_doc(cfg.system),
@@ -587,12 +610,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.experiment == "all":
             if args.sweep is not None:
                 raise ValidationError("--sweep is not supported with the 'all' bundle")
-            # Resolve every config before the first run, so a bad one writes no CSV.
+            # Resolve and compute every experiment before the first write, so a
+            # bad config or a failing run writes no CSV.
             configs = [
                 resolve_config(name, doc, args.out, args.grid, args.seed) for name in EXPERIMENTS
             ]
-            for cfg in configs:
-                run(cfg)
+            computed = [_compute(cfg) for cfg in configs]
+            for cfg, result in zip(configs, computed):
+                run(cfg, result)
             return 0
 
         cfg = resolve_config(args.experiment, doc, args.out, args.grid, args.seed)

@@ -11,7 +11,8 @@ grids (deterministic, smooth Gaussian integrands). Quadrature weights double
 as the discretized entanglement coefficients of the history state.
 
 The history state is stored unnormalized and built in O(K*d); conditioning
-normalizes each reading on its own.
+normalizes each reading on its own and, where the clock's mean position is
+monotone along the grid, costs O(band) per reading rather than O(K).
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .params import (
     NotAProjector,
     OutOfRange,
     SystemSpec,
+    check_abstract_time,
 )
-from .clock import wavefunction
+from .clock import position_expectation, wavefunction, width
 from .evolution import evolve_exact
 from .timemap import n_from_x_exact, n_from_x_log
 
@@ -44,14 +46,9 @@ __all__ = [
 # Below this, an unnormalized integral is treated as an unreachable reading.
 _SUPPORT_FLOOR = 1e-300
 
-# Clock amplitudes per block of readings conditioned at once. A block holds
-# max(1, _BLOCK_ELEMENTS // K) readings, so its (readings x K) temporaries
-# stay at about this many elements for any K up to it, rather than growing as K.
+# Most clock amplitudes one block of readings evaluates at once (see _blocks),
+# so a block's temporaries grow neither with K nor with the number of readings.
 _BLOCK_ELEMENTS = 2**18
-
-
-def _block_rows(grid_size: int) -> int:
-    return max(1, _BLOCK_ELEMENTS // grid_size)
 
 
 def position_given_n(x, n, params: ClockParams):
@@ -192,6 +189,68 @@ def build_history_state(
     )
 
 
+def _reading_bands(history: HistoryState, readings: np.ndarray):
+    """Grid bands [lo, hi) outside which every term of a reading's v is negligible.
+
+    Term k of v = sum_k w_k <x|clock(n_k)> |sys_k> has magnitude
+    w_k (2*pi*d_k^2)^(-1/4) exp(-(x - mu_k)^2 / (4*d_k^2)) |sys_0|, with mean
+    mu_k and width d_k at n_k. Let d0 >= d_k >= d1 bound the widths on the
+    grid, rho = d0/d1, and g = |x - mu_j| at the nearest mean mu_j. If
+    |x - mu_k| > rho*g + R, the exponent of term k is below that of term j
+    by more than R^2 / (4*d0^2). The weights differ by at most a factor 2
+    and the prefactors by at most sqrt(rho), so term k is below
+    2 * sqrt(rho) * exp(-R^2 / (4*d0^2)) of term j, which
+    R = 2*d0*sqrt(ln(2^54 * K * sqrt(rho))) makes 2^-53 / K. Where mu
+    strictly decreases along the grid, the terms kept are one contiguous run
+    of k, found by two searchsorted calls on -mu. Elsewhere, and for a
+    non-finite reading, the band is the whole grid.
+    """
+    grid, params = history.grid, history.clock_params
+    size = grid.size
+    lo, hi = np.zeros(readings.size, dtype=np.intp), np.full(readings.size, size)
+    neg_mean = -position_expectation(grid, params)
+    if not np.all(np.diff(neg_mean) > 0.0):
+        return lo, hi
+    widest, narrowest = width(grid[0], params), width(grid[-1], params)
+    ratio = widest / narrowest
+    reach = 2.0 * widest * np.sqrt(np.log(2.0**54 * size * np.sqrt(ratio)))
+    nearest = np.searchsorted(neg_mean, -readings).clip(1, size - 1)
+    gap = np.minimum(
+        np.abs(readings + neg_mean[nearest - 1]), np.abs(readings + neg_mean[nearest])
+    )
+    radius = ratio * gap + reach
+    finite = np.isfinite(radius)
+    x, radius = readings[finite], radius[finite]
+    lo[finite] = np.searchsorted(neg_mean, -(x + radius), side="left")
+    hi[finite] = np.searchsorted(neg_mean, radius - x, side="right")
+    return lo, hi
+
+
+def _blocks(lo: list[int], hi: list[int]):
+    """Split readings sorted by band start into blocks (start, stop, first, last).
+
+    A block evaluates the clock amplitudes of its readings over the union
+    [first, last) of their bands, which costs about (rows + 1) * span: the
+    extra row is the per-time quantities ``wavefunction`` forms once per grid
+    point. A reading joins the block while that cost grows by no more than
+    the 2 * band that conditioning the reading alone would cost, and while
+    the amplitudes stay within ``_BLOCK_ELEMENTS``. Every block holds at least
+    one reading; with every band the whole grid, a block is
+    max(1, _BLOCK_ELEMENTS // K) readings.
+    """
+    start = 0
+    while start < len(lo):
+        first, last, stop = lo[start], hi[start], start + 1
+        while stop < len(lo):
+            rows, wider = stop - start, max(last, hi[stop])
+            growth = (rows + 2) * (wider - first) - (rows + 1) * (last - first)
+            if (rows + 1) * (wider - first) > _BLOCK_ELEMENTS or growth > 2 * (hi[stop] - lo[stop]):
+                break
+            last, stop = wider, stop + 1
+        yield start, stop, first, last
+        start = stop
+
+
 def conditional_system_probability(history: HistoryState, x, projector):
     """Probability of each projector outcome given clock reading(s) x.
 
@@ -202,7 +261,22 @@ def conditional_system_probability(history: HistoryState, x, projector):
     and a scalar a float; a stack gives an array of shape (p, *x.shape),
     row j for projector j. Each v is built once and serves every projector.
 
-    Readings are conditioned in blocks whose clock amplitudes hold at most
+    Each reading sums only its band: the contiguous run of grid points k
+    with |x - mu_k| <= rho*g + reach, where mu_k is the clock's mean at n_k,
+    rho = delta(0) / delta(n_reset), reach = 2*delta(0)*sqrt(ln(2^54 * K *
+    sqrt(rho))) (13.6 delta(0) for the oracle-check clock at K = 8192), and
+    g is the distance from x to the nearest mu_k: under a grid step for a
+    reading inside the range of mu, larger for one beyond it, whose band
+    widens to match. Every term left out is below 2^-53 / K of the band's largest term, so
+    all of them together stay below 2^-53 of it: under the rounding of the
+    sum itself. A reading costs O(band), and the band narrows as
+    1/sqrt(m*omega). The run is contiguous only where mu strictly
+    decreases along the grid, as it does on the monotone window
+    Omega*n_reset < pi/2; on a clock whose mean turns back, every band is
+    the whole grid and each reading costs O(K), in the same loop.
+
+    Readings are conditioned in band order, in blocks whose clock
+    amplitudes (readings times the union of their bands) hold at most
     ``_BLOCK_ELEMENTS`` values; each v is contracted on its own, in
     ascending grid order, so every value is bit-for-bit the one a
     single-projector call for that reading returns.
@@ -232,17 +306,21 @@ def conditional_system_probability(history: HistoryState, x, projector):
             raise NotAProjector(f"{name} is not Hermitian within 1e-10")
         if np.max(np.abs(matrix @ matrix - matrix)) > 1e-10:
             raise NotAProjector(f"{name} is not idempotent within 1e-10")
+    grid, params = history.grid, history.clock_params
+    check_abstract_time(grid, params)
 
     x = np.asarray(x, dtype=float)
     readings = x.reshape(-1)
+    lo, hi = _reading_bands(history, readings)
+    order = np.argsort(lo, kind="stable")
     out = np.empty((len(projectors), readings.size))
-    rows = _block_rows(history.grid.size)
-    for start in range(0, readings.size, rows):
-        block = readings[start:start + rows]
-        weighted = wavefunction(block[:, None], history.grid, history.clock_params)
-        np.multiply(history.weights, weighted, out=weighted)
-        for i, reading in enumerate(block):
-            conditioned = weighted[i] @ history.sys_states
+    for start, stop, first, last in _blocks(lo[order].tolist(), hi[order].tolist()):
+        block = order[start:stop]
+        weighted = wavefunction(readings[block, None], grid[first:last], params)
+        np.multiply(history.weights[first:last], weighted, out=weighted)
+        for row, index in zip(weighted, block):
+            reading, band_lo, band_hi = readings[index], lo[index], hi[index]
+            conditioned = row[band_lo - first:band_hi - first] @ history.sys_states[band_lo:band_hi]
             denominator = np.vdot(conditioned, conditioned).real
             if not np.isfinite(denominator) or denominator < _SUPPORT_FLOOR:
                 raise DegenerateSupport(
@@ -260,7 +338,7 @@ def conditional_system_probability(history: HistoryState, x, projector):
                         f"conditional probability {value.real} at reading x = {reading}"
                         " outside [0, 1] tolerance"
                     )
-                out[j, start + i] = min(max(value.real, 0.0), 1.0)
+                out[j, index] = min(max(value.real, 0.0), 1.0)
     if single:
         return out[0].reshape(x.shape) if x.ndim else float(out[0, 0])
     return out.reshape(out.shape[:1] + x.shape)

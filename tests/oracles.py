@@ -4,7 +4,7 @@ Everything here goes through a different route than the code under test:
 moments by brute-force quadrature of the density, derivatives by central
 finite differences, propagators by scipy's matrix exponential, extrema by
 bounded scalar minimization, clock-state overlaps by the closed-form
-two-Gaussian integral.
+two-Gaussian integral, conditioning by a sum over every grid point.
 """
 
 from __future__ import annotations
@@ -70,6 +70,24 @@ def coherent_overlap(n_a, n_b, params: ClockParams):
     ssum = d_a**2 + d_b**2
     out = np.sqrt(2.0 * d_a * d_b / ssum) * np.exp(-((mu_a - mu_b) ** 2) / (4.0 * ssum))
     return out if out.ndim else float(out)
+
+
+def full_range_conditional(history, x, projector) -> np.ndarray:
+    """<v|P|v> / <v|v> for each reading, with v summed over the whole grid.
+
+    The unbanded reference for conditioning: one row of clock amplitudes
+    over every grid point per reading, weighted in place and contracted in
+    ascending grid order, then clamped to [0, 1]. Readings are flattened;
+    ``projector`` is one (d, d) matrix.
+    """
+    out = []
+    for reading in np.asarray(x, dtype=float).reshape(-1):
+        weighted = wavefunction(np.array([[reading]]), history.grid, history.clock_params)
+        np.multiply(history.weights, weighted, out=weighted)
+        conditioned = weighted[0] @ history.sys_states
+        value = np.vdot(conditioned, projector @ conditioned) / np.vdot(conditioned, conditioned).real
+        out.append(min(max(value.real, 0.0), 1.0))
+    return np.array(out)
 
 
 def central_difference(f, x: float, h: float) -> float:

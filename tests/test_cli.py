@@ -251,6 +251,40 @@ def test_all_bundle_resolves_every_config_before_running(tmp_path, capsys, extra
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_all_bundle_computes_every_experiment_before_writing(tmp_path, capsys):
+    # A finite x passes the option check, but posterior (the fourth
+    # experiment) cannot condition on it: nothing of the bundle is written.
+    out = tmp_path / "out"
+    argv = ["all", "--out", str(out), "--config", write_config(tmp_path, {"options": {"x": 80.0}})]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "DegenerateSupport"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "doc, name",
+    [([1, 2], "config"), ({"clock": [1.0]}, "clock"), ({"options": "x"}, "options"),
+     ({"system": 2}, "system")],
+)
+def test_config_parts_must_be_json_objects(tmp_path, capsys, doc, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be a JSON object"):
+        resolve_config("oracle-check", doc)
+    argv = ["oracle-check", "--out", str(tmp_path / "out"), "--config", write_config(tmp_path, doc)]
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith(f"{name} must be a JSON object")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_unknown_option_is_named(tmp_path, capsys):
+    argv = ["oracle-check", "--out", str(tmp_path / "out"),
+            "--config", write_config(tmp_path, {"options": {"num_reading": 0}})]
+    assert main(argv) == 1
+    assert "['num_reading']" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_resolve_config_guards():
     with pytest.raises(ValidationError):
         resolve_config("not-an-experiment")
@@ -429,6 +463,11 @@ BAD_DOCS = [
     {"options": {"reading_span": [-0.1, 0.5]}},
     {"options": {"reading_span": [0.25, math.nan]}},
     {"options": {"x": math.nan}},
+    # Misspelt or unknown keys, which no runner reads.
+    {"options": {"num_reading": 0}},
+    {"options": {"windows": 0.05}},
+    {"options": {"X": 1.0}},
+    {"options": {"readings_span": [0.25, 0.85]}},
 ]
 
 

@@ -39,6 +39,7 @@ from calibration import (
 from oracles import (
     coherent_overlap,
     expm_state,
+    full_range_conditional,
     quadrature_overlap,
     random_clock_params,
     random_probe_time,
@@ -67,16 +68,17 @@ PROJECTORS = {
 
 
 def record_amplitude_calls(monkeypatch):
-    """Patch the clock amplitudes seen by conditioning to record each call's size."""
-    sizes = []
+    """Patch the clock amplitudes seen by conditioning to record each call's
+    (readings, grid points) shape."""
+    shapes = []
 
     def recording(x, n, params):
         out = wavefunction(x, n, params)
-        sizes.append(np.size(out))
+        shapes.append(np.shape(out))
         return out
 
     monkeypatch.setattr(conditional, "wavefunction", recording)
-    return sizes
+    return shapes
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +339,9 @@ def test_conditional_probability_unreachable_reading(history):
     xs = np.array([position_expectation(n, history.clock_params) for n in (0.4, 0.7)] + [80.0])
     with pytest.raises(DegenerateSupport, match="x = 80.0"):
         conditional_system_probability(history, xs, PROJECTOR_PLUS)
+    for reading in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DegenerateSupport, match=f"x = {reading}"):
+            conditional_system_probability(history, np.append(xs[:2], reading), PROJECTOR_PLUS)
 
 
 def test_weights_are_trapezoid(history):
@@ -375,16 +380,17 @@ def test_conditional_probability_array_matches_scalar(history):
 
 
 def test_conditional_probability_batch_spans_blocks(history, monkeypatch):
-    xs = np.array([position_expectation(n, history.clock_params) for n in (0.3, 0.6, 0.9, 1.2, 1.4)])
+    # Five readings whose bands (about 400 grid points each) overlap. A budget
+    # of 1000 amplitudes holds two of them at a time: blocks of 2, 2 and 1.
+    xs = position_expectation(np.array([0.700, 0.701, 0.702, 0.703, 0.704]), history.clock_params)
     stack = np.stack([PROJECTOR_PLUS, PROJECTOR_MINUS])
     whole = conditional_system_probability(history, xs, PROJECTOR_PLUS)
     whole_stack = conditional_system_probability(history, xs, stack)
-    # A budget of two rows per block: the five readings span three blocks.
-    monkeypatch.setattr(conditional, "_BLOCK_ELEMENTS", 2 * history.grid.size)
-    sizes = record_amplitude_calls(monkeypatch)
+    monkeypatch.setattr(conditional, "_BLOCK_ELEMENTS", 1000)
+    shapes = record_amplitude_calls(monkeypatch)
     assert np.array_equal(conditional_system_probability(history, xs, PROJECTOR_PLUS), whole)
     assert np.array_equal(conditional_system_probability(history, xs, stack), whole_stack)
-    assert len(sizes) == 2 * 3
+    assert shapes == [(2, 402), (2, 401), (1, 399)] * 2
 
 
 @settings(max_examples=30)
@@ -406,15 +412,95 @@ def test_projector_stack_matches_single_calls(history, fractions, names):
 
 @pytest.mark.parametrize("names", [None, ("plus",), ("plus", "minus"), tuple(sorted(PROJECTORS))])
 def test_conditioning_computes_amplitudes_once_per_block(history, monkeypatch, names):
+    # 257 readings over [0.05, 0.95] * n_reset at K = 2048. Unbanded, they
+    # took 3 calls of 128, 128 and 1 full rows (526,336 amplitudes); banded,
+    # they take 10 calls over the union of each block's bands (156,567).
     projector = PROJECTOR_PLUS if names is None else np.stack([PROJECTORS[n] for n in names])
-    rows = conditional._block_rows(history.grid.size)
-    readings = 2 * rows + 1
-    times = np.linspace(0.05, 0.95, readings) * history.clock_params.n_reset
+    times = np.linspace(0.05, 0.95, 257) * history.clock_params.n_reset
     xs = position_expectation(times, history.clock_params)
-    sizes = record_amplitude_calls(monkeypatch)
+    shapes = record_amplitude_calls(monkeypatch)
     conditional_system_probability(history, xs, projector)
-    assert len(sizes) == math.ceil(readings / rows) == 3
-    assert max(sizes) <= conditional._BLOCK_ELEMENTS
+    assert shapes == [
+        (71, 849), (25, 754), (25, 617), (23, 538), (23, 500),
+        (21, 461), (20, 438), (20, 428), (20, 421), (9, 302),
+    ]
+    assert sum(rows * span for rows, span in shapes) == 156_567
+    assert max(rows * span for rows, span in shapes) <= conditional._BLOCK_ELEMENTS
+
+
+def test_bands_drop_only_terms_below_the_bound(history):
+    # Every term of v left out of a reading's band is below 2^-53 / K of the
+    # band's largest term, so all of them together are below 2^-53 of it.
+    clock = history.clock_params
+    xs = np.concatenate([
+        position_expectation(np.linspace(0.0, 1.0, 41) * clock.n_reset, clock),
+        [clock.amplitude + 20.0 * width(0.0, clock)],  # beyond every mean: the band widens
+    ])
+    lo, hi = conditional._reading_bands(history, xs)
+    terms = np.abs(history.weights * wavefunction(xs[:, None], history.grid, clock))
+    size = history.grid.size
+    for row, first, last in zip(terms, lo, hi):
+        assert 0 <= first < last <= size
+        dropped = np.concatenate([row[:first], row[last:]])
+        assert np.sum(dropped) <= 2.0**-53 * np.max(row[first:last])
+        assert np.argmax(row) in range(first, last)
+    assert np.sum(hi - lo) < 0.3 * size * xs.size
+
+
+@st.composite
+def monotone_histories(draw):
+    """A history state on a drawn clock whose mean falls monotonically
+    (Omega * n_reset < pi/2), with m*omega from 1e3 to 1e6 and amplitude 1."""
+    mass_omega = 10.0 ** draw(st.floats(3.0, 6.0))
+    omega = draw(st.floats(0.5, 2.0))
+    damping = draw(st.floats(0.0, 0.5)) * omega
+    params = ClockParams(omega=omega, damping=damping, mass=mass_omega / omega, n_reset=1.0)
+    damped = math.sqrt(omega**2 - damping**2 / 4.0)
+    limit = min(0.99 * (math.pi / 2.0) / damped, 1.0 / damping if damping else math.inf)
+    n_reset = draw(st.floats(0.2, 1.0)) * limit
+    clock = validate_clock_params(dataclasses.replace(params, n_reset=n_reset).with_amplitude(1.0))
+    grid_size = draw(st.sampled_from([256, 1024, 4096]))
+    return build_history_state(default_qubit_spec(), clock, grid_size)
+
+
+@settings(max_examples=40)
+@given(
+    history=monotone_histories(),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    offsets=st.lists(st.floats(-6.0, 6.0), min_size=8, max_size=8),
+)
+def test_banded_conditioning_matches_the_full_range(history, fractions, offsets):
+    clock = history.clock_params
+    times = np.array(fractions) * clock.n_reset
+    xs = position_expectation(times, clock) + np.array(offsets[: times.size]) * width(times, clock)
+    for projector in (PROJECTOR_PLUS, PROJECTOR_MINUS):
+        banded = conditional_system_probability(history, xs, projector)
+        assert np.max(np.abs(banded - full_range_conditional(history, xs, projector))) <= 4e-16
+
+
+@pytest.mark.parametrize(
+    "clock",
+    [
+        # Narrow, but its mean turns back (Omega * n_reset = 5.99 > pi): no band.
+        ClockParams(omega=1.0, damping=0.1, n_reset=6.0, mass=1e4).with_amplitude(1.0),
+        # The base clock: its mean falls over [0, 2], but its width (0.71)
+        # reaches across the whole range of means, so every band is the grid.
+        ClockParams(damping=0.5, alpha=1.0, n_reset=2.0),
+    ],
+    ids=["turning", "base"],
+)
+def test_full_bands_condition_on_the_whole_grid(monkeypatch, clock):
+    # Every band is the whole grid: 300 readings at K = 2048 take blocks of
+    # 2^18 // K = 128 full rows, as before banding, and every value equals
+    # the full-range sum bit for bit.
+    clock = validate_clock_params(clock)
+    hist = build_history_state(default_qubit_spec(), clock, 2048)
+    xs = position_expectation(np.linspace(0.05, 0.95, 300) * clock.n_reset, clock)
+    shapes = record_amplitude_calls(monkeypatch)
+    for projector in (PROJECTOR_PLUS, PROJECTOR_MINUS):
+        got = conditional_system_probability(hist, xs, projector)
+        assert np.array_equal(got, full_range_conditional(hist, xs, projector))
+    assert shapes == [(128, 2048), (128, 2048), (44, 2048)] * 2
 
 
 def test_conditional_probability_rejects_grid_outside_window(history):
@@ -422,3 +508,11 @@ def test_conditional_probability_rejects_grid_outside_window(history):
     outside = dataclasses.replace(history, clock_params=shorter)
     with pytest.raises(InvalidAbstractTime):
         conditional_system_probability(outside, np.array([0.5, 0.6]), PROJECTOR_PLUS)
+    # Only the last grid point leaves the window, and no band reaches it:
+    # the whole grid is still checked.
+    last_out = dataclasses.replace(history.clock_params, n_reset=history.grid[-2])
+    clipped = dataclasses.replace(history, clock_params=last_out)
+    near_start = position_expectation(0.1, history.clock_params)
+    assert conditional._reading_bands(clipped, np.array([near_start]))[1][0] < history.grid.size
+    with pytest.raises(InvalidAbstractTime):
+        conditional_system_probability(clipped, near_start, PROJECTOR_PLUS)

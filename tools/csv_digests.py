@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the CSVs that pin pwclock's output bytes.
+
+Runs the byte-check set through ``pwclock.cli.main`` in a temporary
+directory and prints one JSON object that maps each CSV to its digest:
+
+- the default ``all`` bundle;
+- ``oracle-check`` at grid 8192 with 256 readings, for seeds 5, 7 and 211;
+- the ``oracle-check`` sweep ``r=0.1,0.2,0.3,0.6`` at that grid and readings;
+- ``oracle-check`` at grid 65,536 with 256 readings, seed 5.
+
+Run it once per checkout and compare the two outputs, e.g.
+
+    python3 tools/csv_digests.py > change.json
+    python3 tools/csv_digests.py --src ../parent/src > parent.json
+    diff parent.json change.json
+
+``--src`` is the package source to run (default: the ``src/`` beside this
+script); ``--grid``, ``--readings`` and ``--large-grid`` shrink the set for a
+quick check. BLAS runs on one thread unless the environment already sets
+its thread count: at grid 65,536 a threaded BLAS sums in a different order
+and moves the last digits of the conditional probabilities.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SEEDS = (5, 7, 211)
+SWEEP = "r=0.1,0.2,0.3,0.6"
+LARGE_SEED = 5
+
+
+def byte_check_runs(root: Path, config: Path, grid: int, large_grid: int) -> list[list[str]]:
+    """The pwclock argument lists of the byte-check set, writing under ``root``."""
+    oracle = ["oracle-check", "--config", str(config)]
+    runs = [["all", "--out", str(root / "all")]]
+    for seed in SEEDS:
+        out = root / f"oracle-check-grid{grid}-seed{seed}"
+        runs.append(oracle + ["--grid", str(grid), "--seed", str(seed), "--out", str(out)])
+    runs.append(oracle + ["--grid", str(grid), "--sweep", SWEEP,
+                          "--out", str(root / f"oracle-check-grid{grid}-sweep")])
+    out = root / f"oracle-check-grid{large_grid}-seed{LARGE_SEED}"
+    runs.append(oracle + ["--grid", str(large_grid), "--seed", str(LARGE_SEED), "--out", str(out)])
+    return runs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory holding the pwclock package to run")
+    parser.add_argument("--grid", type=int, default=8192, help="oracle-check grid size")
+    parser.add_argument("--readings", type=int, default=256, help="oracle-check readings")
+    parser.add_argument("--large-grid", type=int, default=65536, help="large oracle-check grid")
+    args = parser.parse_args(argv)
+
+    for name in BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(name, "1")
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from pwclock.cli import main as pwclock
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = root / "readings.json"
+        config.write_text(json.dumps({"options": {"num_readings": args.readings}}), encoding="utf-8")
+        for run in byte_check_runs(root, config, args.grid, args.large_grid):
+            code = pwclock(run)
+            if code != 0:
+                print(f"pwclock {' '.join(run)} exited {code}", file=sys.stderr)
+                return code
+        digests = {
+            str(csv.relative_to(root)): hashlib.sha256(csv.read_bytes()).hexdigest()
+            for csv in sorted(root.rglob("*.csv"))
+        }
+    print(json.dumps(digests, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
