@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pwclock import NoValues, ValidationError
+from pwclock import NoValues, ValidationError, cli
 from pwclock.cli import (
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -492,3 +492,123 @@ def test_invalid_config_raises_and_writes_no_csv(experiment, doc):
         config.write_text(json.dumps(doc), encoding="utf-8")  # NaN and Infinity as JSON extensions
         assert main([experiment, "--config", str(config), "--out", str(Path(tmp) / "out")]) == 1
         assert not list(Path(tmp).rglob("*.csv"))
+
+
+# ---------------------------------------------------------------------------
+# The CSV writer: every float cell is exactly repr(float), text as is.
+# ---------------------------------------------------------------------------
+
+
+def repr_csv(header, columns):
+    """The bytes the writer must produce, cell by cell through repr."""
+    rows = zip(*[np.asarray(column).tolist() for column in columns])
+    cells = ("".join(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n")
+             for row in rows)
+    return (",".join(header) + "\n" + "".join(cells)).encode("utf-8")
+
+
+def assert_writes_repr(path, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    cli._write_csv(path, header, columns)
+    assert path.read_bytes() == repr_csv(header, columns)
+
+
+def from_bits(bits):
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+@pytest.mark.parametrize(
+    "columns, error",
+    [
+        ([np.array([0.5, 1.5]), np.array([1, 2])], TypeError),
+        ([np.array([0.5, 1.5]), np.array([1 + 2j, 3j])], TypeError),
+        ([np.array([0.5, 1.5]), np.array([0.5])], ValueError),
+        ([np.array(["a", "b"]), np.array([0.5, 1.5, 2.5])], ValueError),
+    ],
+)
+def test_bad_column_raises_before_the_csv_opens(tmp_path, columns, error):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(error):
+        cli._write_csv(path, ["a", "b"], columns)
+    assert not path.exists()
+
+
+def test_text_cells_are_written_as_is(tmp_path):
+    # NUL and multi-byte characters included: the writer's padding byte,
+    # 0xFF, never occurs in UTF-8.
+    words = np.array(["a\0b", "\u00e9,x", "", "\U0001d70f"])
+    assert_writes_repr(tmp_path / "text.csv", [np.linspace(0.0, 1.0, 4), words])
+
+
+def test_zero_row_csv_writes_only_the_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    cli._write_csv(path, ["a", "b"], [np.array([]), np.array([], dtype=str)])
+    assert path.read_bytes() == b"a,b\n"
+
+
+# Every float64 bit pattern: NaN, +-inf, +-0 and subnormals included.
+bit_patterns = st.integers(0, 2**64 - 1)
+texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), rows=st.integers(0, 40), width=st.integers(1, 4))
+def test_float_cells_are_repr_for_any_bit_pattern(data, rows, width):
+    floats = [from_bits(data.draw(st.lists(bit_patterns, min_size=rows, max_size=rows)))
+              for _ in range(width)]
+    words = np.array(data.draw(st.lists(texts, min_size=rows, max_size=rows)), dtype=str)
+    columns = floats[:1] + [words] + floats[1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_writes_repr(Path(tmp) / "t.csv", columns)
+
+
+def edge_values():
+    """Values at every layout and rounding edge of repr."""
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, 1e16, 1e23, 9999999999999998.0, 2.0**89, 0.1, 0.3]
+    values += [2.0**k for k in range(-1074, 1024)]
+    values += [float(f"1e{k}") for k in range(-323, 309)]
+    values += [math.nextafter(v, towards) for v in list(values) for towards in (-math.inf, math.inf)]
+    for k in (53, 63):
+        values += [float(2**k + j) for j in range(-40, 41)]
+    rng = np.random.default_rng(0)
+    for exponent in (-5, -4, 15, 16, 100, -100):
+        values += (rng.random(50) * 10.0**exponent).tolist()
+    values += [-v for v in values]
+    return np.array(values)
+
+
+def test_float_cells_are_repr_at_layout_and_rounding_edges(tmp_path):
+    values = edge_values()
+    assert_writes_repr(tmp_path / "edges.csv", [values, values[::-1]])
+
+
+def test_float_cells_are_repr_for_random_bit_patterns(tmp_path):
+    bits = np.random.default_rng(20).integers(0, 2**64, 200_000, dtype=np.uint64)
+    assert_writes_repr(tmp_path / "sweep.csv", list(bits.view(np.float64).reshape(4, -1)))
+
+
+def test_repr_fallback_alone_writes_the_same_bytes(tmp_path, monkeypatch):
+    # With an infinite tolerance the kernel settles no decision, so every
+    # cell is formatted by repr itself.
+    rng = np.random.default_rng(21)
+    typical = np.concatenate([rng.random(4000), rng.standard_normal(4000) * 1e8])
+    monkeypatch.setattr(cli, "_TOL", math.inf)
+    ok = np.ones(typical.size, bool)
+    cli._shortest(np.abs(typical), ok)
+    assert not ok.any()
+    assert_writes_repr(tmp_path / "fallback.csv", [np.concatenate([edge_values(), typical])])
+
+
+def test_digit_kernel_settles_typical_values():
+    # repr is only the fallback: typical values keep the kernel's digits,
+    # next to powers of ten (where log10 misjudges E) too.
+    rng = np.random.default_rng(22)
+    tens = [float(f"1e{k}") for k in range(-90, 16)]
+    tens = [math.nextafter(v, towards) for v in tens for towards in (0.0, math.inf)]
+    values = np.concatenate([np.linspace(0.0, 2.0, 4097)[1:], rng.random(4096),
+                             rng.standard_normal(4096), tens])
+    ok = np.ones(values.size, bool)
+    cli._shortest(np.abs(values), ok)
+    assert ok.mean() > 0.99
+    assert ok[-len(tens):].mean() > 0.99

@@ -8,15 +8,16 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 def test_csv_digests_repeat_at_small_grids():
     # The byte-check set at small grids, in two fresh processes: the same
-    # fifteen CSVs (7 of the bundle, 3 seeds, 4 sweep values, 1 large grid)
-    # with the same digests.
+    # 21 CSVs (7 of the bundle, 3 seeds, 4 sweep values, 1 large grid, 6
+    # per-row experiments) with the same digests.
     command = [sys.executable, str(TOOLS / "csv_digests.py"),
-               "--grid", "256", "--readings", "8", "--large-grid", "1024"]
+               "--grid", "256", "--readings", "8", "--large-grid", "1024", "--tables-grid", "64"]
     outputs = [
         json.loads(subprocess.run(command, capture_output=True, text=True, check=True).stdout)
         for _ in range(2)
     ]
     assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == 15
+    assert len(outputs[0]) == 21
     assert sum(name.startswith("all/") for name in outputs[0]) == 7
+    assert sum(name.startswith("tables-grid64/") for name in outputs[0]) == 6
     assert all(len(digest) == 64 for digest in outputs[0].values())

@@ -7,7 +7,10 @@ directory and prints one JSON object that maps each CSV to its digest:
 - the default ``all`` bundle;
 - ``oracle-check`` at grid 8192 with 256 readings, for seeds 5, 7 and 211;
 - the ``oracle-check`` sweep ``r=0.1,0.2,0.3,0.6`` at that grid and readings;
-- ``oracle-check`` at grid 65,536 with 256 readings, seed 5.
+- ``oracle-check`` at grid 65,536 with 256 readings, seed 5;
+- the six per-row experiments of the benchmark's ``tables`` workload
+  (``clock-profile``, ``damping-opt``, ``timemap``, ``evolve-compare``,
+  ``posterior`` at its default x, ``ideal-limit``) at grid 8192.
 
 Run it once per checkout and compare the two outputs, e.g.
 
@@ -16,10 +19,11 @@ Run it once per checkout and compare the two outputs, e.g.
     diff parent.json change.json
 
 ``--src`` is the package source to run (default: the ``src/`` beside this
-script); ``--grid``, ``--readings`` and ``--large-grid`` shrink the set for a
-quick check. BLAS runs on one thread unless the environment already sets
-its thread count: at grid 65,536 a threaded BLAS sums in a different order
-and moves the last digits of the conditional probabilities.
+script); ``--grid``, ``--readings``, ``--large-grid`` and ``--tables-grid``
+shrink the set for a quick check. BLAS runs on one thread unless the
+environment already sets its thread count: at grid 65,536 a threaded BLAS
+sums in a different order and moves the last digits of the conditional
+probabilities.
 """
 
 from __future__ import annotations
@@ -36,9 +40,12 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 SEEDS = (5, 7, 211)
 SWEEP = "r=0.1,0.2,0.3,0.6"
 LARGE_SEED = 5
+TABLES = ("clock-profile", "damping-opt", "timemap", "evolve-compare", "posterior", "ideal-limit")
 
 
-def byte_check_runs(root: Path, config: Path, grid: int, large_grid: int) -> list[list[str]]:
+def byte_check_runs(
+    root: Path, config: Path, grid: int, large_grid: int, tables_grid: int
+) -> list[list[str]]:
     """The pwclock argument lists of the byte-check set, writing under ``root``."""
     oracle = ["oracle-check", "--config", str(config)]
     runs = [["all", "--out", str(root / "all")]]
@@ -49,6 +56,8 @@ def byte_check_runs(root: Path, config: Path, grid: int, large_grid: int) -> lis
                           "--out", str(root / f"oracle-check-grid{grid}-sweep")])
     out = root / f"oracle-check-grid{large_grid}-seed{LARGE_SEED}"
     runs.append(oracle + ["--grid", str(large_grid), "--seed", str(LARGE_SEED), "--out", str(out)])
+    out = root / f"tables-grid{tables_grid}"
+    runs += [[name, "--grid", str(tables_grid), "--out", str(out)] for name in TABLES]
     return runs
 
 
@@ -59,6 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--grid", type=int, default=8192, help="oracle-check grid size")
     parser.add_argument("--readings", type=int, default=256, help="oracle-check readings")
     parser.add_argument("--large-grid", type=int, default=65536, help="large oracle-check grid")
+    parser.add_argument("--tables-grid", type=int, default=8192, help="per-row experiments' grid")
     args = parser.parse_args(argv)
 
     for name in BLAS_THREAD_VARIABLES:
@@ -70,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         root = Path(tmp)
         config = root / "readings.json"
         config.write_text(json.dumps({"options": {"num_readings": args.readings}}), encoding="utf-8")
-        for run in byte_check_runs(root, config, args.grid, args.large_grid):
+        for run in byte_check_runs(root, config, args.grid, args.large_grid, args.tables_grid):
             code = pwclock(run)
             if code != 0:
                 print(f"pwclock {' '.join(run)} exited {code}", file=sys.stderr)
