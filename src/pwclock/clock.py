@@ -117,14 +117,27 @@ def wavefunction(x, n, params: ClockParams):
     InvalidAbstractTime
         If any n lies outside [0, n_reset].
     """
-    n = np.asarray(check_abstract_time(n, params), dtype=float)
-    x = np.asarray(x, dtype=float)
-    delta = width(n, params)
-    mean = position_expectation(n, params)
-    norm = (2.0 * np.pi * np.asarray(delta) ** 2) ** -0.25
-    amp = norm * np.exp(-((x - mean) ** 2) / (4.0 * np.asarray(delta) ** 2))
-    out = amp * np.exp(1j * params.phase)
+    check_abstract_time(n, params)
+    out = _envelope(x, n, params) * np.exp(1j * params.phase)
     return out if out.ndim else complex(out)
+
+
+def _envelope(x, n, params: ClockParams) -> np.ndarray:
+    """Real Gaussian magnitude of ``wavefunction``, without the global phase.
+
+    ``(2*pi*delta^2)**(-1/4) * exp(-(x - <x>)^2 / (4*delta^2))`` as a float64
+    array of the broadcast shape of x and n, built in place on one buffer.
+    The times are not checked; callers check them first.
+    """
+    n = np.asarray(n, dtype=float)
+    delta = np.asarray(width(n, params))
+    out = np.asarray(np.asarray(x, dtype=float) - position_expectation(n, params))
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    np.divide(out, 4.0 * delta**2, out=out)
+    np.exp(out, out=out)
+    np.multiply((2.0 * np.pi * delta**2) ** -0.25, out, out=out)
+    return out
 
 
 def decoherence_rate(n, params: ClockParams):

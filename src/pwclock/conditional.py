@@ -12,7 +12,10 @@ as the discretized entanglement coefficients of the history state.
 
 The history state is stored unnormalized and built in O(K*d); conditioning
 normalizes each reading on its own and, where the clock's mean position is
-monotone along the grid, costs O(band) per reading rather than O(K).
+monotone along the grid, costs O(band) per reading rather than O(K). The
+clock's global phase multiplies every amplitude and cancels from every
+probability, so densities and conditioning use the real Gaussian envelope
+of the amplitude and never multiply the phase in.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .params import (
     SystemSpec,
     check_abstract_time,
 )
-from .clock import position_expectation, wavefunction, width
+from .clock import _envelope, position_expectation, width
 from .evolution import evolve_exact
 from .timemap import n_from_x_exact, n_from_x_log
 
@@ -54,9 +57,12 @@ _BLOCK_ELEMENTS = 2**18
 def position_given_n(x, n, params: ClockParams):
     """Probability density |<x|clock(n)>|^2 of reading x at abstract time n.
 
-    A density in x: integrates to 1 over x at every fixed n.
+    A density in x: integrates to 1 over x at every fixed n. It is the
+    squared real envelope of the amplitude, so the clock's global phase
+    never enters it.
     """
-    return np.abs(wavefunction(x, n, params)) ** 2
+    check_abstract_time(n, params)
+    return _envelope(x, n, params) ** 2
 
 
 @dataclass(frozen=True)
@@ -229,12 +235,12 @@ def _reading_bands(history: HistoryState, readings: np.ndarray):
 def _blocks(lo: list[int], hi: list[int]):
     """Split readings sorted by band start into blocks (start, stop, first, last).
 
-    A block evaluates the clock amplitudes of its readings over the union
+    A block evaluates the clock envelopes of its readings over the union
     [first, last) of their bands, which costs about (rows + 1) * span: the
-    extra row is the per-time quantities ``wavefunction`` forms once per grid
+    extra row is the per-time quantities ``_envelope`` forms once per grid
     point. A reading joins the block while that cost grows by no more than
     the 2 * band that conditioning the reading alone would cost, and while
-    the amplitudes stay within ``_BLOCK_ELEMENTS``. Every block holds at least
+    the envelopes stay within ``_BLOCK_ELEMENTS``. Every block holds at least
     one reading; with every band the whole grid, a block is
     max(1, _BLOCK_ELEMENTS // K) readings.
     """
@@ -261,6 +267,11 @@ def conditional_system_probability(history: HistoryState, x, projector):
     and a scalar a float; a stack gives an array of shape (p, *x.shape),
     row j for projector j. Each v is built once and serves every projector.
 
+    The clock's global phase e^{i*phi} multiplies every term of v, so it
+    cancels from the ratio; it is never multiplied in, and v is summed from
+    the real Gaussian envelopes of the clock amplitudes. Every value is
+    therefore exactly independent of the phase.
+
     Each reading sums only its band: the contiguous run of grid points k
     with |x - mu_k| <= rho*g + reach, where mu_k is the clock's mean at n_k,
     rho = delta(0) / delta(n_reset), reach = 2*delta(0)*sqrt(ln(2^54 * K *
@@ -275,23 +286,28 @@ def conditional_system_probability(history: HistoryState, x, projector):
     Omega*n_reset < pi/2; on a clock whose mean turns back, every band is
     the whole grid and each reading costs O(K), in the same loop.
 
-    Readings are conditioned in band order, in blocks whose clock
-    amplitudes (readings times the union of their bands) hold at most
-    ``_BLOCK_ELEMENTS`` values; each v is contracted on its own, in
-    ascending grid order, so every value is bit-for-bit the one a
-    single-projector call for that reading returns.
+    Readings are conditioned in band order, in blocks whose envelopes
+    (readings times the union of their bands) hold at most
+    ``_BLOCK_ELEMENTS`` float64 values; each v is contracted on its own, in
+    ascending grid order. Every <v|v> and <v|P|v> is then formed in one
+    batched pass over all readings and projectors, one BLAS dot per value,
+    so every value is bit-for-bit the one a single-projector call for that
+    reading returns, and the one ``np.vdot(v, P @ v) / np.vdot(v, v)`` gives.
 
     Raises
     ------
     NotAProjector
         If the shape does not match the system, or a projector is not
         Hermitian idempotent within 1e-10 (the message names its index in
-        a stack). Every projector is checked before any amplitude.
+        a stack); a non-finite entry fails both tests. Every projector is
+        checked before any amplitude.
     InvalidAbstractTime
         If the history grid leaves the clock's running window.
     DegenerateSupport
         If the conditioning denominator underflows for any reading (x
-        unreachable), or a value's imaginary residue or range is off.
+        unreachable), or a value's imaginary residue or range is off. Each
+        of the three is checked over every reading in turn, and the message
+        names the first offending reading in reading order.
     """
     dim = history.sys_states.shape[1]
     projectors = np.asarray(projector, dtype=np.complex128)
@@ -302,10 +318,12 @@ def conditional_system_probability(history: HistoryState, x, projector):
         projectors = projectors[None]
     for index, matrix in enumerate(projectors):
         name = "projector" if single else f"projector {index}"
-        if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10:
-            raise NotAProjector(f"{name} is not Hermitian within 1e-10")
-        if np.max(np.abs(matrix @ matrix - matrix)) > 1e-10:
-            raise NotAProjector(f"{name} is not idempotent within 1e-10")
+        # "not <=" so that a NaN deviation, from a non-finite entry, fails too.
+        with np.errstate(invalid="ignore"):
+            if not np.max(np.abs(matrix - matrix.conj().T)) <= 1e-10:
+                raise NotAProjector(f"{name} is not Hermitian within 1e-10")
+            if not np.max(np.abs(matrix @ matrix - matrix)) <= 1e-10:
+                raise NotAProjector(f"{name} is not idempotent within 1e-10")
     grid, params = history.grid, history.clock_params
     check_abstract_time(grid, params)
 
@@ -313,32 +331,42 @@ def conditional_system_probability(history: HistoryState, x, projector):
     readings = x.reshape(-1)
     lo, hi = _reading_bands(history, readings)
     order = np.argsort(lo, kind="stable")
-    out = np.empty((len(projectors), readings.size))
+    conditioned = np.empty((readings.size, dim), dtype=np.complex128)
     for start, stop, first, last in _blocks(lo[order].tolist(), hi[order].tolist()):
         block = order[start:stop]
-        weighted = wavefunction(readings[block, None], grid[first:last], params)
+        weighted = _envelope(readings[block, None], grid[first:last], params)
         np.multiply(history.weights[first:last], weighted, out=weighted)
         for row, index in zip(weighted, block):
-            reading, band_lo, band_hi = readings[index], lo[index], hi[index]
-            conditioned = row[band_lo - first:band_hi - first] @ history.sys_states[band_lo:band_hi]
-            denominator = np.vdot(conditioned, conditioned).real
-            if not np.isfinite(denominator) or denominator < _SUPPORT_FLOOR:
-                raise DegenerateSupport(
-                    f"reading x = {reading} is unreachable: conditioning weight {denominator}"
-                )
-            for j, matrix in enumerate(projectors):
-                value = np.vdot(conditioned, matrix @ conditioned) / denominator
-                if abs(value.imag) > 1e-9:
-                    raise DegenerateSupport(
-                        f"imaginary residue {value.imag} exceeds 1e-9 at reading x = {reading};"
-                        " projector arithmetic degenerated"
-                    )
-                if value.real < -1e-9 or value.real > 1.0 + 1e-9:
-                    raise DegenerateSupport(
-                        f"conditional probability {value.real} at reading x = {reading}"
-                        " outside [0, 1] tolerance"
-                    )
-                out[j, index] = min(max(value.real, 0.0), 1.0)
+            band_lo, band_hi = lo[index], hi[index]
+            conditioned[index] = row[band_lo - first:band_hi - first] @ history.sys_states[band_lo:band_hi]
+
+    # Batched matmul makes one BLAS dot per value, which rounds as np.vdot
+    # does; einsum rounds differently on a general complex v.
+    bras = conditioned.conj()[:, None, :]
+    denominators = np.matmul(bras, conditioned[:, :, None])[:, 0, 0].real
+    unreachable = ~np.isfinite(denominators) | (denominators < _SUPPORT_FLOOR)
+    if unreachable.any():
+        index = np.argmax(unreachable)
+        raise DegenerateSupport(
+            f"reading x = {readings[index]} is unreachable: conditioning weight {denominators[index]}"
+        )
+    kets = np.matmul(projectors[:, None], conditioned[:, :, None])
+    values = np.matmul(bras, kets)[..., 0, 0] / denominators
+    residue = np.abs(values.imag) > 1e-9
+    if residue.any():
+        index, j = np.argwhere(residue.T)[0]
+        raise DegenerateSupport(
+            f"imaginary residue {values[j, index].imag} exceeds 1e-9 at reading x = {readings[index]};"
+            " projector arithmetic degenerated"
+        )
+    outside = (values.real < -1e-9) | (values.real > 1.0 + 1e-9)
+    if outside.any():
+        index, j = np.argwhere(outside.T)[0]
+        raise DegenerateSupport(
+            f"conditional probability {values[j, index].real} at reading x = {readings[index]}"
+            " outside [0, 1] tolerance"
+        )
+    out = np.clip(values.real, 0.0, 1.0)
     if single:
         return out[0].reshape(x.shape) if x.ndim else float(out[0, 0])
     return out.reshape(out.shape[:1] + x.shape)

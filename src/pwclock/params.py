@@ -142,7 +142,9 @@ class ClockParams:
         Reset horizon: the clock is rewound after this span of abstract
         time. Must satisfy 0 < n_reset <= 1/r when r > 0.
     phase : float
-        Global phase of the wavefunction; irrelevant to all probabilities.
+        Global phase of the wavefunction. It cancels from every probability
+        and density exactly, not only to rounding: they are computed from the
+        real envelope of the amplitude and never multiply it in.
     """
 
     hbar: float = 1.0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwclock import conditional
+from pwclock.clock import _envelope
 from pwclock import (
     ClockParams,
     DegenerateSupport,
@@ -68,16 +69,17 @@ PROJECTORS = {
 
 
 def record_amplitude_calls(monkeypatch):
-    """Patch the clock amplitudes seen by conditioning to record each call's
-    (readings, grid points) shape."""
+    """Patch the clock envelopes seen by conditioning to record each call's
+    (readings, grid points) shape, and require every block to be float64."""
     shapes = []
 
     def recording(x, n, params):
-        out = wavefunction(x, n, params)
+        out = _envelope(x, n, params)
+        assert out.dtype == np.float64
         shapes.append(np.shape(out))
         return out
 
-    monkeypatch.setattr(conditional, "wavefunction", recording)
+    monkeypatch.setattr(conditional, "_envelope", recording)
     return shapes
 
 
@@ -317,10 +319,17 @@ def test_conditional_probability_rejects_bad_projectors(history, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("amplitudes computed before the projector checks")
 
-    monkeypatch.setattr(conditional, "wavefunction", forbidden)
+    def with_diagonal(value):
+        matrix = PROJECTOR_PLUS.copy()
+        matrix[0, 0] = value
+        return matrix
+
+    monkeypatch.setattr(conditional, "_envelope", forbidden)
     x = position_expectation(0.5, history.clock_params)
+    # A non-finite entry makes the deviations NaN, which must fail the checks too.
+    non_finite = [np.full((2, 2), math.nan)] + [with_diagonal(v) for v in (math.nan, math.inf, -math.inf)]
     for readings in (x, np.full(4, x)):
-        for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5 * np.eye(2)):
+        for bad in [np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5 * np.eye(2)] + non_finite:
             with pytest.raises(NotAProjector, match="^projector is not"):
                 conditional_system_probability(history, readings, bad)
             # In a stack, the message names the failing index.
@@ -359,7 +368,7 @@ def test_history_build_computes_no_clock_amplitudes(monkeypatch):
 
     params = narrow_clock()
     with monkeypatch.context() as patch:
-        patch.setattr(conditional, "wavefunction", forbidden)
+        patch.setattr(conditional, "_envelope", forbidden)
         hist = build_history_state(default_qubit_spec(), params, 256)
     x = position_expectation(0.5, params)
     assert 0.0 < conditional_system_probability(hist, x, PROJECTOR_PLUS) < 1.0
@@ -478,17 +487,16 @@ def test_banded_conditioning_matches_the_full_range(history, fractions, offsets)
         assert np.max(np.abs(banded - full_range_conditional(history, xs, projector))) <= 4e-16
 
 
-@pytest.mark.parametrize(
-    "clock",
-    [
-        # Narrow, but its mean turns back (Omega * n_reset = 5.99 > pi): no band.
-        ClockParams(omega=1.0, damping=0.1, n_reset=6.0, mass=1e4).with_amplitude(1.0),
-        # The base clock: its mean falls over [0, 2], but its width (0.71)
-        # reaches across the whole range of means, so every band is the grid.
-        ClockParams(damping=0.5, alpha=1.0, n_reset=2.0),
-    ],
-    ids=["turning", "base"],
-)
+FULL_BAND_CLOCKS = {
+    # Narrow, but its mean turns back (Omega * n_reset = 5.99 > pi): no band.
+    "turning": ClockParams(omega=1.0, damping=0.1, n_reset=6.0, mass=1e4).with_amplitude(1.0),
+    # The base clock: its mean falls over [0, 2], but its width (0.71)
+    # reaches across the whole range of means, so every band is the grid.
+    "base": ClockParams(damping=0.5, alpha=1.0, n_reset=2.0),
+}
+
+
+@pytest.mark.parametrize("clock", list(FULL_BAND_CLOCKS.values()), ids=list(FULL_BAND_CLOCKS))
 def test_full_bands_condition_on_the_whole_grid(monkeypatch, clock):
     # Every band is the whole grid: 300 readings at K = 2048 take blocks of
     # 2^18 // K = 128 full rows, as before banding, and every value equals
@@ -501,6 +509,41 @@ def test_full_bands_condition_on_the_whole_grid(monkeypatch, clock):
         got = conditional_system_probability(hist, xs, projector)
         assert np.array_equal(got, full_range_conditional(hist, xs, projector))
     assert shapes == [(128, 2048), (128, 2048), (44, 2048)] * 2
+
+
+@pytest.mark.parametrize("clock", list(FULL_BAND_CLOCKS.values()), ids=list(FULL_BAND_CLOCKS))
+def test_full_bands_at_a_phase_agree_with_the_complex_oracle(clock):
+    # The oracle multiplies e^{1.3i} into every complex amplitude, where it
+    # rounds; conditioning never multiplies it in. They agree to rounding.
+    clock = validate_clock_params(dataclasses.replace(clock, phase=1.3))
+    hist = build_history_state(default_qubit_spec(), clock, 2048)
+    xs = position_expectation(np.linspace(0.05, 0.95, 300) * clock.n_reset, clock)
+    for projector in (PROJECTOR_PLUS, PROJECTOR_MINUS):
+        got = conditional_system_probability(hist, xs, projector)
+        assert np.max(np.abs(got - full_range_conditional(hist, xs, projector))) <= 1e-14
+
+
+@settings(max_examples=30)
+@given(
+    phase=st.floats(-math.pi, math.pi),
+    clock=st.sampled_from([narrow_clock()] + [validate_clock_params(c) for c in FULL_BAND_CLOCKS.values()]),
+)
+def test_global_phase_cancels_exactly(phase, clock):
+    # The phase multiplies every term of v and every amplitude, so it cancels
+    # from <v|P|v> / <v|v> and from |amplitude|^2; neither ever forms it.
+    shifted = validate_clock_params(dataclasses.replace(clock, phase=phase))
+    at_zero = build_history_state(default_qubit_spec(), clock, 512)
+    at_phase = build_history_state(default_qubit_spec(), shifted, 512)
+    xs = position_expectation(np.linspace(0.05, 0.95, 9) * clock.n_reset, clock)
+    for projector in (PROJECTOR_PLUS, np.stack([PROJECTOR_PLUS, PROJECTOR_MINUS])):
+        assert np.array_equal(
+            conditional_system_probability(at_phase, xs, projector),
+            conditional_system_probability(at_zero, xs, projector),
+        )
+    assert np.array_equal(
+        position_given_n(xs[:, None], at_zero.grid, shifted),
+        position_given_n(xs[:, None], at_zero.grid, clock),
+    )
 
 
 def test_conditional_probability_rejects_grid_outside_window(history):

@@ -8,8 +8,8 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 def test_csv_digests_repeat_at_small_grids():
     # The byte-check set at small grids, in two fresh processes: the same
-    # 21 CSVs (7 of the bundle, 3 seeds, 4 sweep values, 1 large grid, 6
-    # per-row experiments) with the same digests.
+    # 23 CSVs (7 of the bundle, 3 seeds, 4 sweep values, 1 large grid, 6
+    # per-row experiments, 2 at phase 1.3) with the same digests.
     command = [sys.executable, str(TOOLS / "csv_digests.py"),
                "--grid", "256", "--readings", "8", "--large-grid", "1024", "--tables-grid", "64"]
     outputs = [
@@ -17,7 +17,11 @@ def test_csv_digests_repeat_at_small_grids():
         for _ in range(2)
     ]
     assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == 21
+    assert len(outputs[0]) == 23
     assert sum(name.startswith("all/") for name in outputs[0]) == 7
     assert sum(name.startswith("tables-grid64/") for name in outputs[0]) == 6
+    # The global phase cancels exactly: its files equal their phase-0 twins byte for byte.
+    digests = outputs[0]
+    assert digests["phase1.3/oracle-check.csv"] == digests["oracle-check-grid256-seed5/oracle-check.csv"]
+    assert digests["phase1.3/posterior.csv"] == digests["tables-grid64/posterior.csv"]
     assert all(len(digest) == 64 for digest in outputs[0].values())

@@ -10,7 +10,10 @@ directory and prints one JSON object that maps each CSV to its digest:
 - ``oracle-check`` at grid 65,536 with 256 readings, seed 5;
 - the six per-row experiments of the benchmark's ``tables`` workload
   (``clock-profile``, ``damping-opt``, ``timemap``, ``evolve-compare``,
-  ``posterior`` at its default x, ``ideal-limit``) at grid 8192.
+  ``posterior`` at its default x, ``ideal-limit``) at grid 8192;
+- at the clock's global phase 1.3 (every other case runs at phase 0),
+  ``oracle-check`` at grid 8192 with 256 readings, seed 5, and ``posterior``
+  at grid 8192: the phase must cancel from both.
 
 Run it once per checkout and compare the two outputs, e.g.
 
@@ -40,13 +43,18 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 SEEDS = (5, 7, 211)
 SWEEP = "r=0.1,0.2,0.3,0.6"
 LARGE_SEED = 5
+PHASE = 1.3
+PHASE_SEED = 5
 TABLES = ("clock-profile", "damping-opt", "timemap", "evolve-compare", "posterior", "ideal-limit")
 
 
 def byte_check_runs(
-    root: Path, config: Path, grid: int, large_grid: int, tables_grid: int
+    root: Path, config: Path, phase_config: Path, grid: int, large_grid: int, tables_grid: int
 ) -> list[list[str]]:
-    """The pwclock argument lists of the byte-check set, writing under ``root``."""
+    """The pwclock argument lists of the byte-check set, writing under ``root``.
+
+    ``config`` sets the readings; ``phase_config`` sets them and the phase.
+    """
     oracle = ["oracle-check", "--config", str(config)]
     runs = [["all", "--out", str(root / "all")]]
     for seed in SEEDS:
@@ -58,6 +66,11 @@ def byte_check_runs(
     runs.append(oracle + ["--grid", str(large_grid), "--seed", str(LARGE_SEED), "--out", str(out)])
     out = root / f"tables-grid{tables_grid}"
     runs += [[name, "--grid", str(tables_grid), "--out", str(out)] for name in TABLES]
+    out = root / f"phase{PHASE}"
+    runs.append(["oracle-check", "--config", str(phase_config), "--grid", str(grid),
+                 "--seed", str(PHASE_SEED), "--out", str(out)])
+    runs.append(["posterior", "--config", str(phase_config), "--grid", str(tables_grid),
+                 "--out", str(out)])
     return runs
 
 
@@ -79,8 +92,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         config = root / "readings.json"
-        config.write_text(json.dumps({"options": {"num_readings": args.readings}}), encoding="utf-8")
-        for run in byte_check_runs(root, config, args.grid, args.large_grid, args.tables_grid):
+        options = {"num_readings": args.readings}
+        config.write_text(json.dumps({"options": options}), encoding="utf-8")
+        phase_config = root / "phase.json"
+        phase_config.write_text(json.dumps({"clock": {"phase": PHASE}, "options": options}),
+                                encoding="utf-8")
+        runs = byte_check_runs(root, config, phase_config, args.grid, args.large_grid, args.tables_grid)
+        for run in runs:
             code = pwclock(run)
             if code != 0:
                 print(f"pwclock {' '.join(run)} exited {code}", file=sys.stderr)
