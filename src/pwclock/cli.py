@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 # Unused: sweeps run serially. The benchmark's tracer (perfbench/tracing.py)
 # swaps ``cli.ThreadPoolExecutor`` for a span-recording pool, so the name stays.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -623,12 +625,46 @@ def _padded(texts: list[bytes], width: int) -> np.ndarray:
     )
 
 
+def _encoded(column: np.ndarray) -> np.ndarray:
+    """(len(column), width) uint8: each str cell's UTF-8 bytes, padded with _PAD.
+
+    numpy holds str cells as UCS-4 code points, zero-filled after each
+    cell's last nonzero one, so an ASCII column is those code points as
+    bytes. Any other column is encoded cell by cell.
+    """
+    chars = column.dtype.itemsize // 4
+    points = np.ascontiguousarray(column, dtype=f"U{chars}").view(np.uint32)
+    points = points.reshape(len(column), chars)
+    if points.size and points.max() >= 0x80:
+        texts = [cell.encode("utf-8") for cell in column.tolist()]
+        return _padded(texts, max(map(len, texts)))
+    inside = np.logical_or.accumulate(points[:, ::-1] != 0, axis=1)[:, ::-1]
+    return np.where(inside, points, _PAD[0]).astype(np.uint8)
+
+
+@contextmanager
+def _rewritten(path: Path):
+    """``path`` open for binary writing from its start, truncated on leaving, also on failure.
+
+    Not truncating on opening saves freeing and reallocating the blocks of
+    a file rewritten at its old size, about 1 ms per MB where freed blocks
+    are discarded; truncating on leaving drops what is left of the old file.
+    """
+    with open(path, "wb", opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
+
+
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length float or str columns as CSV rows, one block at a time.
 
     A float cell is exactly repr(float(value)); a str cell is written as is.
     A column of any other dtype raises TypeError, and columns of unequal
-    length raise ValueError, before the file opens.
+    length raise ValueError, before the file opens. An existing file is
+    rewritten in place and truncated where this write stops, also when it
+    fails part way, so no byte of the earlier file remains.
     """
     columns = [np.asarray(column) for column in columns]
     kinds = [column.dtype.kind for column in columns]
@@ -639,14 +675,14 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
         raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
     floats = [i for i, kind in enumerate(kinds) if kind == "f"]
     step = max(1, _CSV_BLOCK_CELLS // max(1, len(columns)))
-    with open(path, "wb") as fh:
+    with _rewritten(path) as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, rows, step):
             texts = {
-                i: [cell.encode("utf-8") for cell in columns[i][start:start + step].tolist()]
+                i: _encoded(columns[i][start:start + step])
                 for i, kind in enumerate(kinds) if kind == "U"
             }
-            width = max([_CELL] + [len(cell) for text in texts.values() for cell in text])
+            width = max([_CELL] + [text.shape[1] for text in texts.values()])
             block = np.full((min(step, rows - start), len(columns), width + 1), _PAD[0], np.uint8)
             if floats:
                 values = np.stack([columns[i][start:start + step] for i in floats], 1, dtype=float)
@@ -654,17 +690,20 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
                     len(block), len(floats), _CELL
                 )
             for i, text in texts.items():
-                block[:, i, :width] = _padded(text, width)
+                block[:, i, :text.shape[1]] = text
             block[:, :, -1] = ord(",")
             block[:, -1, -1] = ord("\n")
             fh.write(block.tobytes().translate(None, _PAD))
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    """Write strict JSON: a NaN or infinity raises ValueError before the file opens."""
+    """Write strict JSON: a NaN or infinity raises ValueError before the file opens.
+
+    An existing file is rewritten in place, as by _write_csv.
+    """
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    with _rewritten(path) as fh:
+        fh.write((text + "\n").encode("utf-8"))
 
 
 def _derived_constants(cfg: ExperimentConfig) -> dict:

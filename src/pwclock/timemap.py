@@ -36,8 +36,8 @@ __all__ = [
     "linearization_report",
 ]
 
-# Absolute tolerance in n for the exact inversion, and the iteration cap.
-_ROOT_TOL = 1e-12
+# Largest final Newton step of the exact inversion, and the iteration cap.
+_ROOT_TOL = 1e-13
 _ROOT_MAX_ITER = 200
 
 # Floor in the relative-error denominator, avoiding division by zero at n = 0.
@@ -83,13 +83,21 @@ def _scalar_or_array(out: np.ndarray):
 def n_from_x_exact(x, params: ClockParams):
     """Unique n in [0, n_reset) with position_expectation(n) = x, per reading.
 
-    The map n -> <x>(n) is strictly decreasing on the window when
-    Omega * n_reset < pi/2 (checked at call time), so each root is bracketed
-    on [0, n_reset] and refined by bisection with secant steps to an
-    absolute tolerance of 1e-12 in n. All unconverged readings take their
-    step together; a reading leaves the loop when its bracket closes or a
-    step lands exactly on its root, so every value equals the one a scalar
-    call for that reading returns.
+    The map f(n) = <x>(n) = A e^(-rn/2) cos(Omega n) is strictly decreasing
+    on the window when Omega * n_reset < pi/2 (checked at call time), with
+    slope f'(n) = -A e^(-rn/2) (r/2 cos(Omega n) + Omega sin(Omega n)) < 0
+    for n > 0. Each root is found by Newton's method on that slope, started
+    from the undamped inverse arccos(x/A) / Omega: as e^(-rn/2) <= 1, it lies
+    at or above the root, and at r = 0 it is the root. Every reading keeps a
+    bracket [lo, hi] on the root, and a step that would leave it bisects the
+    bracket instead. A reading stops when its step is at most 1e-13, taking
+    that step, or when f(n) = x exactly. Newton converges quadratically, so
+    the result is within 1e-13 of the root, or within the reading's own
+    rounding, about ulp(A) / |f'(n)|, where that is larger (near n = 0 on a
+    weakly damped clock); a root within that rounding of n_reset may come
+    out as n_reset. All unconverged readings step together, and each
+    reading's steps depend on that reading alone, so every value equals the
+    one a scalar call for that reading returns.
 
     Raises
     ------
@@ -110,49 +118,36 @@ def n_from_x_exact(x, params: ClockParams):
     target = readings[idx]
     lo = np.zeros(idx.size)
     hi = np.full(idx.size, params.n_reset)
-    f_lo = amp - target  # > 0
-    f_hi = floor - target  # < 0
-    found = np.zeros(idx.size, dtype=bool)
+    n = np.minimum(np.arccos(target / amp) / params.damped_frequency, hi)
     for _ in range(_ROOT_MAX_ITER):
-        closed = ~found & (hi - lo <= _ROOT_TOL)
-        out[idx[closed]] = 0.5 * (lo[closed] + hi[closed])
-        live = ~(found | closed)
-        idx, target, lo, hi, f_lo, f_hi = (a[live] for a in (idx, target, lo, hi, f_lo, f_hi))
+        f, slope = _value_and_slope(n, params)
+        f -= target
+        above = f > 0.0  # n lies below the root
+        lo = np.where(above, n, lo)
+        hi = np.where(above, hi, n)
+        step = n - f / slope  # n itself where f(n) = x exactly
+        # A step beyond the open bracket bisects it, unless the step is small
+        # enough to stop on: near the root it can round onto n itself.
+        bisect = ~((lo < step) & (step < hi) | (np.abs(step - n) <= _ROOT_TOL))
+        step[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+        done = np.abs(step - n) <= _ROOT_TOL
+        out[idx[done]] = step[done]
+        live = ~done
+        idx, target, lo, hi, n = idx[live], target[live], lo[live], hi[live], step[live]
         if not idx.size:
             break
-        span = hi - lo
-        # Secant candidate from the bracket endpoints; bisect where it falls
-        # outside the open bracket.
-        cand = lo - f_lo * span / (f_hi - f_lo)
-        outside = ~((lo < cand) & (cand < hi))
-        cand[outside] = 0.5 * (lo[outside] + hi[outside])
-        found = _shrink(cand, position_expectation(cand, params) - target, lo, hi, f_lo, f_hi)
-        out[idx[found]] = cand[found]
-        # Where the secant step failed to halve the bracket, bisect as well,
-        # so stalls near an endpoint still converge at bisection rate.
-        stalled = np.flatnonzero(~found & (hi - lo > 0.5 * span))
-        if stalled.size:
-            mid = 0.5 * (lo[stalled] + hi[stalled])
-            ends = lo[stalled], hi[stalled], f_lo[stalled], f_hi[stalled]
-            hit = _shrink(mid, position_expectation(mid, params) - target[stalled], *ends)
-            lo[stalled], hi[stalled], f_lo[stalled], f_hi[stalled] = ends
-            out[idx[stalled[hit]]] = mid[hit]
-            found[stalled[hit]] = True
     else:
-        out[idx[~found]] = 0.5 * (lo[~found] + hi[~found])
+        out[idx] = n
     return _scalar_or_array(out.reshape(x.shape))
 
 
-def _shrink(n, f_n, lo, hi, f_lo, f_hi) -> np.ndarray:
-    """Move one end of each bracket onto n by the sign of f(n), in place.
-
-    Returns where f(n) == 0, the readings whose root n is exactly.
-    """
-    up = f_n > 0.0
-    lo[up], f_lo[up] = n[up], f_n[up]
-    down = ~up
-    hi[down], f_hi[down] = n[down], f_n[down]
-    return f_n == 0.0
+def _value_and_slope(n, params: ClockParams):
+    """<x>(n), with position_expectation's rounding, and its slope d<x>/dn."""
+    envelope = params.amplitude * np.exp(-params.damping * n / 2.0)
+    phase = params.damped_frequency * n
+    cos = np.cos(phase)
+    slope = -envelope * (0.5 * params.damping * cos + params.damped_frequency * np.sin(phase))
+    return envelope * cos, slope
 
 
 def n_from_x_log(x, params: ClockParams):

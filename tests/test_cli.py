@@ -1,7 +1,9 @@
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -533,11 +535,60 @@ def test_bad_column_raises_before_the_csv_opens(tmp_path, columns, error):
     assert not path.exists()
 
 
-def test_text_cells_are_written_as_is(tmp_path):
+def test_text_cells_are_written_as_is(tmp_path, monkeypatch):
     # NUL and multi-byte characters included: the writer's padding byte,
     # 0xFF, never occurs in UTF-8.
     words = np.array(["a\0b", "\u00e9,x", "", "\U0001d70f"])
     assert_writes_repr(tmp_path / "text.csv", [np.linspace(0.0, 1.0, 4), words])
+    # A categorical column over many blocks: the first blocks are ASCII
+    # (empty and NUL-containing cells included), later ones mix in
+    # multi-byte characters.
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 64)
+    ascii_words = ["maximum", "minimum", "flat", "a\0b", "\0", ""]
+    words = np.array(ascii_words * 20 + (ascii_words + ["\u00e9t\u00e9", "\U0001d70f\0x"]) * 10)
+    assert_writes_repr(tmp_path / "categories.csv", [np.arange(words.size, dtype=float), words])
+
+
+def test_rerun_into_a_used_directory_writes_what_a_fresh_one_gets(tmp_path, monkeypatch):
+    # Files are rewritten in place and truncated: a grid-16 bundle written
+    # over a grid-64 one equals, byte for byte, a grid-16 bundle written
+    # into a fresh directory. A frozen clock makes the durations equal.
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    out = tmp_path / "out"
+    assert main(["all", "--grid", "64", "--out", str(out)]) == 0
+    larger = {path.name: path.stat().st_size for path in out.iterdir()}
+    assert main(["all", "--grid", "16", "--out", str(out)]) == 0
+    rerun = {path.name: path.read_bytes() for path in out.iterdir()}
+    shutil.rmtree(out)
+    assert main(["all", "--grid", "16", "--out", str(out)]) == 0
+    fresh = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert rerun == fresh
+    assert len(fresh) == 2 * len(EXPERIMENTS)
+    assert all(len(fresh[f"{name}.csv"]) < larger[f"{name}.csv"]
+               for name in EXPERIMENTS if name != "ideal-limit")
+    for name in EXPERIMENTS:
+        assert json.loads(fresh[f"{name}.meta.json"])["config"]["grid_size"] == 16
+
+
+def test_failed_rewrite_leaves_no_earlier_bytes(tmp_path, monkeypatch):
+    # A write that fails between blocks leaves the blocks written before the
+    # failure and nothing of the longer file it replaces.
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["old"], [np.linspace(1.0, 2.0, 4000)])
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 100)
+    format_floats, blocks = cli._format_floats, []
+
+    def failing_third_block(values):
+        blocks.append(len(values))
+        if len(blocks) == 3:
+            raise RuntimeError("write failed")
+        return format_floats(values)
+
+    monkeypatch.setattr(cli, "_format_floats", failing_third_block)
+    new = np.linspace(3.0, 4.0, 1000)
+    with pytest.raises(RuntimeError):
+        cli._write_csv(path, ["new"], [new])
+    assert path.read_bytes() == repr_csv(["new"], [new[:200]])
 
 
 def test_zero_row_csv_writes_only_the_header(tmp_path):

@@ -17,44 +17,74 @@ from pwclock import (
     n_from_x_linear,
     n_from_x_log,
     position_expectation,
+    timemap,
     validate_clock_params,
 )
+from pwclock.cli import resolve_config
 
 from calibration import LINEAR_REL_ERR_AT_RN_0_1, LINEAR_REL_ERR_PER_RN
 from oracles import loglog_slope, random_invertible_params
 
 
-def scalar_secant_bisection(x: float, params) -> float:
-    """Reference: the one-reading loop the array inverter runs for all readings at once."""
-    amp, lo, hi = params.amplitude, 0.0, params.n_reset
-    floor = position_expectation(hi, params)
+def scalar_newton(x: float, params) -> float:
+    """Reference: the one-reading Newton loop the array inverter runs for all readings at once."""
+    amp, omega, r = params.amplitude, params.damped_frequency, params.damping
     if x == amp:
         return 0.0
-    f_lo, f_hi = amp - x, floor - x
+    lo, hi = 0.0, params.n_reset
+    n = min(float(np.arccos(x / amp)) / omega, hi)
     for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        span = hi - lo
-        cand = lo - f_lo * span / (f_hi - f_lo)
-        if not lo < cand < hi:
-            cand = 0.5 * (lo + hi)
-        f_cand = position_expectation(cand, params) - x
-        if f_cand == 0.0:
-            return cand
-        if f_cand > 0.0:
-            lo, f_lo = cand, f_cand
+        envelope = amp * np.exp(-r * n / 2.0)
+        cos = np.cos(omega * n)
+        f = envelope * cos - x
+        slope = -envelope * (0.5 * r * cos + omega * np.sin(omega * n))
+        if f > 0.0:
+            lo = n
         else:
-            hi, f_hi = cand, f_cand
-        if hi - lo > 0.5 * span:
-            mid = 0.5 * (lo + hi)
-            f_mid = position_expectation(mid, params) - x
-            if f_mid == 0.0:
-                return mid
-            if f_mid > 0.0:
-                lo, f_lo = mid, f_mid
-            else:
-                hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+            hi = n
+        step = float(n - f / slope)
+        if not (lo < step < hi or abs(step - n) <= 1e-13):
+            step = 0.5 * (lo + hi)
+        if abs(step - n) <= 1e-13:
+            return step
+        n = step
+    return n
+
+
+def slope(n: float, params) -> float:
+    """d<x>/dn, by the closed form."""
+    omega, r = params.damped_frequency, params.damping
+    return -params.amplitude * math.exp(-r * n / 2.0) * (
+        0.5 * r * math.cos(omega * n) + omega * math.sin(omega * n)
+    )
+
+
+def brentq_root(x: float, params) -> float:
+    return brentq(lambda t: position_expectation(t, params) - x, 0.0, params.n_reset, xtol=1e-14)
+
+
+def assert_root_within_tolerance(n: float, x: float, params) -> None:
+    """n is within 1e-13 of brentq's root, or within the reading's own rounding.
+
+    Both roots sit where the rounded <x>(n) - x changes sign, a few ulp(A)
+    from zero, so they can differ by that much over the slope.
+    """
+    reference = brentq_root(x, params)
+    rounding = 8.0 * math.ulp(params.amplitude) / abs(slope(reference, params))
+    assert abs(n - reference) <= max(1e-13, rounding)
+
+
+def count_rounds(monkeypatch) -> list[int]:
+    """Sizes of the batches the exact inverter evaluates, one entry per round."""
+    rounds = []
+    value_and_slope = timemap._value_and_slope
+
+    def counted(n, params):
+        rounds.append(np.size(n))
+        return value_and_slope(n, params)
+
+    monkeypatch.setattr(timemap, "_value_and_slope", counted)
+    return rounds
 
 
 def narrow_window_clock():
@@ -114,29 +144,85 @@ def test_out_of_range_readings():
     above=st.booleans(),
 )
 def test_exact_inversion_of_arrays(seed, fractions, bad_at, above):
-    # One array call equals the scalar calls and the one-reading loop bit for
-    # bit, and scipy's brentq within 1e-10; one out-of-window reading fails
-    # the whole array, by name.
+    # One array call equals the scalar calls and the one-reading Newton loop
+    # bit for bit, and scipy's brentq within the stated tolerance; one
+    # out-of-window reading fails the whole array, by name.
     params = random_invertible_params(np.random.default_rng(seed))
     x = position_expectation(np.array(fractions) * params.n_reset, params)
     found = n_from_x_exact(x, params)
     assert found.shape == x.shape
     assert np.array_equal(found, [n_from_x_exact(float(v), params) for v in x])
-    assert np.array_equal(found, [scalar_secant_bisection(v, params) for v in x.tolist()])
+    assert np.array_equal(found, [scalar_newton(v, params) for v in x.tolist()])
     for reading, n in zip(x.tolist(), found.tolist()):
-        reference = brentq(
-            lambda t: position_expectation(t, params) - reading,
-            0.0,
-            params.n_reset,
-            xtol=1e-14,
-        )
-        assert abs(n - reference) <= 1e-10
+        assert_root_within_tolerance(n, reading, params)
 
     floor = position_expectation(params.n_reset, params)
     bad = params.amplitude * 1.001 if above else floor
     x = np.insert(x, min(bad_at, x.size), bad)
     with pytest.raises(OutOfRange, match=re.escape(f"x = {bad} ")):
         n_from_x_exact(x, params)
+
+
+# Clocks at the edges of the Newton iteration.
+EDGE_CLOCKS = {
+    # Undamped: the starting point arccos(x/A)/Omega is the root.
+    "undamped": ClockParams(damping=0.0, n_reset=1.0, alpha=1.0),
+    "weak": ClockParams(damping=1e-3, n_reset=1.5, alpha=1.0),
+    # Omega * n_reset one part in 1e9 below pi/2, the window's edge.
+    "edge_of_window": ClockParams(
+        damping=0.1, n_reset=math.pi / 2.0 * (1.0 - 1e-9) / math.sqrt(1.0 - 0.1**2 / 4.0), alpha=1.0
+    ),
+    # Near critical damping the map is convex, so the first Newton step
+    # from the undamped inverse can overshoot below the bracket.
+    "heavy": ClockParams(omega=1.0, damping=1.9, n_reset=0.52, alpha=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CLOCKS))
+def test_exact_inversion_at_the_edges(name, monkeypatch):
+    params = validate_clock_params(EDGE_CLOCKS[name])
+    amp = params.amplitude
+    floor = position_expectation(params.n_reset, params)
+    # One ulp below A, just above the floor, and readings along the window.
+    x = np.array(
+        [math.nextafter(amp, 0.0), math.nextafter(floor, math.inf)]
+        + position_expectation(np.linspace(0.001, 0.999, 64) * params.n_reset, params).tolist()
+    )
+    rounds = count_rounds(monkeypatch)
+    found = n_from_x_exact(x, params)
+    assert len(rounds) <= 8
+    assert np.array_equal(found, [scalar_newton(v, params) for v in x.tolist()])
+    # The reading just above the floor has its root within an ulp of n_reset.
+    assert np.all((found > 0.0) & (found <= params.n_reset))
+    for reading, n in zip(x.tolist(), found.tolist()):
+        assert_root_within_tolerance(n, reading, params)
+    if name == "undamped":
+        assert len(rounds) == 1
+        start = np.arccos(x / amp) / params.damped_frequency
+        assert np.max(np.abs(found - start)) <= 1e-13
+
+
+def test_newton_step_that_leaves_the_bracket_bisects():
+    params = validate_clock_params(EDGE_CLOCKS["heavy"])
+    x = position_expectation(0.05, params)
+    start = min(math.acos(x / params.amplitude) / params.damped_frequency, params.n_reset)
+    first = start - (position_expectation(start, params) - x) / slope(start, params)
+    assert first < 0.0  # outside the bracket [0, start]: the step bisects instead
+    found = n_from_x_exact(x, params)
+    assert found == scalar_newton(x, params)
+    assert abs(found - 0.05) <= 1e-15
+
+
+def test_timemap_default_inverts_in_few_rounds(monkeypatch):
+    # The timemap experiment's clock at grid 8192: every reading converges
+    # within 8 rounds (the bracketing secant loop took about 32), and the
+    # round trip recovers each grid time within 1e-13.
+    params = resolve_config("timemap").clock
+    rounds = count_rounds(monkeypatch)
+    table = linearization_report(params, 8192)
+    assert len(rounds) <= 8
+    grid = np.arange(8192) * (params.n_reset / 8192)
+    assert np.max(np.abs(table.n_exact - grid)) <= 1e-13
 
 
 def test_non_monotonic_window_guard():

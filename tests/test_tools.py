@@ -25,3 +25,30 @@ def test_csv_digests_repeat_at_small_grids():
     assert digests["phase1.3/oracle-check.csv"] == digests["oracle-check-grid256-seed5/oracle-check.csv"]
     assert digests["phase1.3/posterior.csv"] == digests["tables-grid64/posterior.csv"]
     assert all(len(digest) == 64 for digest in outputs[0].values())
+
+
+def test_csv_digests_keep_and_against(tmp_path):
+    # --keep leaves the CSVs in place; --against lists, per CSV that differs
+    # from a kept run, each moved column with its largest difference and its
+    # count of moved cells. Here one n_exact cell of a kept CSV is moved by 0.5.
+    kept = tmp_path / "kept"
+    command = [sys.executable, str(TOOLS / "csv_digests.py"),
+               "--grid", "256", "--readings", "8", "--large-grid", "1024", "--tables-grid", "64"]
+    first = subprocess.run(command + ["--keep", str(kept)], capture_output=True, text=True,
+                           check=True)
+    digests = json.loads(first.stdout)
+    assert sorted(str(csv.relative_to(kept)) for csv in kept.rglob("*.csv")) == sorted(digests)
+    timemap = kept / "tables-grid64" / "timemap.csv"
+    lines = timemap.read_text(encoding="utf-8").splitlines(keepends=True)
+    column = lines[0].split(",").index("n_exact")
+    cells = lines[5].split(",")
+    cells[column] = repr(float(cells[column]) + 0.5)
+    lines[5] = ",".join(cells)
+    timemap.write_text("".join(lines), encoding="utf-8")
+
+    second = subprocess.run(command + ["--against", str(kept)], capture_output=True, text=True,
+                            check=True)
+    assert json.loads(second.stdout) == digests
+    assert second.stderr.splitlines() == [
+        "tables-grid64/timemap.csv: n_exact: largest |difference| 0.5 in 1 moved cells"
+    ]
