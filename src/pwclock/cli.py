@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 # Unused: sweeps run serially. The benchmark's tracer (perfbench/tracing.py)
 # swaps ``cli.ThreadPoolExecutor`` for a span-recording pool, so the name stays.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._csv import _write_csv, _write_json
 from .params import (
     ClockParams,
     NoValues,
@@ -50,11 +49,6 @@ from .conditional import (
 from .evolution import compare_evolutions, default_qubit_spec, evolve_exact
 
 SCHEMA_VERSION = 1
-
-# Most cells _write_csv formats at once, so the block's byte buffers and the
-# digit kernel's temporaries (under 200 bytes a cell) grow neither with the
-# number of rows nor with the number of columns.
-_CSV_BLOCK_CELLS = 2**12
 
 EXPERIMENTS = (
     "clock-profile",
@@ -430,280 +424,6 @@ _RUNNERS = {
     "evolve-compare": _run_evolve_compare,
     "oracle-check": _run_oracle_check,
 }
-
-
-# ---------------------------------------------------------------------------
-# CSV writer. A float cell is exactly repr(float): the shortest decimal that
-# reads back to the same double, the nearest such when several are shortest,
-# in repr's layout. _shortest finds those digits for a whole block in numpy;
-# a cell whose digits it cannot settle exactly is formatted by repr itself.
-# ---------------------------------------------------------------------------
-
-# Exponents the digit kernel covers: the decimal exponent E of |v| lies in
-# [_E_MIN, _E_MAX). Wider than the CSVs of this package need; values outside
-# go to repr.
-_E_MIN, _E_MAX = -100, 16
-
-_SPLITTER = 2.0**27 + 1.0  # Dekker's split: a double is the sum of two 26-bit halves
-
-
-def _split(x):
-    c = _SPLITTER * x
-    high = c - (c - x)
-    return high, x - high
-
-
-# 10**(16 - E) for E in [_E_MIN, _E_MAX] as hi + lo, exact to about 2**-106
-# (Python ints are exact), and hi split.
-_P_EXACT = [10 ** (16 - e) for e in range(_E_MIN, _E_MAX + 1)]
-_P_HI = np.array([float(p) for p in _P_EXACT])
-_P_LO = np.array([float(p - int(float(p))) for p in _P_EXACT])
-_P_HH, _P_HL = _split(_P_HI)
-_POW10 = np.array([10**k for k in range(18)], dtype=np.int64)
-
-# Bound on the error of every rounding and interval decision in _shortest, in
-# units of the 17th digit. The scaled value w = |v| * 10**(16 - E) < 1e17 is
-# off by at most 1e17 * 2**-105 (table) + 1.2e-15 (the a * lo product) +
-# 1.8e-15 (adding it), the half-gap by 2**-53 of at most 11.1, and each float
-# step after that by half an ulp of a number below 32: under 2e-14 in all. A
-# decision within _TOL of its boundary goes to repr.
-_TOL = 2.0**-44
-
-
-def _scaled(a, e):
-    """The integer M and fraction f of a * 10**(16 - e), by float TwoProduct."""
-    k = e - _E_MIN
-    p = a * _P_HI[k]
-    ah, al = _split(a)
-    bh, bl = _P_HH[k], _P_HL[k]
-    rest = ah * bh - p  # Dekker: rest becomes a * hi - p exactly
-    rest += ah * bl
-    rest += al * bh
-    rest += al * bl
-    rest += a * _P_LO[k]
-    whole = np.floor(p)
-    rest += p - whole
-    carry = np.floor(rest)
-    rest -= carry
-    return whole.astype(np.int64) + carry.astype(np.int64), rest
-
-
-def _shortest(a, ok):
-    """repr's digits of positive doubles ``a``: (digits, their count n, E).
-
-    The digits come as one integer, padded with zeros to 17 digits. Every
-    ``a`` is a normal double with E in [_E_MIN, _E_MAX). Scaled to
-    w = a * 10**(16 - E) = M + f, its rounding interval is w +- h, with h
-    half the spacing of the doubles, unless a is a power of two: there the
-    gap below is half the gap above, so ``ok`` is cleared. The shortest
-    correctly rounded prefix of w that stays strictly inside the interval
-    is repr's digits: a shorter decimal in the interval would round to such
-    a prefix. Also clears ``ok`` where a decision lies within _TOL of its
-    boundary.
-    """
-    e = np.floor(np.log10(a)).astype(np.int64)
-    m, f = _scaled(a, e)
-    off = (m >= _POW10[17]).astype(np.int64) - (m < _POW10[16])  # log10 near a power of ten
-    fix = np.flatnonzero(off)
-    if fix.size:
-        e[fix] += off[fix]
-        m[fix], f[fix] = _scaled(a[fix], e[fix])
-        ok &= (m >= _POW10[16]) & (m < _POW10[17])
-    h = np.spacing(a)
-    ok &= h * 2.0**52 != a  # not a power of two
-    h *= 0.5 * _P_HI[e - _E_MIN]
-    # Dropping d digits keeps the value within h while the distance from w to
-    # the nearest multiple of 10**d stays below h. Since h < 11.1 < 50, beyond
-    # d = 2 that multiple can only be the nearest multiple of 100, 100 * c: the
-    # value drops one more digit for each trailing zero of c.
-    drop = np.zeros_like(e)
-    for q in (10, 100):
-        r = m % q
-        gap = np.minimum(r + f, (q - r) - f) - h
-        ok &= np.abs(gap) > _TOL
-        drop += gap < 0
-    deep = np.flatnonzero(gap < 0)
-    c = (m[deep] + 50) // 100  # >= 10**14
-    zeros = np.zeros_like(c)
-    for k in (8, 4, 2, 1):
-        whole = c % _POW10[k] == 0
-        c[whole] //= _POW10[k]
-        zeros += k * whole
-    drop[deep] = np.minimum(drop[deep] + zeros, 16)
-    q = _POW10[drop]
-    r = m % q
-    up = (2 * r - q) + 2 * f  # > 0: round the kept digits up
-    ok &= np.abs(up) > _TOL
-    digits = m - r + (up > 0) * q
-    n = 17 - drop
-    carry = digits == _POW10[17]  # 9.99... rounded up to 10**(E + 1)
-    digits[carry] = _POW10[16]
-    n[carry] = 1
-    return digits, n, e + carry
-
-
-# Float cell slots: sign; "0." and up to 3 zeros before digits when E < 0;
-# 17 digits interleaved with 16 decimal-point slots; "e", sign and 3 exponent
-# digits. Unused slots hold _PAD, which _write_csv deletes: the byte 0xFF
-# never occurs in UTF-8, so no byte of a str cell is lost with it.
-_CELL = 1 + 5 + 33 + 5
-_PAD = b"\xff"
-
-
-def _quads() -> np.ndarray:
-    """ASCII of 0000..9999, 4 bytes each, one uint32 per number."""
-    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    quads = np.empty((10, 10, 10, 10, 4), np.uint8)
-    quads[..., 0] = digits[:, None, None, None]
-    quads[..., 1] = digits[:, None, None]
-    quads[..., 2] = digits[:, None]
-    quads[..., 3] = digits
-    return quads.view(np.uint32).ravel()
-
-
-def _cell_layouts() -> np.ndarray:
-    """Slot bytes of a float cell for each layout and digit count, 0 where a digit goes.
-
-    Layouts 0..19 are positional, for E = -4..15, with ".0" on integers;
-    layout 20 is d.ddde+XX, its exponent taken from _EXPONENTS: repr's
-    layouts.
-    """
-    keep_slots = [(b"\0\xff" * keep + b"\xff\xff" * (17 - keep))[:33] for keep in range(18)]
-    cells = []
-    for e in range(-4, 17):
-        positional = 0 <= e < 16
-        prefix = (_PAD + b"0." + b"0" * (-1 - e) if e < 0 else b"").ljust(6, _PAD)
-        for n in range(1, 18):
-            slots = keep_slots[max(n, e + 2) if positional else n]  # padding zeros shown too
-            point = e if positional else 0 if e == 16 and n > 1 else None
-            if point is not None:
-                slots = slots[:2 * point + 1] + b"." + slots[2 * point + 2:]
-            cells.append(prefix + slots + _PAD * 5)
-    return np.frombuffer(b"".join(cells), np.uint8).reshape(-1, _CELL)
-
-
-def _exponents() -> np.ndarray:
-    """The "e+XX" slots of a float cell for each E in [_E_MIN, _E_MAX]."""
-    cells = [(b"e%+03d" % e).ljust(5, _PAD) for e in range(_E_MIN, _E_MAX + 1)]
-    return np.frombuffer(b"".join(cells), np.uint8).reshape(-1, 5)
-
-
-_QUADS = _quads()
-_LAYOUTS = _cell_layouts()
-_EXPONENTS = _exponents()
-# For each E in [_E_MIN, _E_MAX], the _LAYOUTS row of its layout with n digits, less n.
-_LAYOUT_ROWS = np.array(
-    [17 * (e + 4 if -4 <= e < 16 else 20) - 1 for e in range(_E_MIN, _E_MAX + 1)]
-)
-
-
-def _format_floats(values):
-    """(n, _CELL) uint8 cells padded with _PAD: repr of each float64 in ``values``."""
-    a = np.abs(values)
-    ok = (a >= 10.0 ** (_E_MIN + 1)) & (a < 10.0**_E_MAX)  # so not 0, inf, nan or subnormal
-    a[~ok] = 1.5
-    digits, n, e = _shortest(a, ok)
-    quads = np.empty((len(values), 5), np.uint32)
-    for j in range(4, -1, -1):
-        high = digits // 10_000
-        quads[:, j] = _QUADS[digits - high * 10_000]
-        digits = high
-    cells = _LAYOUTS[_LAYOUT_ROWS[e - _E_MIN] + n]
-    cells[:, 6:39:2] |= quads.view(np.uint8)[:, 3:]
-    sci = np.flatnonzero((e < -4) | (e > 15))
-    cells[sci, 39:] = _EXPONENTS[e[sci] - _E_MIN]
-    cells[:, 0] = np.where(values < 0, ord("-"), _PAD[0])
-    rest = np.flatnonzero(~ok)
-    cells[rest] = _padded([repr(x).encode() for x in values[rest].tolist()], _CELL)
-    return cells
-
-
-def _padded(texts: list[bytes], width: int) -> np.ndarray:
-    """(len(texts), width) uint8: each text padded with _PAD."""
-    return np.frombuffer(b"".join(text.ljust(width, _PAD) for text in texts), np.uint8).reshape(
-        len(texts), width
-    )
-
-
-def _encoded(column: np.ndarray) -> np.ndarray:
-    """(len(column), width) uint8: each str cell's UTF-8 bytes, padded with _PAD.
-
-    numpy holds str cells as UCS-4 code points, zero-filled after each
-    cell's last nonzero one, so an ASCII column is those code points as
-    bytes. Any other column is encoded cell by cell.
-    """
-    chars = column.dtype.itemsize // 4
-    points = np.ascontiguousarray(column, dtype=f"U{chars}").view(np.uint32)
-    points = points.reshape(len(column), chars)
-    if points.size and points.max() >= 0x80:
-        texts = [cell.encode("utf-8") for cell in column.tolist()]
-        return _padded(texts, max(map(len, texts)))
-    inside = np.logical_or.accumulate(points[:, ::-1] != 0, axis=1)[:, ::-1]
-    return np.where(inside, points, _PAD[0]).astype(np.uint8)
-
-
-@contextmanager
-def _rewritten(path: Path):
-    """``path`` open for binary writing from its start, truncated on leaving, also on failure.
-
-    Not truncating on opening saves freeing and reallocating the blocks of
-    a file rewritten at its old size, about 1 ms per MB where freed blocks
-    are discarded; truncating on leaving drops what is left of the old file.
-    """
-    with open(path, "wb", opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
-        try:
-            yield fh
-        finally:
-            fh.truncate()
-
-
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length float or str columns as CSV rows, one block at a time.
-
-    A float cell is exactly repr(float(value)); a str cell is written as is.
-    A column of any other dtype raises TypeError, and columns of unequal
-    length raise ValueError, before the file opens. An existing file is
-    rewritten in place and truncated where this write stops, also when it
-    fails part way, so no byte of the earlier file remains.
-    """
-    columns = [np.asarray(column) for column in columns]
-    kinds = [column.dtype.kind for column in columns]
-    if any(kind not in "fU" for kind in kinds):
-        raise TypeError(f"unsupported CSV column dtypes {[str(c.dtype) for c in columns]}")
-    rows = len(columns[0]) if columns else 0
-    if any(len(column) != rows for column in columns):
-        raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
-    floats = [i for i, kind in enumerate(kinds) if kind == "f"]
-    step = max(1, _CSV_BLOCK_CELLS // max(1, len(columns)))
-    with _rewritten(path) as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
-        for start in range(0, rows, step):
-            texts = {
-                i: _encoded(columns[i][start:start + step])
-                for i, kind in enumerate(kinds) if kind == "U"
-            }
-            width = max([_CELL] + [text.shape[1] for text in texts.values()])
-            block = np.full((min(step, rows - start), len(columns), width + 1), _PAD[0], np.uint8)
-            if floats:
-                values = np.stack([columns[i][start:start + step] for i in floats], 1, dtype=float)
-                block[:, floats, :_CELL] = _format_floats(values.ravel()).reshape(
-                    len(block), len(floats), _CELL
-                )
-            for i, text in texts.items():
-                block[:, i, :text.shape[1]] = text
-            block[:, :, -1] = ord(",")
-            block[:, -1, -1] = ord("\n")
-            fh.write(block.tobytes().translate(None, _PAD))
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    """Write strict JSON: a NaN or infinity raises ValueError before the file opens.
-
-    An existing file is rewritten in place, as by _write_csv.
-    """
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    with _rewritten(path) as fh:
-        fh.write((text + "\n").encode("utf-8"))
 
 
 def _derived_constants(cfg: ExperimentConfig) -> dict:

@@ -40,11 +40,6 @@ __all__ = [
     "recommend_damping",
 ]
 
-# Central-stencil steps balancing truncation and roundoff at double precision.
-_FD_STEP_FIRST = 1e-5
-_FD_STEP_SECOND = 1e-3
-
-
 @dataclass(frozen=True)
 class StationaryDamping:
     """Stationary point of the decoherence rate along the damping axis.
@@ -156,17 +151,15 @@ def decoherence_rate(n, params: ClockParams):
     return out if out.ndim else float(out)
 
 
-def _rate_at_damping(r: float, n: float, params: ClockParams) -> float:
-    return r * params.hbar * np.exp(-r * n) / (params.mass * params.omega)
-
-
 def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
     """Stationary point of the decoherence rate along r at fixed n.
 
-    The rate r*hbar*exp(-r*n)/(m*omega) is stationary in r exactly where
-    r*n = 1; the returned classification (by central second difference,
-    step 1e-3) reports whether that point is a maximum or minimum of the
-    rate along the damping axis. An array of times gives array fields.
+    The rate R(r) = r*hbar*exp(-r*n)/(m*omega) is stationary in r exactly
+    where r*n = 1. ``second_difference`` is its closed-form curvature there,
+    d2R/dr2 = hbar/(m*omega) * n * exp(-r*n) * (r*n - 2) = -hbar/(m*omega) * n/e,
+    and the classification is read from its sign: the point is a maximum of
+    the rate along the damping axis for every n > 0. An array of times gives
+    array fields.
 
     Raises
     ------
@@ -178,18 +171,11 @@ def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
     if bad is not None:
         raise NonPositiveTime(f"stationary damping requires n > 0, got {bad}")
     r_star = 1.0 / n
-    h = _FD_STEP_SECOND
-    scale = _rate_at_damping(r_star, n, params)
+    scale = r_star * params.hbar * np.exp(-r_star * n) / (params.mass * params.omega)
     d2 = (
-        _rate_at_damping(r_star + h, n, params)
-        - 2.0 * scale
-        + _rate_at_damping(r_star - h, n, params)
-    ) / h**2
-    kind = np.where(
-        np.abs(d2) <= 1e-9 * np.maximum(scale, 1.0),
-        "flat",
-        np.where(d2 < 0.0, "maximum", "minimum"),
+        params.hbar / (params.mass * params.omega) * n * np.exp(-r_star * n) * (r_star * n - 2.0)
     )
+    kind = np.where(d2 < 0.0, "maximum", "flat")  # "flat" where d2 underflows to -0.0 or is NaN
     if n.ndim:
         return StationaryDamping(r_star=r_star, classification=kind, second_difference=d2, rate=scale)
     return StationaryDamping(

@@ -242,9 +242,10 @@ def test_criterion_9_determinism(tmp_path):
     reach the run. Its one addition is ``PYTHONPATH``, set to the directory
     that holds the ``pwclock`` this test imported: the children then run the
     same code as the parent, from ``src/`` or from an install, whatever
-    directory pytest starts in. The thread counts varied are BLAS's, because
-    pwclock starts no threads of its own while its conditioning contractions
-    and ``eigh`` go through BLAS.
+    directory pytest starts in. ``-B`` keeps the children from writing
+    bytecode caches next to that source. The thread counts varied are BLAS's,
+    because pwclock starts no threads of its own while its conditioning
+    contractions and ``eigh`` go through BLAS.
     """
     package_root = Path(pwclock.__file__).resolve().parent.parent
     expected = {f"{name}.csv" for name in EXPERIMENTS}
@@ -252,7 +253,7 @@ def test_criterion_9_determinism(tmp_path):
     for tag, threads in (("a", "1"), ("b", "2")):
         out = tmp_path / tag
         proc = subprocess.run(
-            [sys.executable, "-m", "pwclock.cli", "all", "--out", str(out)],
+            [sys.executable, "-B", "-m", "pwclock.cli", "all", "--out", str(out)],
             capture_output=True,
             text=True,
             env={

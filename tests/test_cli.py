@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pwclock import NoValues, ValidationError, cli
+from pwclock import NoValues, ValidationError, _csv, cli
 from pwclock.cli import (
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -511,7 +511,7 @@ def repr_csv(header, columns):
 
 def assert_writes_repr(path, columns):
     header = [f"c{i}" for i in range(len(columns))]
-    cli._write_csv(path, header, columns)
+    _csv._write_csv(path, header, columns)
     assert path.read_bytes() == repr_csv(header, columns)
 
 
@@ -531,7 +531,7 @@ def from_bits(bits):
 def test_bad_column_raises_before_the_csv_opens(tmp_path, columns, error):
     path = tmp_path / "bad.csv"
     with pytest.raises(error):
-        cli._write_csv(path, ["a", "b"], columns)
+        _csv._write_csv(path, ["a", "b"], columns)
     assert not path.exists()
 
 
@@ -543,7 +543,7 @@ def test_text_cells_are_written_as_is(tmp_path, monkeypatch):
     # A categorical column over many blocks: the first blocks are ASCII
     # (empty and NUL-containing cells included), later ones mix in
     # multi-byte characters.
-    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 64)
+    monkeypatch.setattr(_csv, "_CSV_BLOCK_CELLS", 64)
     ascii_words = ["maximum", "minimum", "flat", "a\0b", "\0", ""]
     words = np.array(ascii_words * 20 + (ascii_words + ["\u00e9t\u00e9", "\U0001d70f\0x"]) * 10)
     assert_writes_repr(tmp_path / "categories.csv", [np.arange(words.size, dtype=float), words])
@@ -574,9 +574,9 @@ def test_failed_rewrite_leaves_no_earlier_bytes(tmp_path, monkeypatch):
     # A write that fails between blocks leaves the blocks written before the
     # failure and nothing of the longer file it replaces.
     path = tmp_path / "t.csv"
-    cli._write_csv(path, ["old"], [np.linspace(1.0, 2.0, 4000)])
-    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 100)
-    format_floats, blocks = cli._format_floats, []
+    _csv._write_csv(path, ["old"], [np.linspace(1.0, 2.0, 4000)])
+    monkeypatch.setattr(_csv, "_CSV_BLOCK_CELLS", 100)
+    format_floats, blocks = _csv._format_floats, []
 
     def failing_third_block(values):
         blocks.append(len(values))
@@ -584,16 +584,16 @@ def test_failed_rewrite_leaves_no_earlier_bytes(tmp_path, monkeypatch):
             raise RuntimeError("write failed")
         return format_floats(values)
 
-    monkeypatch.setattr(cli, "_format_floats", failing_third_block)
+    monkeypatch.setattr(_csv, "_format_floats", failing_third_block)
     new = np.linspace(3.0, 4.0, 1000)
     with pytest.raises(RuntimeError):
-        cli._write_csv(path, ["new"], [new])
+        _csv._write_csv(path, ["new"], [new])
     assert path.read_bytes() == repr_csv(["new"], [new[:200]])
 
 
 def test_zero_row_csv_writes_only_the_header(tmp_path):
     path = tmp_path / "empty.csv"
-    cli._write_csv(path, ["a", "b"], [np.array([]), np.array([], dtype=str)])
+    _csv._write_csv(path, ["a", "b"], [np.array([]), np.array([], dtype=str)])
     assert path.read_bytes() == b"a,b\n"
 
 
@@ -644,9 +644,9 @@ def test_repr_fallback_alone_writes_the_same_bytes(tmp_path, monkeypatch):
     # cell is formatted by repr itself.
     rng = np.random.default_rng(21)
     typical = np.concatenate([rng.random(4000), rng.standard_normal(4000) * 1e8])
-    monkeypatch.setattr(cli, "_TOL", math.inf)
+    monkeypatch.setattr(_csv, "_TOL", math.inf)
     ok = np.ones(typical.size, bool)
-    cli._shortest(np.abs(typical), ok)
+    _csv._shortest(np.abs(typical), ok)
     assert not ok.any()
     assert_writes_repr(tmp_path / "fallback.csv", [np.concatenate([edge_values(), typical])])
 
@@ -660,6 +660,48 @@ def test_digit_kernel_settles_typical_values():
     values = np.concatenate([np.linspace(0.0, 2.0, 4097)[1:], rng.random(4096),
                              rng.standard_normal(4096), tens])
     ok = np.ones(values.size, bool)
-    cli._shortest(np.abs(values), ok)
+    _csv._shortest(np.abs(values), ok)
     assert ok.mean() > 0.99
     assert ok[-len(tens):].mean() > 0.99
+
+
+@pytest.mark.parametrize("last", ["float", "str", "float only"])
+def test_separators_and_newlines_under_any_block_budget(tmp_path, monkeypatch, last):
+    # Each float cell carries its separator; the last column's becomes the
+    # newline, wherever a block starts or ends, also on repr-fallback cells.
+    rng = np.random.default_rng(23)
+    rows = 1000
+    fallbacks = [-0.0, math.nan, 1e-300, 2.0**-3, 2.0**40, -math.inf, 5e-324]
+    edgy = np.resize(np.concatenate([fallbacks, rng.standard_normal(5)]), rows)
+    words = np.resize(np.array(["maximum", "", "flat", "a\0b", "été"]), rows)
+    columns = {
+        "float": [rng.random(rows), words, edgy],
+        "str": [edgy, rng.standard_normal(rows) * 1e8, words],
+        "float only": [rng.random(rows) * 1e-7, edgy],
+    }[last]
+    header = [f"c{i}" for i in range(len(columns))]
+    expected = repr_csv(header, columns)
+    for budget in (1, 100, _csv._CSV_BLOCK_CELLS, 2**16):
+        monkeypatch.setattr(_csv, "_CSV_BLOCK_CELLS", budget)
+        path = tmp_path / f"{budget}.csv"
+        _csv._write_csv(path, header, columns)
+        assert path.read_bytes() == expected, budget
+
+
+def test_tables_experiments_send_the_same_cells_to_repr(tmp_path, monkeypatch):
+    # The digit kernel settles all but 54 of the 155,664 float cells of the
+    # six per-row experiments at grid 8192; repr formats the rest. A kernel
+    # that sends more cells to repr still writes the right bytes, so the
+    # count is pinned here.
+    shortest, cells = _csv._shortest, []
+
+    def counting(a, ok):
+        digits = shortest(a, ok)
+        cells.append((int(np.count_nonzero(~ok)), ok.size))
+        return digits
+
+    monkeypatch.setattr(_csv, "_shortest", counting)
+    for name in ("clock-profile", "damping-opt", "timemap", "evolve-compare", "posterior",
+                 "ideal-limit"):
+        assert main([name, "--grid", "8192", "--out", str(tmp_path)]) == 0
+    assert [sum(column) for column in zip(*cells)] == [54, 155_664]

@@ -157,6 +157,19 @@ def test_stationary_damping_classification():
     assert point.second_difference < 0.0
 
 
+@pytest.mark.parametrize("n", [1e-9, 3.05e-5, np.linspace(0.0, 2.0, 65536 + 1)[1]],
+                         ids=["1e-9", "3.05e-5", "grid-65536"])
+def test_stationary_damping_is_a_maximum_at_small_times(n):
+    # Small n, down to the first damping-opt row at grid 65,536 (n_reset 2),
+    # where the rate's curvature is tiny: still -hbar/(m*omega) * n/e.
+    for params in (ClockParams(damping=0.5, n_reset=2.0),
+                   ClockParams(hbar=0.7, mass=3.3, omega=1.9, damping=0.5, n_reset=1.0)):
+        point = damping_stationary_point(n, params)
+        exact = -params.hbar / (params.mass * params.omega) * n / math.e
+        assert point.classification == "maximum"
+        assert abs(point.second_difference / exact - 1.0) <= 1e-15
+
+
 def test_stationary_damping_rejects_nonpositive_time():
     with pytest.raises(NonPositiveTime):
         damping_stationary_point(0.0, ClockParams(n_reset=1.0))

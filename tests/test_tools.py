@@ -1,7 +1,12 @@
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from pwclock._csv import _write_csv
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -52,3 +57,26 @@ def test_csv_digests_keep_and_against(tmp_path):
     assert second.stderr.splitlines() == [
         "tables-grid64/timemap.csv: n_exact: largest |difference| 0.5 in 1 moved cells"
     ]
+
+
+def test_repr_check_finds_no_mismatch_in_its_mix():
+    command = [sys.executable, str(TOOLS / "repr_check.py"), "--count", "10000", "--seed", "1"]
+    result = subprocess.run(command, capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == "0 mismatches in 10000 values\n"
+
+
+def test_repr_check_counts_each_wrong_cell(tmp_path):
+    spec = importlib.util.spec_from_file_location("repr_check", TOOLS / "repr_check.py")
+    repr_check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(repr_check)
+    values = repr_check.mixed_values(1000, np.random.default_rng(2))
+    wrong = np.flatnonzero(np.isfinite(values) & (np.abs(values) > 1e-10))[:2]
+
+    def doubling_two_cells(path, header, columns):
+        column = columns[0].copy()
+        column[wrong] *= 2.0
+        _write_csv(path, header, [column])
+
+    assert repr_check.mismatches(_write_csv, values, tmp_path / "v.csv") == 0
+    assert repr_check.mismatches(doubling_two_cells, values, tmp_path / "v.csv") == 2
