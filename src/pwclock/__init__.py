@@ -61,7 +61,6 @@ from .conditional import (
     conditional_system_probability,
 )
 from .evolution import (
-    EvolutionComparison,
     EvolutionComparisonTable,
     fidelity,
     evolve_exact,

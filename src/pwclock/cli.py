@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 import time
 # Unused: sweeps run serially. The benchmark's tracer (perfbench/tracing.py)
 # swaps ``cli.ThreadPoolExecutor`` for a span-recording pool, so the name stays.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,16 +50,6 @@ from .conditional import (
 from .evolution import compare_evolutions, default_qubit_spec, evolve_exact
 
 SCHEMA_VERSION = 1
-
-EXPERIMENTS = (
-    "clock-profile",
-    "damping-opt",
-    "timemap",
-    "posterior",
-    "ideal-limit",
-    "evolve-compare",
-    "oracle-check",
-)
 
 SWEEPABLE = ("damping", "r", "n_reset", "mass", "omega", "grid_size")
 
@@ -106,23 +97,28 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
+# The keys each part of a config document may hold; any other is rejected.
+_CONFIG_KEYS = ("clock", "system", "experiment", "grid_size", "output_path", "seed", "options")
+_CLOCK_KEYS = tuple(f.name for f in fields(ClockParams))
+_SYSTEM_KEYS = ("dim", "hamiltonian", "initial_state")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved configuration of one experiment run.
+    """Fully resolved configuration of one experiment run, built by ``resolve_config``.
 
-    ``auto_fields`` records clock fields the config left as "auto"
-    (damping = 1/n_reset or n_reset = 1/damping), so sweeps can re-resolve
-    them per swept value.
+    ``clock_doc`` is the merged clock document with its "auto" entries kept,
+    so a sweep resolves each swept value through the same rule.
     """
 
     clock: ClockParams
+    clock_doc: dict
     system: SystemSpec
     experiment: str
     grid_size: int
     output_path: str
     seed: int
-    options: dict = field(default_factory=dict)
-    auto_fields: tuple[str, ...] = ()
+    options: dict
 
 
 @dataclass(frozen=True)
@@ -131,56 +127,75 @@ class RunResult:
     meta_path: Path
 
 
-def _complex_from_json(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value, 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ValidationError(f"expected a number or [re, im] pair, got {value!r}")
+def _is_number(value) -> bool:
+    """True for a JSON number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool, a string or any other non-number raises ValidationError."""
+    if _is_number(value):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
+def _complex_from_json(name: str, value) -> complex:
+    re, im = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    return complex(_real(name, re), _real(name, im))
+
+
+def _complex_array(name: str, value) -> np.ndarray:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name} must be a list of numbers or [re, im] pairs, got {value!r}")
+    return np.array([_complex_from_json(name, v) for v in value], dtype=np.complex128)
 
 
 def _complex_to_json(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _clock_from_doc(doc: dict) -> tuple[ClockParams, tuple[str, ...]]:
-    doc = dict(doc)
-    damping = doc.get("damping", 0.0)
-    n_reset = doc.get("n_reset", 1.0)
-    auto: tuple[str, ...] = ()
+def _clock_from_doc(doc: dict) -> ClockParams:
+    """The validated clock of a merged clock document (every field present).
+
+    The one place "auto" is resolved: ``"damping": "auto"`` becomes
+    ``recommend_damping(n_reset)`` = 1/n_reset, ``"n_reset": "auto"`` 1/damping.
+    """
+    damping, n_reset = doc["damping"], doc["n_reset"]
     if damping == "auto" and n_reset == "auto":
         raise ValidationError("clock.damping and clock.n_reset cannot both be 'auto'")
     if n_reset == "auto":
-        if not isinstance(damping, (int, float)) or damping <= 0:
+        damping = _real("clock.damping", damping)
+        if damping <= 0:
             raise ValidationError("clock.n_reset 'auto' requires a positive numeric damping")
-        n_reset = 1.0 / float(damping)
-        auto = ("n_reset",)
+        n_reset = 1.0 / damping
     params = ClockParams(
-        hbar=float(doc.get("hbar", 1.0)),
-        mass=float(doc.get("mass", 1.0)),
-        omega=float(doc.get("omega", 1.0)),
+        hbar=_real("clock.hbar", doc["hbar"]),
+        mass=_real("clock.mass", doc["mass"]),
+        omega=_real("clock.omega", doc["omega"]),
         damping=0.0,  # placeholder until 'auto' is resolved
-        alpha=_complex_from_json(doc.get("alpha", 1.0)),
-        n_reset=float(n_reset),
-        phase=float(doc.get("phase", 0.0)),
+        alpha=_complex_from_json("clock.alpha", doc["alpha"]),
+        n_reset=_real("clock.n_reset", n_reset),
+        phase=_real("clock.phase", doc["phase"]),
     )
     if damping == "auto":
         damping = recommend_damping(params.n_reset, params)
-        auto = ("damping",)
-    params = replace(params, damping=float(damping))
-    return validate_clock_params(params), auto
+    return validate_clock_params(replace(params, damping=_real("clock.damping", damping)))
 
 
 def _system_from_doc(doc: dict) -> SystemSpec:
-    dim = int(doc["dim"])
-    flat = doc["hamiltonian"]
+    dim = _checked_whole("system.dim", doc.get("dim"), 2)
+    flat = _complex_array("system.hamiltonian", doc.get("hamiltonian"))
     if len(flat) != dim * dim:
         raise ValidationError(
             f"hamiltonian must be a row-major list of {dim * dim} [re, im] pairs"
         )
-    h = np.array([_complex_from_json(v) for v in flat], dtype=np.complex128).reshape(dim, dim)
-    psi = np.array([_complex_from_json(v) for v in doc["initial_state"]], dtype=np.complex128)
-    return validate_system_spec(SystemSpec(dim=dim, hamiltonian=h, initial_state=psi))
+    psi = _complex_array("system.initial_state", doc.get("initial_state"))
+    return validate_system_spec(
+        SystemSpec(dim=dim, hamiltonian=flat.reshape(dim, dim), initial_state=psi)
+    )
 
 
 def _system_to_doc(spec: SystemSpec) -> dict:
@@ -192,29 +207,26 @@ def _system_to_doc(spec: SystemSpec) -> dict:
 
 
 def _clock_to_doc(params: ClockParams) -> dict:
-    return {
-        "hbar": params.hbar,
-        "mass": params.mass,
-        "omega": params.omega,
-        "damping": params.damping,
-        "alpha": _complex_to_json(complex(params.alpha)),
-        "n_reset": params.n_reset,
-        "phase": params.phase,
-    }
+    return dict(asdict(params), alpha=_complex_to_json(complex(params.alpha)))
 
 
-def _json_object(name: str, value) -> dict:
-    """A copy of ``value``, which must be a JSON object, else ValidationError."""
+def _json_object(name: str, value, keys) -> dict:
+    """A copy of ``value``, which must be a JSON object with no key outside ``keys``."""
     if not isinstance(value, dict):
         raise ValidationError(f"{name} must be a JSON object, got {type(value).__name__}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ValidationError(f"unknown {name} key(s) {unknown}; expected any of {sorted(keys)}")
     return dict(value)
 
 
 def _checked_whole(name: str, value, minimum: int) -> int:
     """``value`` as an int; anything but a whole number >= minimum raises ValidationError."""
+    if not _is_number(value):
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
     try:
         number = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # NaN or infinity
         raise ValidationError(f"{name} must be a whole number, got {value!r}") from exc
     if number != value:
         raise ValidationError(f"{name} must be a whole number, got {value!r}")
@@ -223,9 +235,10 @@ def _checked_whole(name: str, value, minimum: int) -> int:
     return number
 
 
-def _check_options(options: dict, clock: ClockParams) -> None:
-    """Raise ValidationError for an option no runner reads, or one out of range.
+def _options_from_doc(doc, defaults: dict, clock: ClockParams) -> dict:
+    """The experiment's default options updated by ``doc``, checked.
 
+    Raises ValidationError for an option no runner reads, or one out of range.
     Every key is checked wherever it appears, whichever experiment reads it,
     so a bad value or a misspelt key fails before any run writes a file.
     """
@@ -245,21 +258,22 @@ def _check_options(options: dict, clock: ClockParams) -> None:
         ),
         "x": (lambda v: v.ndim == 0, "a finite number"),
     }
-    known = set(rules) | {"num_readings"}
-    unknown = sorted(set(options) - known)
-    if unknown:
-        raise ValidationError(f"unknown option(s) {unknown}; expected any of {sorted(known)}")
+    options = dict(defaults, **_json_object("options", doc, (*rules, "num_readings")))
     for name, (valid, rule) in rules.items():
         if name not in options:
             continue
+        raw = options[name]
+        listed = isinstance(raw, (list, tuple))
         try:
-            value = np.asarray(options[name], dtype=float)
-        except (TypeError, ValueError):
+            cells = [_real(name, cell) for cell in (raw if listed else [raw])]
+            value = np.array(cells if listed else cells[0])
+        except ValidationError:
             value = np.array(np.nan)
         if not (np.all(np.isfinite(value)) and valid(value)):
-            raise ValidationError(f"option {name} must be {rule}, got {options[name]!r}")
+            raise ValidationError(f"option {name} must be {rule}, got {raw!r}")
     if "num_readings" in options:
         _checked_whole("num_readings", options["num_readings"], 1)
+    return options
 
 
 def resolve_config(
@@ -271,40 +285,43 @@ def resolve_config(
 ) -> ExperimentConfig:
     """Merge per-experiment defaults, a config document and CLI overrides.
 
-    Raises ValidationError for any clock, system, grid, seed or option value
-    outside its documented range, before anything is run.
+    Raises ValidationError for an unknown key at any level, and for any
+    clock, system, grid, seed, output path or option value outside its
+    documented range, before anything is run. The config's ``experiment``,
+    which ``run`` records in meta.json, must name an experiment; the
+    ``experiment`` argument chooses which one runs.
     """
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-    doc = _json_object("config", {} if doc is None else doc)
+    doc = _json_object("config", {} if doc is None else doc, _CONFIG_KEYS)
+    if doc.get("experiment", experiment) not in EXPERIMENTS:
+        raise ValidationError(f"experiment must be one of {EXPERIMENTS}, got {doc['experiment']!r}")
     defaults = _DEFAULTS[experiment]
 
-    clock_doc = dict(defaults["clock"])
-    clock_doc.update(_json_object("clock", doc.get("clock", {})))
-    clock, auto_fields = _clock_from_doc(clock_doc)
+    clock_doc = dict(defaults["clock"], **_json_object("clock", doc.get("clock", {}), _CLOCK_KEYS))
+    clock = _clock_from_doc(clock_doc)
 
     if "system" in doc:
-        system = _system_from_doc(_json_object("system", doc["system"]))
+        system = _system_from_doc(_json_object("system", doc["system"], _SYSTEM_KEYS))
     else:
         system = default_qubit_spec()
 
     grid_size = _checked_whole(
         "grid_size", grid if grid is not None else doc.get("grid_size", defaults["grid_size"]), 16
     )
-
-    options = dict(defaults["options"])
-    options.update(_json_object("options", doc.get("options", {})))
-    _check_options(options, clock)
+    output_path = str(out) if out is not None else doc.get("output_path", "out")
+    if not isinstance(output_path, str):
+        raise ValidationError(f"output_path must be a string, got {output_path!r}")
 
     return ExperimentConfig(
         clock=clock,
+        clock_doc=clock_doc,
         system=system,
         experiment=experiment,
         grid_size=grid_size,
-        output_path=str(out if out is not None else doc.get("output_path", "out")),
+        output_path=output_path,
         seed=_checked_whole("seed", seed if seed is not None else doc.get("seed", 0), 0),
-        options=options,
-        auto_fields=auto_fields,
+        options=_options_from_doc(doc.get("options", {}), defaults["options"], clock),
     )
 
 
@@ -425,6 +442,8 @@ _RUNNERS = {
     "oracle-check": _run_oracle_check,
 }
 
+EXPERIMENTS = tuple(_RUNNERS)
+
 
 def _derived_constants(cfg: ExperimentConfig) -> dict:
     derived = {
@@ -486,14 +505,10 @@ def run(cfg: ExperimentConfig, computed=None) -> RunResult:
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
     if parameter == "grid_size":
         return replace(cfg, grid_size=_checked_whole("grid_size", value, 16))
-    name = "damping" if parameter == "r" else parameter
-    clock = replace(cfg.clock, **{name: float(value)})
-    # Re-resolve fields the original config tied to the swept one.
-    if name == "damping" and "n_reset" in cfg.auto_fields and value > 0:
-        clock = replace(clock, n_reset=1.0 / float(value))
-    if name == "n_reset" and "damping" in cfg.auto_fields:
-        clock = replace(clock, damping=recommend_damping(float(value), clock))
-    return replace(cfg, clock=validate_clock_params(clock))
+    doc = dict(cfg.clock_doc, **{"damping" if parameter == "r" else parameter: value})
+    clock = _clock_from_doc(doc)
+    options = _options_from_doc(cfg.options, {}, clock)  # probe_time depends on n_reset
+    return replace(cfg, clock=clock, clock_doc=doc, options=options)
 
 
 def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> list[dict]:
@@ -546,7 +561,10 @@ def _parse_sweep_flag(text: str) -> tuple[str, list[float]]:
     name, _, raw = text.partition("=")
     name = name.strip()
     pieces = [p for p in raw.split(",") if p.strip()]
-    values = [float(p) for p in pieces]
+    try:
+        values = [float(p) for p in pieces]
+    except ValueError as exc:
+        raise ValidationError(f"--sweep values must be numbers, got {raw!r}") from exc
     if not all(np.isfinite(values)):
         raise ValidationError(f"--sweep values must be finite, got {raw!r}")
     if name == "grid_size":

@@ -95,13 +95,11 @@ def posterior_over_n(
     x: float,
     params: ClockParams,
     grid_size: int = 2048,
-    n_max: float | None = None,
 ) -> PosteriorDensity:
     """Posterior density over abstract time n' given a position reading x.
 
     The density is |<x|clock(n')>|^2 normalized by its trapezoid integral
-    over a uniform grid on [0, min(n_reset, 1/r)] (or [0, n_max] when an
-    explicit bound is supplied, e.g. for an undamped clock).
+    over a uniform grid on [0, min(n_reset, 1/r)].
 
     Raises
     ------
@@ -110,12 +108,8 @@ def posterior_over_n(
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    if n_max is None:
-        inverse_r = np.inf if params.damping == 0.0 else 1.0 / params.damping
-        n_max = min(params.n_reset, inverse_r)
-    elif n_max <= 0.0:
-        raise ValueError(f"explicit integration bound must be > 0, got {n_max}")
-    grid = np.linspace(0.0, n_max, grid_size)
+    inverse_r = np.inf if params.damping == 0.0 else 1.0 / params.damping
+    grid = np.linspace(0.0, min(params.n_reset, inverse_r), grid_size)
     raw = position_given_n(x, grid, params)
     norm_raw = float(np.trapezoid(raw, grid))
     if not np.isfinite(norm_raw) or norm_raw < _SUPPORT_FLOOR:

@@ -21,7 +21,6 @@ from .clock import position_expectation
 from .timemap import n_from_x_linear
 
 __all__ = [
-    "EvolutionComparison",
     "EvolutionComparisonTable",
     "fidelity",
     "evolve_exact",
@@ -29,18 +28,6 @@ __all__ = [
     "compare_evolutions",
     "default_qubit_spec",
 ]
-
-
-@dataclass(frozen=True)
-class EvolutionComparison:
-    """One grid row pairing exact and clock-parameterized evolution."""
-
-    n: float
-    x: float
-    y: float
-    state_exact: np.ndarray
-    state_clock: np.ndarray
-    fidelity: float
 
 
 @dataclass(frozen=True)
@@ -58,21 +45,6 @@ class EvolutionComparisonTable:
     state_clock: np.ndarray
     fidelity: np.ndarray
     worst_fidelity: float
-
-    @property
-    def rows(self) -> list[EvolutionComparison]:
-        """The table row by row, built from the columns on each access."""
-        return [
-            EvolutionComparison(*row)
-            for row in zip(
-                self.n.tolist(),
-                self.x.tolist(),
-                self.y.tolist(),
-                self.state_exact,
-                self.state_clock,
-                self.fidelity.tolist(),
-            )
-        ]
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,8 +135,8 @@ def compare_evolutions(
     )
 
 
-def default_qubit_spec(splitting: float = 1.0) -> SystemSpec:
-    """Demo system: a qubit with energies +/- splitting/2, started in (1,1)/sqrt(2)."""
-    hamiltonian = np.diag([+splitting / 2.0, -splitting / 2.0]).astype(np.complex128)
+def default_qubit_spec() -> SystemSpec:
+    """Demo system: a qubit with energies +/- 1/2, started in (1,1)/sqrt(2)."""
+    hamiltonian = np.diag([0.5, -0.5]).astype(np.complex128)
     initial = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
     return SystemSpec(dim=2, hamiltonian=hamiltonian, initial_state=initial)

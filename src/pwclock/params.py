@@ -244,7 +244,7 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
     return params
 
 
-def validate_system_spec(spec: SystemSpec, atol: float = 1e-12) -> SystemSpec:
+def validate_system_spec(spec: SystemSpec) -> SystemSpec:
     """Check finiteness, Hermiticity, normalization and dimension; return spec unchanged.
 
     Raises
@@ -258,14 +258,14 @@ def validate_system_spec(spec: SystemSpec, atol: float = 1e-12) -> SystemSpec:
         raise NotHermitian(f"generator must be {spec.dim}x{spec.dim}, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise NotHermitian("generator has non-finite entries")
-    if not np.all(np.abs(h - h.conj().T) <= atol):
+    if not np.all(np.abs(h - h.conj().T) <= 1e-12):
         raise NotHermitian("generator is not Hermitian within 1e-12 entrywise")
     psi = spec.initial_state
     if psi.shape != (spec.dim,):
         raise NotNormalized(f"initial state must have length {spec.dim}, got {psi.shape}")
     if not np.all(np.isfinite(psi)):
         raise NotNormalized("initial state has non-finite entries")
-    if abs(np.linalg.norm(psi) - 1.0) > atol:
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
         raise NotNormalized(f"initial state norm {np.linalg.norm(psi)} is not 1 within 1e-12")
     return spec
 

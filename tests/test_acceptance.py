@@ -186,7 +186,7 @@ def test_criterion_7_evolution_transfer():
     table = compare_evolutions(
         spec, validate_clock_params(ClockParams(damping=0.5, n_reset=2.0, alpha=1.0)), 64
     )
-    origin_exact = table.rows[0].fidelity == 1.0
+    origin_exact = table.fidelity[0] == 1.0
 
     trivial = SystemSpec(
         dim=2,
@@ -196,7 +196,7 @@ def test_criterion_7_evolution_transfer():
     trivial_table = compare_evolutions(
         trivial, validate_clock_params(ClockParams(damping=0.5, n_reset=2.0, alpha=1.0)), 64
     )
-    trivial_ok = all(row.fidelity == 1.0 for row in trivial_table.rows)
+    trivial_ok = bool(np.all(trivial_table.fidelity == 1.0))
 
     ok = 1.6 <= slope <= 2.4 and origin_exact and trivial_ok
     _report(7, "evolution transfer: infidelity is O((r*n)^2), exact at origin",

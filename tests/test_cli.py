@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pwclock
 from pwclock import NoValues, ValidationError, _csv, cli
 from pwclock.cli import (
     EXPERIMENTS,
@@ -233,6 +237,67 @@ def test_sweep_reset_horizon_rederives_recommended_damping(tmp_path):
     assert all(e["status"] == "ok" for e in entries)
     meta = json.loads((tmp_path / "sw" / "n_reset=4.0" / "clock-profile.meta.json").read_text())
     assert meta["config"]["clock"]["damping"] == pytest.approx(0.25)
+
+
+# One clock per way of tying damping and horizon, and the values swept under
+# each: valid ones, and ones each rule rejects (r = 0 with the horizon tied
+# to it, over-damping, a horizon past 1/r, under-damping broken by "auto").
+TIED_CLOCKS = {
+    "neither": {"damping": 0.5, "n_reset": 2.0},
+    "damping auto": {"damping": "auto", "n_reset": 2.0},
+    "n_reset auto": {"damping": 0.5, "n_reset": "auto"},
+}
+SWEPT_VALUES = {
+    "r": [0.0, 0.1, 0.5, 2.5],
+    "damping": [0.0, 0.25, 2.5],
+    "n_reset": [0.5, 1.0, 4.0],
+    "mass": [0.5, 2.0],
+    "omega": [0.2, 1.0, 3.0],
+    "grid_size": [16, 32],
+}
+
+
+@pytest.mark.parametrize("tie", TIED_CLOCKS)
+@pytest.mark.parametrize("parameter", SWEPT_VALUES)
+def test_sweep_resolves_each_value_as_resolve_config_does(tmp_path, capsys, tie, parameter):
+    # probe_time is checked against each swept horizon, whichever experiment runs.
+    doc = {"clock": TIED_CLOCKS[tie], "grid_size": 16, "options": {"probe_time": 0.9}}
+    values = SWEPT_VALUES[parameter]
+    out = tmp_path / "sw"
+    argv = ["clock-profile", "--config", write_config(tmp_path, doc), "--out", str(out),
+            "--sweep", f"{parameter}=" + ",".join(map(str, values))]
+    code = main(argv)
+    capsys.readouterr()
+    entries = json.loads((out / "sweep_index.json").read_text())["runs"]
+    assert [entry["value"] for entry in entries] == values
+    for entry in entries:
+        if parameter == "grid_size":
+            swept = dict(doc, grid_size=entry["value"])
+        else:
+            key = "damping" if parameter == "r" else parameter
+            swept = dict(doc, clock=dict(doc["clock"], **{key: entry["value"]}))
+        try:
+            expected = resolve_config("clock-profile", swept)
+        except ValidationError as exc:
+            assert entry["status"] == "error"
+            assert entry["error"]["type"] == type(exc).__name__
+            continue
+        assert entry["status"] == "ok"
+        config = json.loads(Path(entry["meta"]).read_text())["config"]
+        assert config["clock"] == cli._clock_to_doc(expected.clock)
+        assert config["grid_size"] == expected.grid_size
+    assert code == (0 if all(entry["status"] == "ok" for entry in entries) else 1)
+
+
+def test_sweep_to_zero_damping_under_a_tied_horizon_is_rejected(tmp_path):
+    # The horizon 1/r has no value at r = 0: the value fails as its config
+    # would, instead of running with the horizon of the previous damping.
+    cfg = resolve_config("clock-profile", {"clock": TIED_CLOCKS["n_reset auto"]},
+                         out=str(tmp_path / "sw"))
+    entries = sweep(cfg, "r", [0.0, 0.5])
+    assert entries[0]["status"] == "error"
+    assert entries[0]["error"]["type"] == "ValidationError"
+    assert entries[1]["status"] == "ok"
 
 
 @pytest.mark.parametrize(
@@ -494,6 +559,116 @@ def test_invalid_config_raises_and_writes_no_csv(experiment, doc):
         config.write_text(json.dumps(doc), encoding="utf-8")  # NaN and Infinity as JSON extensions
         assert main([experiment, "--config", str(config), "--out", str(Path(tmp) / "out")]) == 1
         assert not list(Path(tmp).rglob("*.csv"))
+
+
+VALID_SYSTEM = {
+    "dim": 2,
+    "hamiltonian": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.5, 0.0]],
+    "initial_state": [[1.0, 0.0], [0.0, 0.0]],
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def malformed_docs():
+    """Config documents that break one rule: a value of the wrong JSON type in
+    one slot, or a key that no reader knows at one level."""
+    non_numbers = json_values.filter(lambda v: not is_number(v) and v != "auto")
+    non_lists = json_values.filter(lambda v: not isinstance(v, list))
+    slots = {  # slot path: values that cannot be read there
+        ("clock", "hbar"): non_numbers, ("clock", "mass"): non_numbers,
+        ("clock", "omega"): non_numbers, ("clock", "damping"): non_numbers,
+        ("clock", "n_reset"): non_numbers, ("clock", "phase"): non_numbers,
+        ("clock", "alpha"): non_numbers.filter(
+            lambda v: not (isinstance(v, list) and len(v) == 2 and all(map(is_number, v)))),
+        ("system", "dim"): non_numbers, ("system", "hamiltonian"): non_lists,
+        ("system", "initial_state"): non_lists,
+        ("grid_size",): non_numbers, ("seed",): non_numbers,
+        ("output_path",): json_values.filter(lambda v: not isinstance(v, str)),
+        ("experiment",): json_values.filter(lambda v: v not in EXPERIMENTS),
+        ("options", "window"): non_numbers, ("options", "probe_time"): non_numbers,
+        ("options", "x"): non_numbers, ("options", "num_readings"): non_numbers,
+        ("options", "scales"): non_lists, ("options", "reading_span"): non_lists,
+        ("clock",): json_values.filter(lambda v: not isinstance(v, dict)),
+        ("system",): json_values.filter(lambda v: not isinstance(v, dict)),
+        ("options",): json_values.filter(lambda v: not isinstance(v, dict)),
+    }
+
+    def place(path, value):
+        if path[0] == "system" and len(path) == 2:
+            return {"system": dict(VALID_SYSTEM, **{path[1]: value})}
+        return {path[0]: value} if len(path) == 1 else {path[0]: {path[1]: value}}
+
+    known = {  # each level's known keys, and the document holding that level
+        None: (("clock", "system", "experiment", "grid_size", "output_path", "seed", "options"),
+               lambda part: part),
+        "clock": (("hbar", "mass", "omega", "damping", "alpha", "n_reset", "phase"),
+                  lambda part: {"clock": part}),
+        "system": (tuple(VALID_SYSTEM), lambda part: {"system": dict(VALID_SYSTEM, **part)}),
+        "options": (("window", "scales", "probe_time", "reading_span", "x", "num_readings"),
+                    lambda part: {"options": part}),
+    }
+
+    def unknown_key(level):
+        keys, wrap = known[level]
+        key = st.text(max_size=8).filter(lambda k: k not in keys)
+        return st.builds(lambda k, v: wrap({k: v}), key, json_values)
+
+    return st.one_of(
+        st.sampled_from(sorted(slots)).flatmap(
+            lambda path: slots[path].map(lambda value: place(path, value))),
+        json_values.filter(lambda v: not isinstance(v, dict) and v is not None),  # the root
+        st.sampled_from(list(known)).flatmap(unknown_key),
+    )
+
+
+@contextlib.contextmanager
+def in_directory(path):
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+@pytest.mark.parametrize("experiment", ["posterior", "oracle-check"])
+@settings(max_examples=60)
+@given(doc=malformed_docs(), sweep=st.none())
+@example(doc={"clock": {"dampng": 0.3}}, sweep=None)
+@example(doc={"grid": 100}, sweep=None)
+@example(doc={"system": {k: v for k, v in VALID_SYSTEM.items() if k != "dim"}}, sweep=None)
+@example(doc={"system": dict(VALID_SYSTEM, hamiltonian=5)}, sweep=None)
+@example(doc={"system": dict(VALID_SYSTEM, dim=2.5)}, sweep=None)
+@example(doc={"clock": {"mass": "big"}}, sweep=None)
+@example(doc={}, sweep="r=abc")
+@example(doc={"clock": {"alpha": True}}, sweep=None)
+@example(doc={"clock": {"damping": True}}, sweep=None)
+@example(doc={"output_path": ["a"]}, sweep=None)
+def test_main_never_escapes_the_boundary(experiment, doc, sweep):
+    """A malformed config or sweep flag exits 1 with one JSON error line and writes nothing."""
+    if sweep is None:
+        with pytest.raises(ValidationError):
+            resolve_config(experiment, doc)
+    with tempfile.TemporaryDirectory() as tmp, in_directory(tmp):
+        Path("config.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = [experiment, "--config", "config.json"] + (["--sweep", sweep] if sweep else [])
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            assert main(argv) == 1
+        [line] = stderr.getvalue().splitlines()
+        error = json.loads(line)["error"]
+        assert issubclass(getattr(pwclock, error["type"]), ValidationError)
+        assert isinstance(error["message"], str)
+        assert os.listdir(".") == ["config.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,6 @@ def test_posterior_bound_is_min_of_horizon_and_inverse_damping():
     assert posterior_over_n(1.0, slack, 64).grid[-1] == 1.0
     undamped = validate_clock_params(ClockParams(damping=0.0, n_reset=1.2, alpha=1.0))
     assert posterior_over_n(1.0, undamped, 64).grid[-1] == 1.2
-    explicit = posterior_over_n(1.0, saturated, 64, n_max=0.7)
-    assert explicit.grid[-1] == 0.7
 
 
 def test_posterior_mode_at_start_for_amplitude_reading():
