@@ -306,12 +306,14 @@ def resolve_config(
     else:
         system = default_qubit_spec()
 
-    grid_size = _checked_whole(
-        "grid_size", grid if grid is not None else doc.get("grid_size", defaults["grid_size"]), 16
-    )
-    output_path = str(out) if out is not None else doc.get("output_path", "out")
+    # The document's values are checked even where an override replaces them.
+    grid_size = _checked_whole("grid_size", doc.get("grid_size", defaults["grid_size"]), 16)
+    grid_size = grid_size if grid is None else _checked_whole("grid_size", grid, 16)
+    doc_seed = _checked_whole("seed", doc.get("seed", 0), 0)
+    output_path = doc.get("output_path", "out")
     if not isinstance(output_path, str):
         raise ValidationError(f"output_path must be a string, got {output_path!r}")
+    output_path = output_path if out is None else str(out)
 
     return ExperimentConfig(
         clock=clock,
@@ -320,7 +322,7 @@ def resolve_config(
         experiment=experiment,
         grid_size=grid_size,
         output_path=output_path,
-        seed=_checked_whole("seed", seed if seed is not None else doc.get("seed", 0), 0),
+        seed=doc_seed if seed is None else _checked_whole("seed", seed, 0),
         options=_options_from_doc(doc.get("options", {}), defaults["options"], clock),
     )
 

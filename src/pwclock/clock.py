@@ -113,25 +113,35 @@ def wavefunction(x, n, params: ClockParams):
         If any n lies outside [0, n_reset].
     """
     check_abstract_time(n, params)
-    out = _envelope(x, n, params) * np.exp(1j * params.phase)
+    out = _envelope(x, _envelope_terms(n, params)) * np.exp(1j * params.phase)
     return out if out.ndim else complex(out)
 
 
-def _envelope(x, n, params: ClockParams) -> np.ndarray:
-    """Real Gaussian magnitude of ``wavefunction``, without the global phase.
+def _envelope_terms(n, params: ClockParams):
+    """Per-time terms of ``_envelope``: <x>(n), -4*delta^2 and (2*pi*delta^2)**(-1/4).
 
-    ``(2*pi*delta^2)**(-1/4) * exp(-(x - <x>)^2 / (4*delta^2))`` as a float64
-    array of the broadcast shape of x and n, built in place on one buffer.
     The times are not checked; callers check them first.
     """
     n = np.asarray(n, dtype=float)
     delta = np.asarray(width(n, params))
-    out = np.asarray(np.asarray(x, dtype=float) - position_expectation(n, params))
+    return position_expectation(n, params), -4.0 * delta**2, (2.0 * np.pi * delta**2) ** -0.25
+
+
+def _envelope(x, terms, out=None) -> np.ndarray:
+    """Real Gaussian magnitude of ``wavefunction``, without the global phase.
+
+    ``(2*pi*delta^2)**(-1/4) * exp((x - <x>)^2 / (-4*delta^2))`` from the
+    ``terms`` of ``_envelope_terms``, as a float64 array of the broadcast
+    shape of x and the terms, built in place on ``out`` (a new array if
+    None). The negation sits in the divisor, which IEEE division makes
+    exact: the value is that of ``-(x - <x>)^2 / (4*delta^2)``.
+    """
+    mean, neg_four_var, prefactor = terms
+    out = np.asarray(np.subtract(np.asarray(x, dtype=float), mean, out=out))
     np.square(out, out=out)
-    np.negative(out, out=out)
-    np.divide(out, 4.0 * delta**2, out=out)
+    np.divide(out, neg_four_var, out=out)
     np.exp(out, out=out)
-    np.multiply((2.0 * np.pi * delta**2) ** -0.25, out, out=out)
+    np.multiply(prefactor, out, out=out)
     return out
 
 

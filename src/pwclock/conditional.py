@@ -32,7 +32,7 @@ from .params import (
     SystemSpec,
     check_abstract_time,
 )
-from .clock import _envelope, position_expectation, width
+from .clock import _envelope, _envelope_terms, width
 from .evolution import evolve_exact
 from .timemap import n_from_x_exact, n_from_x_log
 
@@ -49,10 +49,6 @@ __all__ = [
 # Below this, an unnormalized integral is treated as an unreachable reading.
 _SUPPORT_FLOOR = 1e-300
 
-# Most clock amplitudes one block of readings evaluates at once (see _blocks),
-# so a block's temporaries grow neither with K nor with the number of readings.
-_BLOCK_ELEMENTS = 2**18
-
 
 def position_given_n(x, n, params: ClockParams):
     """Probability density |<x|clock(n)>|^2 of reading x at abstract time n.
@@ -62,7 +58,7 @@ def position_given_n(x, n, params: ClockParams):
     never enters it.
     """
     check_abstract_time(n, params)
-    return _envelope(x, n, params) ** 2
+    return _envelope(x, _envelope_terms(n, params)) ** 2
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,7 @@ def build_history_state(
     )
 
 
-def _reading_bands(history: HistoryState, readings: np.ndarray):
+def _reading_bands(history: HistoryState, readings: np.ndarray, mean: np.ndarray):
     """Grid bands [lo, hi) outside which every term of a reading's v is negligible.
 
     Term k of v = sum_k w_k <x|clock(n_k)> |sys_k> has magnitude
@@ -203,12 +199,13 @@ def _reading_bands(history: HistoryState, readings: np.ndarray):
     R = 2*d0*sqrt(ln(2^54 * K * sqrt(rho))) makes 2^-53 / K. Where mu
     strictly decreases along the grid, the terms kept are one contiguous run
     of k, found by two searchsorted calls on -mu. Elsewhere, and for a
-    non-finite reading, the band is the whole grid.
+    non-finite reading, the band is the whole grid. ``mean`` is mu over the
+    grid.
     """
     grid, params = history.grid, history.clock_params
     size = grid.size
     lo, hi = np.zeros(readings.size, dtype=np.intp), np.full(readings.size, size)
-    neg_mean = -position_expectation(grid, params)
+    neg_mean = -mean
     if not np.all(np.diff(neg_mean) > 0.0):
         return lo, hi
     widest, narrowest = width(grid[0], params), width(grid[-1], params)
@@ -224,31 +221,6 @@ def _reading_bands(history: HistoryState, readings: np.ndarray):
     lo[finite] = np.searchsorted(neg_mean, -(x + radius), side="left")
     hi[finite] = np.searchsorted(neg_mean, radius - x, side="right")
     return lo, hi
-
-
-def _blocks(lo: list[int], hi: list[int]):
-    """Split readings sorted by band start into blocks (start, stop, first, last).
-
-    A block evaluates the clock envelopes of its readings over the union
-    [first, last) of their bands, which costs about (rows + 1) * span: the
-    extra row is the per-time quantities ``_envelope`` forms once per grid
-    point. A reading joins the block while that cost grows by no more than
-    the 2 * band that conditioning the reading alone would cost, and while
-    the envelopes stay within ``_BLOCK_ELEMENTS``. Every block holds at least
-    one reading; with every band the whole grid, a block is
-    max(1, _BLOCK_ELEMENTS // K) readings.
-    """
-    start = 0
-    while start < len(lo):
-        first, last, stop = lo[start], hi[start], start + 1
-        while stop < len(lo):
-            rows, wider = stop - start, max(last, hi[stop])
-            growth = (rows + 2) * (wider - first) - (rows + 1) * (last - first)
-            if (rows + 1) * (wider - first) > _BLOCK_ELEMENTS or growth > 2 * (hi[stop] - lo[stop]):
-                break
-            last, stop = wider, stop + 1
-        yield start, stop, first, last
-        start = stop
 
 
 def conditional_system_probability(history: HistoryState, x, projector):
@@ -280,9 +252,10 @@ def conditional_system_probability(history: HistoryState, x, projector):
     Omega*n_reset < pi/2; on a clock whose mean turns back, every band is
     the whole grid and each reading costs O(K), in the same loop.
 
-    Readings are conditioned in band order, in blocks whose envelopes
-    (readings times the union of their bands) hold at most
-    ``_BLOCK_ELEMENTS`` float64 values; each v is contracted on its own, in
+    The clock's mean, -4*delta^2 and (2*pi*delta^2)^(-1/4) are formed once
+    per call over the grid. Readings are then conditioned one at a time, in
+    reading order: each evaluates its envelopes over exactly its band, in
+    one reused buffer, and its v is one BLAS contraction over the band, in
     ascending grid order. Every <v|v> and <v|P|v> is then formed in one
     batched pass over all readings and projectors, one BLAS dot per value,
     so every value is bit-for-bit the one a single-projector call for that
@@ -323,16 +296,20 @@ def conditional_system_probability(history: HistoryState, x, projector):
 
     x = np.asarray(x, dtype=float)
     readings = x.reshape(-1)
-    lo, hi = _reading_bands(history, readings)
-    order = np.argsort(lo, kind="stable")
+    mean, neg_four_var, prefactor = _envelope_terms(grid, params)
+    lo, hi = _reading_bands(history, readings, mean)
+    # One float buffer and one complex row, reused by every reading; the
+    # row's imaginary part stays zero.
+    widest = int(np.max(hi - lo, initial=0))
+    envelope, row = np.empty(widest), np.zeros(widest, dtype=np.complex128)
+    weighted, weights, states = row.real, history.weights, history.sys_states
     conditioned = np.empty((readings.size, dim), dtype=np.complex128)
-    for start, stop, first, last in _blocks(lo[order].tolist(), hi[order].tolist()):
-        block = order[start:stop]
-        weighted = _envelope(readings[block, None], grid[first:last], params)
-        np.multiply(history.weights[first:last], weighted, out=weighted)
-        for row, index in zip(weighted, block):
-            band_lo, band_hi = lo[index], hi[index]
-            conditioned[index] = row[band_lo - first:band_hi - first] @ history.sys_states[band_lo:band_hi]
+    for index, (reading, first, last) in enumerate(zip(readings.tolist(), lo.tolist(), hi.tolist())):
+        size = last - first
+        terms = mean[first:last], neg_four_var[first:last], prefactor[first:last]
+        out = _envelope(reading, terms, envelope[:size])
+        np.multiply(weights[first:last], out, out=weighted[:size])
+        np.dot(row[:size], states[first:last], out=conditioned[index])
 
     # Batched matmul makes one BLAS dot per value, which rounds as np.vdot
     # does; einsum rounds differently on a general complex v.

@@ -643,25 +643,29 @@ def in_directory(path):
 
 @pytest.mark.parametrize("experiment", ["posterior", "oracle-check"])
 @settings(max_examples=60)
-@given(doc=malformed_docs(), sweep=st.none())
-@example(doc={"clock": {"dampng": 0.3}}, sweep=None)
-@example(doc={"grid": 100}, sweep=None)
-@example(doc={"system": {k: v for k, v in VALID_SYSTEM.items() if k != "dim"}}, sweep=None)
-@example(doc={"system": dict(VALID_SYSTEM, hamiltonian=5)}, sweep=None)
-@example(doc={"system": dict(VALID_SYSTEM, dim=2.5)}, sweep=None)
-@example(doc={"clock": {"mass": "big"}}, sweep=None)
-@example(doc={}, sweep="r=abc")
-@example(doc={"clock": {"alpha": True}}, sweep=None)
-@example(doc={"clock": {"damping": True}}, sweep=None)
-@example(doc={"output_path": ["a"]}, sweep=None)
-def test_main_never_escapes_the_boundary(experiment, doc, sweep):
+@given(doc=malformed_docs(), sweep=st.none(), overrides=st.just({}))
+@example(doc={"clock": {"dampng": 0.3}}, sweep=None, overrides={})
+@example(doc={"grid": 100}, sweep=None, overrides={})
+@example(doc={"system": {k: v for k, v in VALID_SYSTEM.items() if k != "dim"}}, sweep=None, overrides={})
+@example(doc={"system": dict(VALID_SYSTEM, hamiltonian=5)}, sweep=None, overrides={})
+@example(doc={"system": dict(VALID_SYSTEM, dim=2.5)}, sweep=None, overrides={})
+@example(doc={"clock": {"mass": "big"}}, sweep=None, overrides={})
+@example(doc={}, sweep="r=abc", overrides={})
+@example(doc={"clock": {"alpha": True}}, sweep=None, overrides={})
+@example(doc={"clock": {"damping": True}}, sweep=None, overrides={})
+@example(doc={"output_path": ["a"]}, sweep=None, overrides={})
+# A command-line override does not excuse the document's value it replaces.
+@example(doc={"grid_size": "abc", "seed": True, "output_path": 5}, sweep=None,
+         overrides={"grid": 64, "seed": 1, "out": "DIR"})
+def test_main_never_escapes_the_boundary(experiment, doc, sweep, overrides):
     """A malformed config or sweep flag exits 1 with one JSON error line and writes nothing."""
     if sweep is None:
         with pytest.raises(ValidationError):
-            resolve_config(experiment, doc)
+            resolve_config(experiment, doc, **overrides)
     with tempfile.TemporaryDirectory() as tmp, in_directory(tmp):
         Path("config.json").write_text(json.dumps(doc), encoding="utf-8")
         argv = [experiment, "--config", "config.json"] + (["--sweep", sweep] if sweep else [])
+        argv += [part for name, value in overrides.items() for part in (f"--{name}", str(value))]
         with contextlib.redirect_stderr(io.StringIO()) as stderr:
             assert main(argv) == 1
         [line] = stderr.getvalue().splitlines()

@@ -69,18 +69,18 @@ PROJECTORS = {
 
 
 def record_amplitude_calls(monkeypatch):
-    """Patch the clock envelopes seen by conditioning to record each call's
-    (readings, grid points) shape, and require every block to be float64."""
-    shapes = []
+    """Patch the clock envelope pass seen by conditioning to record each
+    call's (reading, grid points), and require every band to be float64."""
+    calls = []
 
-    def recording(x, n, params):
-        out = _envelope(x, n, params)
-        assert out.dtype == np.float64
-        shapes.append(np.shape(out))
+    def recording(x, terms, out=None):
+        out = _envelope(x, terms, out)
+        assert out.dtype == np.float64 and out.ndim == 1
+        calls.append((x, out.size))
         return out
 
     monkeypatch.setattr(conditional, "_envelope", recording)
-    return shapes
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -386,20 +386,6 @@ def test_conditional_probability_array_matches_scalar(history):
         assert np.array_equal(grid_shaped, batch.reshape(8, 8))
 
 
-def test_conditional_probability_batch_spans_blocks(history, monkeypatch):
-    # Five readings whose bands (about 400 grid points each) overlap. A budget
-    # of 1000 amplitudes holds two of them at a time: blocks of 2, 2 and 1.
-    xs = position_expectation(np.array([0.700, 0.701, 0.702, 0.703, 0.704]), history.clock_params)
-    stack = np.stack([PROJECTOR_PLUS, PROJECTOR_MINUS])
-    whole = conditional_system_probability(history, xs, PROJECTOR_PLUS)
-    whole_stack = conditional_system_probability(history, xs, stack)
-    monkeypatch.setattr(conditional, "_BLOCK_ELEMENTS", 1000)
-    shapes = record_amplitude_calls(monkeypatch)
-    assert np.array_equal(conditional_system_probability(history, xs, PROJECTOR_PLUS), whole)
-    assert np.array_equal(conditional_system_probability(history, xs, stack), whole_stack)
-    assert shapes == [(2, 402), (2, 401), (1, 399)] * 2
-
-
 @settings(max_examples=30)
 @given(
     fractions=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=6),
@@ -419,20 +405,28 @@ def test_projector_stack_matches_single_calls(history, fractions, names):
 
 @pytest.mark.parametrize("names", [None, ("plus",), ("plus", "minus"), tuple(sorted(PROJECTORS))])
 def test_conditioning_computes_amplitudes_once_per_block(history, monkeypatch, names):
-    # 257 readings over [0.05, 0.95] * n_reset at K = 2048. Unbanded, they
-    # took 3 calls of 128, 128 and 1 full rows (526,336 amplitudes); banded,
-    # they take 10 calls over the union of each block's bands (156,567).
+    # 257 readings over [0.05, 0.95] * n_reset at K = 2048. Each evaluates
+    # exactly its band, once and in reading order: 257 calls and 114,255
+    # amplitudes, against 526,336 for the whole grid.
     projector = PROJECTOR_PLUS if names is None else np.stack([PROJECTORS[n] for n in names])
     times = np.linspace(0.05, 0.95, 257) * history.clock_params.n_reset
     xs = position_expectation(times, history.clock_params)
-    shapes = record_amplitude_calls(monkeypatch)
+    lo, hi = conditional._reading_bands(history, xs, position_expectation(history.grid, history.clock_params))
+    calls = record_amplitude_calls(monkeypatch)
     conditional_system_probability(history, xs, projector)
-    assert shapes == [
-        (71, 849), (25, 754), (25, 617), (23, 538), (23, 500),
-        (21, 461), (20, 438), (20, 428), (20, 421), (9, 302),
-    ]
-    assert sum(rows * span for rows, span in shapes) == 156_567
-    assert max(rows * span for rows, span in shapes) <= conditional._BLOCK_ELEMENTS
+    assert calls == list(zip(xs.tolist(), (hi - lo).tolist()))
+    assert sum(size for _, size in calls) == 114_255
+
+
+def test_empty_readings_evaluate_no_amplitude(history, monkeypatch):
+    calls = record_amplitude_calls(monkeypatch)
+    stack = np.stack([PROJECTOR_PLUS, PROJECTOR_MINUS, np.eye(2, dtype=complex)])
+    for shape in ((0,), (0, 3)):
+        x = np.empty(shape)
+        single = conditional_system_probability(history, x, PROJECTOR_PLUS)
+        assert single.shape == shape and single.dtype == np.float64
+        assert conditional_system_probability(history, x, stack).shape == (3,) + shape
+    assert calls == []
 
 
 def test_bands_drop_only_terms_below_the_bound(history):
@@ -443,7 +437,7 @@ def test_bands_drop_only_terms_below_the_bound(history):
         position_expectation(np.linspace(0.0, 1.0, 41) * clock.n_reset, clock),
         [clock.amplitude + 20.0 * width(0.0, clock)],  # beyond every mean: the band widens
     ])
-    lo, hi = conditional._reading_bands(history, xs)
+    lo, hi = conditional._reading_bands(history, xs, position_expectation(history.grid, clock))
     terms = np.abs(history.weights * wavefunction(xs[:, None], history.grid, clock))
     size = history.grid.size
     for row, first, last in zip(terms, lo, hi):
@@ -496,17 +490,17 @@ FULL_BAND_CLOCKS = {
 
 @pytest.mark.parametrize("clock", list(FULL_BAND_CLOCKS.values()), ids=list(FULL_BAND_CLOCKS))
 def test_full_bands_condition_on_the_whole_grid(monkeypatch, clock):
-    # Every band is the whole grid: 300 readings at K = 2048 take blocks of
-    # 2^18 // K = 128 full rows, as before banding, and every value equals
-    # the full-range sum bit for bit.
+    # Every band is the whole grid: each of 300 readings at K = 2048
+    # evaluates one full row, and every value equals the full-range sum bit
+    # for bit.
     clock = validate_clock_params(clock)
     hist = build_history_state(default_qubit_spec(), clock, 2048)
     xs = position_expectation(np.linspace(0.05, 0.95, 300) * clock.n_reset, clock)
-    shapes = record_amplitude_calls(monkeypatch)
+    calls = record_amplitude_calls(monkeypatch)
     for projector in (PROJECTOR_PLUS, PROJECTOR_MINUS):
         got = conditional_system_probability(hist, xs, projector)
         assert np.array_equal(got, full_range_conditional(hist, xs, projector))
-    assert shapes == [(128, 2048), (128, 2048), (44, 2048)] * 2
+    assert calls == [(x, 2048) for x in xs.tolist()] * 2
 
 
 @pytest.mark.parametrize("clock", list(FULL_BAND_CLOCKS.values()), ids=list(FULL_BAND_CLOCKS))
@@ -554,6 +548,7 @@ def test_conditional_probability_rejects_grid_outside_window(history):
     last_out = dataclasses.replace(history.clock_params, n_reset=history.grid[-2])
     clipped = dataclasses.replace(history, clock_params=last_out)
     near_start = position_expectation(0.1, history.clock_params)
-    assert conditional._reading_bands(clipped, np.array([near_start]))[1][0] < history.grid.size
+    mean = position_expectation(history.grid, last_out)
+    assert conditional._reading_bands(clipped, np.array([near_start]), mean)[1][0] < history.grid.size
     with pytest.raises(InvalidAbstractTime):
         conditional_system_probability(clipped, near_start, PROJECTOR_PLUS)

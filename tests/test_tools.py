@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,21 @@ def test_csv_digests_keep_and_against(tmp_path):
     assert second.stderr.splitlines() == [
         "tables-grid64/timemap.csv: n_exact: largest |difference| 0.5 in 1 moved cells"
     ]
+
+
+def test_csv_digests_do_not_depend_on_blas_threads_at_the_benchmark_grid():
+    # Each reading's v is one BLAS contraction over its band, so up to grid
+    # 8192 one and two BLAS threads give the same bytes. (From grid 16,384 a
+    # threaded BLAS sums in a different order and they differ.)
+    command = [sys.executable, str(TOOLS / "csv_digests.py"),
+               "--grid", "8192", "--readings", "256", "--large-grid", "8192", "--tables-grid", "512"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        result = subprocess.run(command, capture_output=True, text=True, check=True, env=env)
+        outputs.append(json.loads(result.stdout))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 22  # the large grid is the seed-5 case: one CSV fewer
 
 
 def test_repr_check_finds_no_mismatch_in_its_mix():
