@@ -9,14 +9,10 @@ fully resolved config, derived constants and timing.
 
 from __future__ import annotations
 
-import argparse
 import json
 import numbers
 import sys
 import time
-# Unused: sweeps run serially. The benchmark's tracer (perfbench/tracing.py)
-# swaps ``cli.ThreadPoolExecutor`` for a span-recording pool, so the name stays.
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -24,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from ._csv import _write_csv, _write_json
+from ._rng import uniform
 from .params import (
     ClockParams,
     NoValues,
@@ -404,8 +401,8 @@ def _run_oracle_check(cfg: ExperimentConfig):
     projectors = np.stack([proj_a, np.eye(dim, dtype=np.complex128) - proj_a])
 
     lo, hi = cfg.options["reading_span"]
-    rng = np.random.default_rng(cfg.seed)
-    times = np.sort(rng.uniform(lo, hi, int(cfg.options["num_readings"]))) * cfg.clock.n_reset
+    size = int(cfg.options["num_readings"])
+    times = np.sort(uniform(cfg.seed, lo, hi, size)) * cfg.clock.n_reset
 
     readings = position_expectation(times, cfg.clock)
     cond_a, cond_b = conditional_system_probability(history, readings, projectors)
@@ -574,7 +571,20 @@ def _parse_sweep_flag(text: str) -> tuple[str, list[float]]:
     return name, values
 
 
+def __getattr__(name: str):
+    # Unused: sweeps run serially. The benchmark's tracer (perfbench/tracing.py)
+    # swaps ``cli.ThreadPoolExecutor`` for a span-recording pool, so the name
+    # stays, imported only when asked for (PEP 562).
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # here, not at the top: importing the module needs no parser
+
     parser = argparse.ArgumentParser(
         prog="pwclock",
         description="Damped-oscillator clock experiments: conditional-probability time "

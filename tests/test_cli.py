@@ -4,6 +4,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -884,3 +886,44 @@ def test_tables_experiments_send_the_same_cells_to_repr(tmp_path, monkeypatch):
                  "ideal-limit"):
         assert main([name, "--grid", "8192", "--out", str(tmp_path)]) == 0
     assert [sum(column) for column in zip(*cells)] == [54, 155_664]
+
+
+_COLD_START = """
+import json, sys
+from pwclock import cli
+argparse_on_import = "argparse" in sys.modules
+out = sys.argv[1]
+codes = [cli.main(["all", "--out", out + "/all"]),
+         cli.main(["oracle-check", "--sweep", "r=0.2,0.4", "--out", out + "/sweep"])]
+names = ("numpy.random", "secrets", "hashlib", "concurrent.futures")
+loaded = [name for name in names if name in sys.modules]
+import concurrent.futures
+pool = cli.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor
+try:
+    cli.NoSuchName
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([argparse_on_import, codes, loaded, pool, missing]))
+"""
+
+
+def test_cli_process_loads_no_rng_hash_or_pool_module(tmp_path):
+    # A fresh process that runs the bundle and an oracle-check sweep draws its
+    # readings from pwclock._rng, imports argparse only inside main, and
+    # imports concurrent.futures only when cli.ThreadPoolExecutor is read.
+    package_root = Path(pwclock.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _COLD_START, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(package_root),
+             "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    argparse_on_import, codes, loaded, pool, missing = json.loads(proc.stdout)
+    assert not argparse_on_import
+    assert codes == [0, 0]
+    assert loaded == []
+    assert pool
+    assert missing == "module 'pwclock.cli' has no attribute 'NoSuchName'"

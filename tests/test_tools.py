@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pwclock._csv import _write_csv
 
@@ -75,6 +76,26 @@ def test_csv_digests_do_not_depend_on_blas_threads_at_the_benchmark_grid():
     assert len(outputs[0]) == 22  # the large grid is the seed-5 case: one CSV fewer
 
 
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("large_grid", [1024, 256])
+def test_csv_digests_runs_write_no_csv_twice(tmp_path, large_grid):
+    # Each run writes <out>/<experiment>.csv (``all`` every experiment), so
+    # no two runs of one experiment may share an --out directory. When the
+    # large grid equals the grid, its run is the seed-5 case and is skipped.
+    csv_digests = load_tool("csv_digests")
+    runs = csv_digests.byte_check_runs(tmp_path, tmp_path / "c.json", tmp_path / "p.json",
+                                       256, large_grid, 64)
+    targets = [(run[0], run[run.index("--out") + 1]) for run in runs]
+    assert len(set(targets)) == len(targets)
+    assert len(runs) == (14 if large_grid != 256 else 13)
+
+
 def test_repr_check_finds_no_mismatch_in_its_mix():
     command = [sys.executable, str(TOOLS / "repr_check.py"), "--count", "10000", "--seed", "1"]
     result = subprocess.run(command, capture_output=True, text=True)
@@ -83,9 +104,7 @@ def test_repr_check_finds_no_mismatch_in_its_mix():
 
 
 def test_repr_check_counts_each_wrong_cell(tmp_path):
-    spec = importlib.util.spec_from_file_location("repr_check", TOOLS / "repr_check.py")
-    repr_check = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(repr_check)
+    repr_check = load_tool("repr_check")
     values = repr_check.mixed_values(1000, np.random.default_rng(2))
     wrong = np.flatnonzero(np.isfinite(values) & (np.abs(values) > 1e-10))[:2]
 

@@ -7,7 +7,8 @@ directory (or under ``--keep DIR``) and prints one JSON object that maps each CS
 - the default ``all`` bundle;
 - ``oracle-check`` at grid 8192 with 256 readings, for seeds 5, 7 and 211;
 - the ``oracle-check`` sweep ``r=0.1,0.2,0.3,0.6`` at that grid and readings;
-- ``oracle-check`` at grid 65,536 with 256 readings, seed 5;
+- ``oracle-check`` at grid 65,536 with 256 readings, seed 5 (when
+  ``--large-grid`` equals ``--grid`` this is the seed-5 case, run once);
 - the six per-row experiments of the benchmark's ``tables`` workload
   (``clock-profile``, ``damping-opt``, ``timemap``, ``evolve-compare``,
   ``posterior`` at its default x, ``ideal-limit``) at grid 8192;
@@ -72,8 +73,10 @@ def byte_check_runs(
         runs.append(oracle + ["--grid", str(grid), "--seed", str(seed), "--out", str(out)])
     runs.append(oracle + ["--grid", str(grid), "--sweep", SWEEP,
                           "--out", str(root / f"oracle-check-grid{grid}-sweep")])
-    out = root / f"oracle-check-grid{large_grid}-seed{LARGE_SEED}"
-    runs.append(oracle + ["--grid", str(large_grid), "--seed", str(LARGE_SEED), "--out", str(out)])
+    if large_grid != grid:  # else it is the seed-5 run above
+        out = root / f"oracle-check-grid{large_grid}-seed{LARGE_SEED}"
+        runs.append(oracle + ["--grid", str(large_grid), "--seed", str(LARGE_SEED),
+                              "--out", str(out)])
     out = root / f"tables-grid{tables_grid}"
     runs += [[name, "--grid", str(tables_grid), "--out", str(out)] for name in TABLES]
     out = root / f"phase{PHASE}"
