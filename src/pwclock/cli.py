@@ -10,7 +10,6 @@ fully resolved config, derived constants and timing.
 from __future__ import annotations
 
 import json
-import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -27,6 +26,8 @@ from .params import (
     NumericalError,
     SystemSpec,
     ValidationError,
+    _checked_whole,
+    _is_number,
     validate_clock_params,
     validate_system_spec,
 )
@@ -75,29 +76,10 @@ _NARROW_CLOCK = dict(
     alpha=[np.sqrt(0.5), 0.0],
 )
 
-_DEFAULTS: dict[str, dict] = {
-    "clock-profile": {"clock": _BASE_CLOCK, "grid_size": 256, "options": {}},
-    "damping-opt": {"clock": _BASE_CLOCK, "grid_size": 64, "options": {}},
-    "timemap": {"clock": _TIMEMAP_CLOCK, "grid_size": 128, "options": {}},
-    "posterior": {"clock": _BASE_CLOCK, "grid_size": 2048, "options": {}},
-    "ideal-limit": {
-        "clock": _NARROW_CLOCK,
-        "grid_size": 4096,
-        "options": {"scales": [10.0, 100.0, 1000.0, 10000.0], "window": 0.05},
-    },
-    "evolve-compare": {"clock": _BASE_CLOCK, "grid_size": 128, "options": {}},
-    "oracle-check": {
-        "clock": dict(_NARROW_CLOCK, mass=10000.0, alpha=[np.sqrt(5000.0), 0.0]),
-        "grid_size": 2048,
-        "options": {"num_readings": 5, "reading_span": [0.25, 0.85]},
-    },
-}
-
-
 # The keys each part of a config document may hold; any other is rejected.
 _CONFIG_KEYS = ("clock", "system", "experiment", "grid_size", "output_path", "seed", "options")
 _CLOCK_KEYS = tuple(f.name for f in fields(ClockParams))
-_SYSTEM_KEYS = ("dim", "hamiltonian", "initial_state")
+_SYSTEM_KEYS = tuple(f.name for f in fields(SystemSpec))
 
 
 @dataclass(frozen=True)
@@ -122,11 +104,6 @@ class ExperimentConfig:
 class RunResult:
     csv_path: Path
     meta_path: Path
-
-
-def _is_number(value) -> bool:
-    """True for a JSON number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _real(name: str, value) -> float:
@@ -217,21 +194,6 @@ def _json_object(name: str, value, keys) -> dict:
     return dict(value)
 
 
-def _checked_whole(name: str, value, minimum: int) -> int:
-    """``value`` as an int; anything but a whole number >= minimum raises ValidationError."""
-    if not _is_number(value):
-        raise ValidationError(f"{name} must be a whole number, got {value!r}")
-    try:
-        number = int(value)
-    except (ValueError, OverflowError) as exc:  # NaN or infinity
-        raise ValidationError(f"{name} must be a whole number, got {value!r}") from exc
-    if number != value:
-        raise ValidationError(f"{name} must be a whole number, got {value!r}")
-    if number < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
-    return number
-
-
 def _options_from_doc(doc, defaults: dict, clock: ClockParams) -> dict:
     """The experiment's default options updated by ``doc``, checked.
 
@@ -293,9 +255,9 @@ def resolve_config(
     doc = _json_object("config", {} if doc is None else doc, _CONFIG_KEYS)
     if doc.get("experiment", experiment) not in EXPERIMENTS:
         raise ValidationError(f"experiment must be one of {EXPERIMENTS}, got {doc['experiment']!r}")
-    defaults = _DEFAULTS[experiment]
+    _, default_clock, default_grid, default_options = _EXPERIMENTS[experiment]
 
-    clock_doc = dict(defaults["clock"], **_json_object("clock", doc.get("clock", {}), _CLOCK_KEYS))
+    clock_doc = dict(default_clock, **_json_object("clock", doc.get("clock", {}), _CLOCK_KEYS))
     clock = _clock_from_doc(clock_doc)
 
     if "system" in doc:
@@ -304,7 +266,7 @@ def resolve_config(
         system = default_qubit_spec()
 
     # The document's values are checked even where an override replaces them.
-    grid_size = _checked_whole("grid_size", doc.get("grid_size", defaults["grid_size"]), 16)
+    grid_size = _checked_whole("grid_size", doc.get("grid_size", default_grid), 16)
     grid_size = grid_size if grid is None else _checked_whole("grid_size", grid, 16)
     doc_seed = _checked_whole("seed", doc.get("seed", 0), 0)
     output_path = doc.get("output_path", "out")
@@ -320,7 +282,7 @@ def resolve_config(
         grid_size=grid_size,
         output_path=output_path,
         seed=doc_seed if seed is None else _checked_whole("seed", seed, 0),
-        options=_options_from_doc(doc.get("options", {}), defaults["options"], clock),
+        options=_options_from_doc(doc.get("options", {}), default_options, clock),
     )
 
 
@@ -431,17 +393,29 @@ def _run_oracle_check(cfg: ExperimentConfig):
     return header, columns, extras
 
 
-_RUNNERS = {
-    "clock-profile": _run_clock_profile,
-    "damping-opt": _run_damping_opt,
-    "timemap": _run_timemap,
-    "posterior": _run_posterior,
-    "ideal-limit": _run_ideal_limit,
-    "evolve-compare": _run_evolve_compare,
-    "oracle-check": _run_oracle_check,
+# Each experiment's runner and its default clock, grid_size and options, in
+# the order that `all` runs them.
+_EXPERIMENTS = {
+    "clock-profile": (_run_clock_profile, _BASE_CLOCK, 256, {}),
+    "damping-opt": (_run_damping_opt, _BASE_CLOCK, 64, {}),
+    "timemap": (_run_timemap, _TIMEMAP_CLOCK, 128, {}),
+    "posterior": (_run_posterior, _BASE_CLOCK, 2048, {}),
+    "ideal-limit": (
+        _run_ideal_limit,
+        _NARROW_CLOCK,
+        4096,
+        {"scales": [10.0, 100.0, 1000.0, 10000.0], "window": 0.05},
+    ),
+    "evolve-compare": (_run_evolve_compare, _BASE_CLOCK, 128, {}),
+    "oracle-check": (
+        _run_oracle_check,
+        dict(_NARROW_CLOCK, mass=10000.0, alpha=[np.sqrt(5000.0), 0.0]),
+        2048,
+        {"num_readings": 5, "reading_span": [0.25, 0.85]},
+    ),
 }
 
-EXPERIMENTS = tuple(_RUNNERS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def _derived_constants(cfg: ExperimentConfig) -> dict:
@@ -460,7 +434,7 @@ def _derived_constants(cfg: ExperimentConfig) -> dict:
 def _compute(cfg: ExperimentConfig):
     """One experiment's (header, columns, extras) and the seconds it took."""
     started = time.perf_counter()
-    header, columns, extras = _RUNNERS[cfg.experiment](cfg)
+    header, columns, extras = _EXPERIMENTS[cfg.experiment][0](cfg)
     return header, columns, extras, time.perf_counter() - started
 
 

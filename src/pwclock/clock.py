@@ -25,6 +25,7 @@ from .params import (
     ClockParams,
     NonPositiveTime,
     UnderDampingViolated,
+    _scalar_or_array,
     check_abstract_time,
     first_outside,
 )
@@ -45,11 +46,12 @@ class StationaryDamping:
     """Stationary point of the decoherence rate along the damping axis.
 
     Each field is a scalar for one time n and an array, one entry per time,
-    for an array of times; ``rate`` is the decoherence rate at r_star.
+    for an array of times; ``rate`` is the decoherence rate at r_star, and
+    ``second_difference`` is its closed-form curvature d2R/dr2 at r_star.
     """
 
     r_star: float | np.ndarray
-    classification: Literal["maximum", "minimum", "flat"] | np.ndarray
+    classification: Literal["maximum", "flat"] | np.ndarray
     second_difference: float | np.ndarray
     rate: float | np.ndarray
 
@@ -66,7 +68,7 @@ def position_expectation(n, params: ClockParams):
     """
     n = np.asarray(n, dtype=float)
     out = params.amplitude * np.exp(-params.damping * n / 2.0) * np.cos(params.damped_frequency * n)
-    return out if out.ndim else float(out)
+    return _scalar_or_array(out)
 
 
 def width(n, params: ClockParams):
@@ -77,7 +79,7 @@ def width(n, params: ClockParams):
     n = np.asarray(n, dtype=float)
     base = sqrt(params.hbar / (2.0 * params.mass * params.omega))
     out = base * np.exp(-params.damping * n / 2.0)
-    return out if out.ndim else float(out)
+    return _scalar_or_array(out)
 
 
 def width_damping_derivative(n, params: ClockParams):
@@ -88,7 +90,7 @@ def width_damping_derivative(n, params: ClockParams):
     """
     n = np.asarray(n, dtype=float)
     out = -(n / 2.0) * width(n, params)
-    return out if out.ndim else float(out)
+    return _scalar_or_array(out)
 
 
 def wavefunction(x, n, params: ClockParams):
@@ -158,7 +160,7 @@ def decoherence_rate(n, params: ClockParams):
         * np.exp(-params.damping * n)
         / (params.mass * params.omega)
     )
-    return out if out.ndim else float(out)
+    return _scalar_or_array(out)
 
 
 def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
@@ -199,11 +201,11 @@ def recommend_damping(n_reset: float, params: ClockParams) -> float:
     Raises
     ------
     NonPositiveTime
-        If n_reset <= 0.
+        If n_reset <= 0, or is NaN.
     UnderDampingViolated
         If 1/(2*n_reset) >= omega.
     """
-    if n_reset <= 0.0:
+    if not n_reset > 0.0:  # NaN fails too
         raise NonPositiveTime(f"recommendation requires n_reset > 0, got {n_reset}")
     r = 1.0 / n_reset
     if r / 2.0 >= params.omega:

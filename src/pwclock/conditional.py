@@ -6,7 +6,7 @@ as the brute-force oracle for "evolution without evolution": probabilities
 for the system are read off a globally static clock+system state conditioned
 on a clock position.
 
-Abstract time is integrated over [0, min(n_reset, 1/r)] on uniform trapezoid
+Abstract time is integrated over [0, n_reset] on uniform trapezoid
 grids (deterministic, smooth Gaussian integrands). Quadrature weights double
 as the discretized entanglement coefficients of the history state.
 
@@ -30,6 +30,7 @@ from .params import (
     NotAProjector,
     OutOfRange,
     SystemSpec,
+    _checked_whole,
     check_abstract_time,
 )
 from .clock import _envelope, _envelope_terms, width
@@ -95,17 +96,17 @@ def posterior_over_n(
     """Posterior density over abstract time n' given a position reading x.
 
     The density is |<x|clock(n')>|^2 normalized by its trapezoid integral
-    over a uniform grid on [0, min(n_reset, 1/r)].
+    over a uniform grid on [0, n_reset]; a validated clock has n_reset <= 1/r.
 
     Raises
     ------
+    ValidationError
+        If grid_size is not a whole number >= 2.
     DegenerateSupport
         If the unnormalized integral underflows (x unreachable).
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    inverse_r = np.inf if params.damping == 0.0 else 1.0 / params.damping
-    grid = np.linspace(0.0, min(params.n_reset, inverse_r), grid_size)
+    grid_size = _checked_whole("grid_size", grid_size, 2)
+    grid = np.linspace(0.0, params.n_reset, grid_size)
     raw = position_given_n(x, grid, params)
     norm_raw = float(np.trapezoid(raw, grid))
     if not np.isfinite(norm_raw) or norm_raw < _SUPPORT_FLOOR:
@@ -171,8 +172,7 @@ def build_history_state(
     are trapezoid weights. The build costs O(K*d) and evaluates no clock
     amplitude.
     """
-    if grid_size < 16:
-        raise ValueError(f"grid_size must be >= 16, got {grid_size}")
+    grid_size = _checked_whole("grid_size", grid_size, 16)
     grid = np.linspace(0.0, params.n_reset, grid_size)
     step = grid[1] - grid[0]
     weights = np.full(grid_size, step)

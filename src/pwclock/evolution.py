@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ClockParams, EigenFailure, SystemSpec
+from .params import ClockParams, EigenFailure, SystemSpec, _checked_whole, _scalar_or_array
 from .clock import position_expectation
 from .timemap import n_from_x_linear
 
@@ -58,7 +58,7 @@ def fidelity(a: np.ndarray, b: np.ndarray):
     Stacks of states (leading axes) give an array of fidelities.
     """
     out = np.abs(_inner(a, b)) ** 2 / (_inner(a, a).real * _inner(b, b).real)
-    return out if out.ndim else float(out)
+    return _scalar_or_array(out)
 
 
 def _eigensystem(spec: SystemSpec):
@@ -117,8 +117,7 @@ def compare_evolutions(
     1 exactly at n = 0 and degrades smoothly along the run; the table also
     carries the worst-row fidelity.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    grid_size = _checked_whole("grid_size", grid_size, 2)
     n = np.arange(grid_size) * (params.n_reset / grid_size)
     x = position_expectation(n, params)
     state_exact = evolve_exact(spec, n)

@@ -8,6 +8,7 @@ Abstract time ``n`` is carried as a plain float or an array of floats;
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from math import sqrt
 
@@ -268,6 +269,31 @@ def validate_system_spec(spec: SystemSpec) -> SystemSpec:
     if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
         raise NotNormalized(f"initial state norm {np.linalg.norm(psi)} is not 1 within 1e-12")
     return spec
+
+
+def _is_number(value) -> bool:
+    """True for a real number, numpy's included; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _checked_whole(name: str, value, minimum: int) -> int:
+    """``value`` as an int; anything but a whole number >= minimum raises ValidationError."""
+    if not _is_number(value):
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    try:
+        number = int(value)
+    except (ValueError, OverflowError) as exc:  # NaN or infinity
+        raise ValidationError(f"{name} must be a whole number, got {value!r}") from exc
+    if number != value:
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    if number < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+    return number
+
+
+def _scalar_or_array(out):
+    """``out`` itself for an array result, a float for a 0-d one."""
+    return out if out.ndim else float(out)
 
 
 def first_outside(values, inside) -> float | None:

@@ -23,6 +23,8 @@ from .params import (
     NonMonotonicWindow,
     OutOfRange,
     ZeroDamping,
+    _checked_whole,
+    _scalar_or_array,
     first_outside,
 )
 from .clock import position_expectation
@@ -74,10 +76,6 @@ def _require_within(x: np.ndarray, inside: np.ndarray, interval: str) -> None:
     bad = first_outside(x, inside)
     if bad is not None:
         raise OutOfRange(f"reading x = {bad} outside {interval}")
-
-
-def _scalar_or_array(out: np.ndarray):
-    return out if out.ndim else float(out)
 
 
 def n_from_x_exact(x, params: ClockParams):
@@ -212,13 +210,12 @@ def linearization_report(params: ClockParams, grid_size: int) -> TimeMapResult:
 
     Raises
     ------
-    ValueError
-        If grid_size < 2.
+    ValidationError
+        If grid_size is not a whole number >= 2.
     ZeroDamping, NonMonotonicWindow
         Propagated from the inversions.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    grid_size = _checked_whole("grid_size", grid_size, 2)
     if params.damping == 0.0:
         raise ZeroDamping("linearization report undefined for r = 0")
     _check_monotone_window(params)

@@ -195,6 +195,8 @@ def test_recommend_damping():
     with pytest.raises(UnderDampingViolated):
         recommend_damping(0.4, params)
     assert recommend_damping(math.inf, params) == 0.0
+    with pytest.raises(NonPositiveTime, match="nan"):
+        recommend_damping(math.nan, params)
 
 
 def test_width_damping_derivative_matches_fd():

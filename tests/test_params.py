@@ -18,7 +18,13 @@ from pwclock import (
     SystemSpec,
     ValidationError,
     ZeroDamping,
+    build_history_state,
     check_abstract_time,
+    compare_evolutions,
+    default_qubit_spec,
+    linearization_report,
+    position_expectation,
+    posterior_over_n,
     validate_clock_params,
     validate_system_spec,
 )
@@ -204,3 +210,33 @@ def test_check_abstract_time_window():
     for bad in (2.1, -0.1, np.nan):
         with pytest.raises(InvalidAbstractTime, match=f"n = {bad} "):
             check_abstract_time(np.array([0.5, bad, 3.0]), params)
+
+
+# Each library function that takes a grid size: a call at a given size that
+# returns one array of its result, and the smallest size it accepts.
+GRID_TAKERS = {
+    "linearization_report": (lambda p, k: linearization_report(p, k).n_exact, 2),
+    "compare_evolutions": (lambda p, k: compare_evolutions(default_qubit_spec(), p, k).fidelity, 2),
+    "posterior_over_n": (
+        lambda p, k: posterior_over_n(position_expectation(0.75, p), p, k).density,
+        2,
+    ),
+    "build_history_state": (
+        lambda p, k: build_history_state(default_qubit_spec(), p, k).sys_states,
+        16,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GRID_TAKERS)
+def test_library_grid_size_is_a_whole_number_at_least_its_minimum(name):
+    call, minimum = GRID_TAKERS[name]
+    params = validate_clock_params(ClockParams(damping=1.0 / 1.5, n_reset=1.5))
+    for bad in (minimum + 0.5, True, "64", math.nan):
+        with pytest.raises(ValidationError, match=r"^grid_size must be a whole number, got "):
+            call(params, bad)
+    with pytest.raises(ValidationError, match=rf"^grid_size must be >= {minimum}, got {minimum - 1}$"):
+        call(params, minimum - 1)
+    expected = call(params, 64)
+    for same in (np.int64(64), 64.0):
+        np.testing.assert_array_equal(call(params, same), expected, strict=True)
