@@ -10,6 +10,7 @@ fully resolved config, derived constants and timing.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -45,7 +46,7 @@ from .conditional import (
     ideal_limit_concentration,
     posterior_over_n,
 )
-from .evolution import compare_evolutions, default_qubit_spec, evolve_exact
+from .evolution import _inner, compare_evolutions, default_qubit_spec, evolve_exact
 
 SCHEMA_VERSION = 1
 
@@ -370,7 +371,7 @@ def _run_oracle_check(cfg: ExperimentConfig):
     cond_a, cond_b = conditional_system_probability(history, readings, projectors)
 
     evolved = evolve_exact(cfg.system, n_from_x_exact(readings, cfg.clock))
-    exact_a = np.abs(np.matmul(probe.conj(), evolved[..., None])[..., 0]) ** 2  # |<probe|psi>|^2
+    exact_a = np.abs(_inner(probe, evolved)) ** 2
     exact_b = 1.0 - exact_a
     err_a = np.abs(cond_a - exact_a)
     err_b = np.abs(cond_b - exact_b)
@@ -545,6 +546,21 @@ def _parse_sweep_flag(text: str) -> tuple[str, list[float]]:
     return name, values
 
 
+def _flag_number(flag: str, text: str | None):
+    """An int where ``int`` reads ``text``, else a finite float; resolve_config checks the rest."""
+    try:
+        return None if text is None else int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"{flag} must be a finite number, got {text!r}")
+    return value
+
+
 def __getattr__(name: str):
     # Unused: sweeps run serially. The benchmark's tracer (perfbench/tracing.py)
     # swaps ``cli.ThreadPoolExecutor`` for a span-recording pool, so the name
@@ -564,15 +580,16 @@ def main(argv: list[str] | None = None) -> int:
         description="Damped-oscillator clock experiments: conditional-probability time "
         "from clock position readings.",
     )
-    parser.add_argument("experiment", choices=EXPERIMENTS + ("all",))
+    parser.add_argument("experiment", metavar="{" + ",".join(EXPERIMENTS + ("all",)) + "}")
     parser.add_argument("--config", type=str, default=None, help="JSON config document")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--grid", type=int, default=None, help="grid size override")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument("--grid", default=None, help="grid size override")
+    parser.add_argument("--seed", default=None, help="seed override")
     parser.add_argument("--sweep", type=str, default=None, help="param=v1,v2,... sweep")
     args = parser.parse_args(argv)
 
     try:
+        grid, seed = _flag_number("--grid", args.grid), _flag_number("--seed", args.seed)
         doc = None
         if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -583,15 +600,13 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValidationError("--sweep is not supported with the 'all' bundle")
             # Resolve and compute every experiment before the first write, so a
             # bad config or a failing run writes no CSV.
-            configs = [
-                resolve_config(name, doc, args.out, args.grid, args.seed) for name in EXPERIMENTS
-            ]
+            configs = [resolve_config(name, doc, args.out, grid, seed) for name in EXPERIMENTS]
             computed = [_compute(cfg) for cfg in configs]
             for cfg, result in zip(configs, computed):
                 run(cfg, result)
             return 0
 
-        cfg = resolve_config(args.experiment, doc, args.out, args.grid, args.seed)
+        cfg = resolve_config(args.experiment, doc, args.out, grid, seed)
         if args.sweep is not None:
             parameter, values = _parse_sweep_flag(args.sweep)
             entries = sweep(cfg, parameter, values)

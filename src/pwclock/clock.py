@@ -25,9 +25,9 @@ from .params import (
     ClockParams,
     NonPositiveTime,
     UnderDampingViolated,
+    _require,
     _scalar_or_array,
     check_abstract_time,
-    first_outside,
 )
 
 __all__ = [
@@ -115,8 +115,7 @@ def wavefunction(x, n, params: ClockParams):
         If any n lies outside [0, n_reset].
     """
     check_abstract_time(n, params)
-    out = _envelope(x, _envelope_terms(n, params)) * np.exp(1j * params.phase)
-    return out if out.ndim else complex(out)
+    return _scalar_or_array(_envelope(x, _envelope_terms(n, params)) * np.exp(1j * params.phase))
 
 
 def _envelope_terms(n, params: ClockParams):
@@ -153,14 +152,12 @@ def decoherence_rate(n, params: ClockParams):
     This is the magnitude of the rate of change of the squared minimum
     Gaussian width; the value is reported positive.
     """
-    n = np.asarray(n, dtype=float)
-    out = (
-        params.damping
-        * params.hbar
-        * np.exp(-params.damping * n)
-        / (params.mass * params.omega)
-    )
-    return _scalar_or_array(out)
+    return _scalar_or_array(_rate(params.damping, np.asarray(n, dtype=float), params))
+
+
+def _rate(r, n, params: ClockParams):
+    """The decoherence rate r*hbar*exp(-r*n)/(m*omega) at damping(s) r and time(s) n."""
+    return r * params.hbar * np.exp(-r * n) / (params.mass * params.omega)
 
 
 def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
@@ -179,20 +176,14 @@ def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
         If any n <= 0, or is NaN; names the first.
     """
     n = np.asarray(n, dtype=float)
-    bad = first_outside(n, n > 0.0)
-    if bad is not None:
-        raise NonPositiveTime(f"stationary damping requires n > 0, got {bad}")
+    _require(n, n > 0.0, lambda v: NonPositiveTime(f"stationary damping requires n > 0, got {v}"))
     r_star = 1.0 / n
-    scale = r_star * params.hbar * np.exp(-r_star * n) / (params.mass * params.omega)
     d2 = (
         params.hbar / (params.mass * params.omega) * n * np.exp(-r_star * n) * (r_star * n - 2.0)
     )
     kind = np.where(d2 < 0.0, "maximum", "flat")  # "flat" where d2 underflows to -0.0 or is NaN
-    if n.ndim:
-        return StationaryDamping(r_star=r_star, classification=kind, second_difference=d2, rate=scale)
-    return StationaryDamping(
-        r_star=float(r_star), classification=str(kind), second_difference=float(d2), rate=float(scale)
-    )
+    fields = r_star, kind, d2, _rate(r_star, n, params)
+    return StationaryDamping(*map(_scalar_or_array, fields))
 
 
 def recommend_damping(n_reset: float, params: ClockParams) -> float:

@@ -31,10 +31,11 @@ from .params import (
     OutOfRange,
     SystemSpec,
     _checked_whole,
+    _scalar_or_array,
     check_abstract_time,
 )
 from .clock import _envelope, _envelope_terms, width
-from .evolution import evolve_exact
+from .evolution import _inner, evolve_exact
 from .timemap import n_from_x_exact, n_from_x_log
 
 __all__ = [
@@ -311,18 +312,15 @@ def conditional_system_probability(history: HistoryState, x, projector):
         np.multiply(weights[first:last], out, out=weighted[:size])
         np.dot(row[:size], states[first:last], out=conditioned[index])
 
-    # Batched matmul makes one BLAS dot per value, which rounds as np.vdot
-    # does; einsum rounds differently on a general complex v.
-    bras = conditioned.conj()[:, None, :]
-    denominators = np.matmul(bras, conditioned[:, :, None])[:, 0, 0].real
+    denominators = _inner(conditioned, conditioned).real
     unreachable = ~np.isfinite(denominators) | (denominators < _SUPPORT_FLOOR)
     if unreachable.any():
         index = np.argmax(unreachable)
         raise DegenerateSupport(
             f"reading x = {readings[index]} is unreachable: conditioning weight {denominators[index]}"
         )
-    kets = np.matmul(projectors[:, None], conditioned[:, :, None])
-    values = np.matmul(bras, kets)[..., 0, 0] / denominators
+    kets = np.matmul(projectors[:, None], conditioned[:, :, None])[..., 0]
+    values = _inner(conditioned, kets) / denominators
     residue = np.abs(values.imag) > 1e-9
     if residue.any():
         index, j = np.argwhere(residue.T)[0]
@@ -337,7 +335,5 @@ def conditional_system_probability(history: HistoryState, x, projector):
             f"conditional probability {values[j, index].real} at reading x = {readings[index]}"
             " outside [0, 1] tolerance"
         )
-    out = np.clip(values.real, 0.0, 1.0)
-    if single:
-        return out[0].reshape(x.shape) if x.ndim else float(out[0, 0])
-    return out.reshape(out.shape[:1] + x.shape)
+    out = np.clip(values.real, 0.0, 1.0).reshape(values.shape[:1] + x.shape)
+    return _scalar_or_array(out[0] if single else out)

@@ -48,7 +48,7 @@ class EvolutionComparisonTable:
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a|b> over the last axis; each value equals np.vdot of its pair."""
+    """<a|b> over the last axis, one BLAS dot per value: each rounds as np.vdot (not einsum)."""
     return np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
 
 

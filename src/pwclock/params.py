@@ -292,16 +292,15 @@ def _checked_whole(name: str, value, minimum: int) -> int:
 
 
 def _scalar_or_array(out):
-    """``out`` itself for an array result, a float for a 0-d one."""
-    return out if out.ndim else float(out)
+    """``out`` itself for an array result, its Python float, complex or str for a 0-d one."""
+    return out if out.ndim else out.item()
 
 
-def first_outside(values, inside) -> float | None:
-    """First of the values (in C order) where ``inside`` is False; None if there is none."""
+def _require(values, inside, error) -> None:
+    """Raise ``error(v)`` for the first value v, a float in C order, where ``inside`` is False."""
     inside = np.asarray(inside).reshape(-1)
-    if inside.all():
-        return None
-    return float(np.asarray(values, dtype=float).reshape(-1)[np.argmin(inside)])
+    if not inside.all():
+        raise error(float(np.asarray(values, dtype=float).reshape(-1)[np.argmin(inside)]))
 
 
 def check_abstract_time(n, params: ClockParams):
@@ -311,7 +310,7 @@ def check_abstract_time(n, params: ClockParams):
     running window. NaN is rejected.
     """
     times = np.asarray(n, dtype=float)
-    bad = first_outside(times, (times >= 0.0) & (times <= params.n_reset))
-    if bad is not None:
-        raise InvalidAbstractTime(f"n = {bad} outside the running window [0, {params.n_reset}]")
+    window = f"the running window [0, {params.n_reset}]"
+    inside = (times >= 0.0) & (times <= params.n_reset)
+    _require(times, inside, lambda v: InvalidAbstractTime(f"n = {v} outside {window}"))
     return n

@@ -24,8 +24,8 @@ from .params import (
     OutOfRange,
     ZeroDamping,
     _checked_whole,
+    _require,
     _scalar_or_array,
-    first_outside,
 )
 from .clock import position_expectation
 
@@ -71,13 +71,6 @@ def _check_monotone_window(params: ClockParams) -> None:
         )
 
 
-def _require_within(x: np.ndarray, inside: np.ndarray, interval: str) -> None:
-    """Raise OutOfRange naming the first reading not marked inside (NaN included)."""
-    bad = first_outside(x, inside)
-    if bad is not None:
-        raise OutOfRange(f"reading x = {bad} outside {interval}")
-
-
 def n_from_x_exact(x, params: ClockParams):
     """Unique n in [0, n_reset) with position_expectation(n) = x, per reading.
 
@@ -108,7 +101,9 @@ def n_from_x_exact(x, params: ClockParams):
     amp = params.amplitude
     floor = position_expectation(params.n_reset, params)
     x = np.asarray(x, dtype=float)
-    _require_within(x, (x > floor) & (x <= amp), f"the attained interval ({floor}, {amp}]")
+    interval = f"the attained interval ({floor}, {amp}]"
+    inside = (x > floor) & (x <= amp)
+    _require(x, inside, lambda v: OutOfRange(f"reading x = {v} outside {interval}"))
 
     readings = x.reshape(-1)
     out = np.zeros(readings.size)  # x == A maps to n = 0
@@ -161,8 +156,9 @@ def n_from_x_log(x, params: ClockParams):
     if params.damping == 0.0:
         raise ZeroDamping("log-form inversion undefined for r = 0")
     x = np.asarray(x, dtype=float)
-    _require_within(x, (x > 0.0) & (x <= params.amplitude), f"(0, {params.amplitude}]")
-    return _scalar_or_array((2.0 / params.damping) * np.log(params.amplitude / x))
+    amp = params.amplitude
+    _require(x, (x > 0.0) & (x <= amp), lambda v: OutOfRange(f"reading x = {v} outside (0, {amp}]"))
+    return _scalar_or_array((2.0 / params.damping) * np.log(amp / x))
 
 
 def n_from_x_linear(x, params: ClockParams):
@@ -178,10 +174,9 @@ def n_from_x_linear(x, params: ClockParams):
     if params.damping == 0.0:
         raise ZeroDamping("linear inversion undefined for r = 0")
     x = np.asarray(x, dtype=float)
-    _require_within(x, x <= params.amplitude, f"(-inf, {params.amplitude}]")
-    return _scalar_or_array(
-        2.0 * (params.amplitude - x) / (params.damping * params.amplitude)
-    )
+    amp = params.amplitude
+    _require(x, x <= amp, lambda v: OutOfRange(f"reading x = {v} outside (-inf, {amp}]"))
+    return _scalar_or_array(2.0 * (amp - x) / (params.damping * amp))
 
 
 def invert_position(x, params: ClockParams) -> TimeMapResult:

@@ -370,6 +370,56 @@ def test_cli_overrides_beat_config(tmp_path):
     assert cfg.seed == 9
 
 
+# A command line with a bad number or experiment name, and what its error names.
+BAD_COMMAND_LINES = {
+    **{f"oracle-check --grid {v}": "--grid" for v in ("abc", "nan", "inf")},
+    **{f"oracle-check --grid {v}": "grid_size" for v in ("2.5", "8")},
+    **{f"oracle-check --seed {v}": "--seed" for v in ("abc", "nan")},
+    **{f"oracle-check --seed {v}": "seed" for v in ("1.5", "-1")},
+    "nosuch": "experiment",
+}
+
+
+@pytest.mark.parametrize("command", BAD_COMMAND_LINES)
+def test_bad_command_line_value_exits_one_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main(command.split() + ["--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert BAD_COMMAND_LINES[command] in json.loads(line)["error"]["message"]
+    assert not out.exists()
+
+
+def outputs(out):
+    """Each file's bytes under ``out``, meta.json without its timing and output path."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            meta = json.loads(path.read_text(encoding="utf-8"))
+            del meta["duration_seconds"], meta["config"]["output_path"]
+            files[path.name] = meta
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize(
+    "flags, reference",
+    [
+        (["--grid", "64.0"], ["--grid", "64"]),
+        (["--grid", "6.4e1"], ["--grid", "64"]),
+        (["--seed", str(2**64 + 5)], {"seed": 2**64 + 5}),
+    ],
+)
+def test_command_line_numbers_follow_the_config_rule(tmp_path, flags, reference):
+    """--grid and --seed take any whole number the config takes, to the same bytes."""
+    assert main(["oracle-check", "--out", str(tmp_path / "flag")] + flags) == 0
+    if isinstance(reference, dict):
+        run(resolve_config("oracle-check", out=str(tmp_path / "ref"), **reference))
+    else:
+        assert main(["oracle-check", "--out", str(tmp_path / "ref")] + reference) == 0
+    assert outputs(tmp_path / "flag") == outputs(tmp_path / "ref")
+
+
 def test_run_returns_paths(tmp_path):
     cfg = resolve_config("posterior", None, out=str(tmp_path / "o"))
     result = run(cfg)

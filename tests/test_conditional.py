@@ -404,7 +404,7 @@ def test_projector_stack_matches_single_calls(history, fractions, names):
 
 
 @pytest.mark.parametrize("names", [None, ("plus",), ("plus", "minus"), tuple(sorted(PROJECTORS))])
-def test_conditioning_computes_amplitudes_once_per_block(history, monkeypatch, names):
+def test_conditioning_computes_amplitudes_once_per_reading_band(history, monkeypatch, names):
     # 257 readings over [0.05, 0.95] * n_reset at K = 2048. Each evaluates
     # exactly its band, once and in reading order: 257 calls and 114,255
     # amplitudes, against 526,336 for the whole grid.

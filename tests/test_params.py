@@ -21,12 +21,22 @@ from pwclock import (
     build_history_state,
     check_abstract_time,
     compare_evolutions,
+    conditional_system_probability,
+    damping_stationary_point,
+    decoherence_rate,
     default_qubit_spec,
+    evolve_exact,
+    fidelity,
     linearization_report,
+    n_from_x_exact,
+    n_from_x_linear,
+    n_from_x_log,
     position_expectation,
     posterior_over_n,
     validate_clock_params,
     validate_system_spec,
+    wavefunction,
+    width,
 )
 
 
@@ -240,3 +250,50 @@ def test_library_grid_size_is_a_whole_number_at_least_its_minimum(name):
     expected = call(params, 64)
     for same in (np.int64(64), 64.0):
         np.testing.assert_array_equal(call(params, same), expected, strict=True)
+
+
+
+# Each closed form, inversion, fidelity and conditioning call at time(s) n on
+# one clock (its readings are <x>(n)), and the Python type one time gives.
+SCALAR_CLOCK = ClockParams(damping=0.5, n_reset=1.5)
+QUBIT = default_qubit_spec()
+HALF = np.full((2, 2), 0.5, dtype=complex)  # projector onto (1, 1)/sqrt(2)
+
+
+def reading(n):
+    return position_expectation(n, SCALAR_CLOCK)
+
+
+SCALAR_TAKERS = {
+    "position_expectation": (reading, float),
+    "width": (lambda n: width(n, SCALAR_CLOCK), float),
+    "decoherence_rate": (lambda n: decoherence_rate(n, SCALAR_CLOCK), float),
+    "fidelity": (lambda n: fidelity(evolve_exact(QUBIT, n), QUBIT.initial_state), float),
+    "n_from_x_exact": (lambda n: n_from_x_exact(reading(n), SCALAR_CLOCK), float),
+    "n_from_x_log": (lambda n: n_from_x_log(reading(n), SCALAR_CLOCK), float),
+    "n_from_x_linear": (lambda n: n_from_x_linear(reading(n), SCALAR_CLOCK), float),
+    "conditional_system_probability": (
+        lambda n: conditional_system_probability(
+            build_history_state(QUBIT, SCALAR_CLOCK, 256), reading(n), HALF
+        ),
+        float,
+    ),
+    "wavefunction": (lambda n: wavefunction(reading(n), n, SCALAR_CLOCK), complex),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_TAKERS)
+def test_scalar_input_gives_a_python_scalar(name):
+    call, kind = SCALAR_TAKERS[name]
+    assert type(call(0.5)) is kind
+    assert type(call(np.float64(0.5))) is kind
+    assert type(call(np.array([0.4, 0.5]))) is np.ndarray
+
+
+def test_stationary_damping_fields_are_python_scalars_for_one_time():
+    def field_types(n):
+        point = damping_stationary_point(n, SCALAR_CLOCK)
+        return [type(getattr(point, f.name)) for f in dataclasses.fields(point)]
+
+    assert field_types(0.5) == [float, str, float, float]
+    assert field_types(np.array([0.5, 1.0])) == [np.ndarray] * 4

@@ -225,6 +225,20 @@ def test_timemap_default_inverts_in_few_rounds(monkeypatch):
     assert np.max(np.abs(table.n_exact - grid)) <= 1e-13
 
 
+def test_newton_value_rounds_as_position_expectation():
+    # The exact round trip, and x = A -> n = 0, rest on Newton's f(n) being
+    # position_expectation(n) to the bit.
+    rng = np.random.default_rng(2024)
+    clocks = [random_invertible_params(rng) for _ in range(50)]
+    grids = [np.linspace(0.0, params.n_reset, 8193) for params in clocks]
+    default = resolve_config("timemap").clock  # on linearization_report's grid
+    clocks.append(default)
+    grids.append(np.arange(8192) * (default.n_reset / 8192))
+    for params, n in zip(clocks, grids):
+        newton_value, _ = timemap._value_and_slope(n, params)
+        assert np.array_equal(newton_value, position_expectation(n, params))
+
+
 def test_non_monotonic_window_guard():
     params = validate_clock_params(ClockParams(damping=0.1, n_reset=10.0, alpha=1.0))
     assert params.damped_frequency * params.n_reset >= math.pi / 2.0
