@@ -77,11 +77,6 @@ _NARROW_CLOCK = dict(
     alpha=[np.sqrt(0.5), 0.0],
 )
 
-# The keys each part of a config document may hold; any other is rejected.
-_CONFIG_KEYS = ("clock", "system", "experiment", "grid_size", "output_path", "seed", "options")
-_CLOCK_KEYS = tuple(f.name for f in fields(ClockParams))
-_SYSTEM_KEYS = tuple(f.name for f in fields(SystemSpec))
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -99,6 +94,13 @@ class ExperimentConfig:
     output_path: str
     seed: int
     options: dict
+
+
+# The keys each part of a config document may hold; any other is rejected. The
+# top level holds every ExperimentConfig field but the merged clock document.
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "clock_doc")
+_CLOCK_KEYS = tuple(f.name for f in fields(ClockParams))
+_SYSTEM_KEYS = tuple(f.name for f in fields(SystemSpec))
 
 
 @dataclass(frozen=True)
@@ -443,8 +445,8 @@ def run(cfg: ExperimentConfig, computed=None) -> RunResult:
     """Run one experiment; write its CSV and meta sidecar; return the paths.
 
     ``computed`` is the experiment's ``_compute(cfg)`` when it already ran:
-    ``main`` computes a whole bundle before writing, so a failing experiment
-    leaves no file behind.
+    ``main`` computes every experiment it runs before writing, so a failing
+    experiment leaves no file behind.
     """
     header, rows, extras, seconds = computed or _compute(cfg)
     started = time.perf_counter()
@@ -460,15 +462,11 @@ def run(cfg: ExperimentConfig, computed=None) -> RunResult:
         "csv_file": csv_path.name,
         "library_version": __version__,
         "duration_seconds": seconds + time.perf_counter() - started,
-        "config": {
-            "clock": _clock_to_doc(cfg.clock),
-            "system": _system_to_doc(cfg.system),
-            "experiment": cfg.experiment,
-            "grid_size": cfg.grid_size,
-            "output_path": cfg.output_path,
-            "seed": cfg.seed,
-            "options": cfg.options,
-        },
+        "config": dict(
+            {key: getattr(cfg, key) for key in _CONFIG_KEYS},
+            clock=_clock_to_doc(cfg.clock),
+            system=_system_to_doc(cfg.system),
+        ),
         "derived": _derived_constants(cfg),
     }
     meta.update(extras)
@@ -508,8 +506,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> list[dict]:
             entry["csv"] = str(result.csv_path)
             entry["meta"] = str(result.meta_path)
         except Exception as exc:  # recorded per value, index still written
-            entry["status"] = "error"
-            entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
+            entry.update(status="error", **_error_doc(exc))
         entries.append(entry)
 
     out_dir = Path(cfg.output_path)
@@ -524,26 +521,9 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> list[dict]:
     return entries
 
 
-def _emit_error(exc: Exception) -> None:
-    payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    print(json.dumps(payload), file=sys.stderr)
-
-
-def _parse_sweep_flag(text: str) -> tuple[str, list[float]]:
-    if "=" not in text:
-        raise ValidationError("--sweep expects param=v1,v2,...")
-    name, _, raw = text.partition("=")
-    name = name.strip()
-    pieces = [p for p in raw.split(",") if p.strip()]
-    try:
-        values = [float(p) for p in pieces]
-    except ValueError as exc:
-        raise ValidationError(f"--sweep values must be numbers, got {raw!r}") from exc
-    if not all(np.isfinite(values)):
-        raise ValidationError(f"--sweep values must be finite, got {raw!r}")
-    if name == "grid_size":
-        values = [_checked_whole("grid_size", v, 16) for v in values]
-    return name, values
+def _error_doc(exc: Exception) -> dict:
+    """The error object of the stderr line and of a failed sweep entry."""
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
 def _flag_number(flag: str, text: str | None):
@@ -559,6 +539,18 @@ def _flag_number(flag: str, text: str | None):
     if not math.isfinite(value):
         raise ValidationError(f"{flag} must be a finite number, got {text!r}")
     return value
+
+
+def _parse_sweep_flag(text: str) -> tuple[str, list]:
+    """The parameter and values of ``param=v1,v2,...``, each value read as --grid's is."""
+    if "=" not in text:
+        raise ValidationError("--sweep expects param=v1,v2,...")
+    name, _, raw = text.partition("=")
+    name = name.strip()
+    values = [_flag_number("--sweep", piece) for piece in raw.split(",") if piece.strip()]
+    if name == "grid_size":
+        return name, [_checked_whole("grid_size", v, 16) for v in values]
+    return name, [_real("--sweep", v) for v in values]
 
 
 def __getattr__(name: str):
@@ -595,34 +587,25 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
 
-        if args.experiment == "all":
-            if args.sweep is not None:
-                raise ValidationError("--sweep is not supported with the 'all' bundle")
-            # Resolve and compute every experiment before the first write, so a
-            # bad config or a failing run writes no CSV.
-            configs = [resolve_config(name, doc, args.out, grid, seed) for name in EXPERIMENTS]
-            computed = [_compute(cfg) for cfg in configs]
-            for cfg, result in zip(configs, computed):
-                run(cfg, result)
-            return 0
-
-        cfg = resolve_config(args.experiment, doc, args.out, grid, seed)
+        names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
+        if args.sweep is not None and len(names) > 1:
+            raise ValidationError("--sweep is not supported with the 'all' bundle")
+        # Resolve and compute every experiment before the first write, so a
+        # bad config or a failing run writes no CSV.
+        configs = [resolve_config(name, doc, args.out, grid, seed) for name in names]
         if args.sweep is not None:
-            parameter, values = _parse_sweep_flag(args.sweep)
-            entries = sweep(cfg, parameter, values)
-            if any(e["status"] != "ok" for e in entries):
-                failed = [e for e in entries if e["status"] != "ok"]
-                _emit_error(NumericalError(f"{len(failed)} sweep value(s) failed"))
-                return 1
+            entries = sweep(configs[0], *_parse_sweep_flag(args.sweep))
+            failed = sum(entry["status"] != "ok" for entry in entries)
+            if failed:
+                raise NumericalError(f"{failed} sweep value(s) failed")
             return 0
-        run(cfg)
+        computed = [_compute(cfg) for cfg in configs]
+        for cfg, result in zip(configs, computed):
+            run(cfg, result)
         return 0
-    except OSError as exc:
-        _emit_error(exc)
-        return 2
-    except (ValidationError, NumericalError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _emit_error(exc)
-        return 1
+    except (OSError, ValidationError, NumericalError, ValueError, KeyError) as exc:
+        print(json.dumps(_error_doc(exc)), file=sys.stderr)
+        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

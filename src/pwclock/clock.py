@@ -25,6 +25,7 @@ from .params import (
     ClockParams,
     NonPositiveTime,
     UnderDampingViolated,
+    ValidationError,
     _require,
     _scalar_or_array,
     check_abstract_time,
@@ -174,9 +175,13 @@ def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
     ------
     NonPositiveTime
         If any n <= 0, or is NaN; names the first.
+    ValidationError
+        If any n is +inf; names the first.
     """
     n = np.asarray(n, dtype=float)
-    _require(n, n > 0.0, lambda v: NonPositiveTime(f"stationary damping requires n > 0, got {v}"))
+    _require(n, n > 0.0, lambda v, _: NonPositiveTime(f"stationary damping requires n > 0, got {v}"))
+    _require(n, n < np.inf, lambda v, _: ValidationError(
+        f"stationary damping requires finite n, got {v}"))
     r_star = 1.0 / n
     d2 = (
         params.hbar / (params.mass * params.omega) * n * np.exp(-r_star * n) * (r_star * n - 2.0)

@@ -30,7 +30,9 @@ from .params import (
     NotAProjector,
     OutOfRange,
     SystemSpec,
+    ValidationError,
     _checked_whole,
+    _require,
     _scalar_or_array,
     check_abstract_time,
 )
@@ -133,10 +135,14 @@ def ideal_limit_concentration(
 
     Raises
     ------
+    ValidationError
+        If window is not a finite number > 0.
     OutOfRange
         If x exceeds the amplitude, or lies below the attainable window for
         an undamped clock.
     """
+    _require(window, 0.0 < window < np.inf, lambda v, _: ValidationError(
+        f"window must be a finite number > 0, got {v}"))
     try:
         center = n_from_x_exact(x, params)
     except OutOfRange:
@@ -313,27 +319,19 @@ def conditional_system_probability(history: HistoryState, x, projector):
         np.dot(row[:size], states[first:last], out=conditioned[index])
 
     denominators = _inner(conditioned, conditioned).real
-    unreachable = ~np.isfinite(denominators) | (denominators < _SUPPORT_FLOOR)
-    if unreachable.any():
-        index = np.argmax(unreachable)
-        raise DegenerateSupport(
-            f"reading x = {readings[index]} is unreachable: conditioning weight {denominators[index]}"
-        )
+    reachable = np.isfinite(denominators) & (denominators >= _SUPPORT_FLOOR)
+    _require(denominators, reachable, lambda v, i: DegenerateSupport(
+        f"reading x = {readings[i]} is unreachable: conditioning weight {v}"))
     kets = np.matmul(projectors[:, None], conditioned[:, :, None])[..., 0]
-    values = _inner(conditioned, kets) / denominators
-    residue = np.abs(values.imag) > 1e-9
-    if residue.any():
-        index, j = np.argwhere(residue.T)[0]
-        raise DegenerateSupport(
-            f"imaginary residue {values[j, index].imag} exceeds 1e-9 at reading x = {readings[index]};"
-            " projector arithmetic degenerated"
-        )
-    outside = (values.real < -1e-9) | (values.real > 1.0 + 1e-9)
-    if outside.any():
-        index, j = np.argwhere(outside.T)[0]
-        raise DegenerateSupport(
-            f"conditional probability {values[j, index].real} at reading x = {readings[index]}"
-            " outside [0, 1] tolerance"
-        )
-    out = np.clip(values.real, 0.0, 1.0).reshape(values.shape[:1] + x.shape)
+    # Reading-major, (reading, projector): flat index i is reading i // p. NaN
+    # passes both checks ("not >"), and the clip keeps it.
+    values = (_inner(conditioned, kets) / denominators).T
+    p = len(projectors)
+    _require(values.imag, ~(np.abs(values.imag) > 1e-9), lambda v, i: DegenerateSupport(
+        f"imaginary residue {v} exceeds 1e-9 at reading x = {readings[i // p]};"
+        " projector arithmetic degenerated"))
+    in_range = ~((values.real < -1e-9) | (values.real > 1.0 + 1e-9))
+    _require(values.real, in_range, lambda v, i: DegenerateSupport(
+        f"conditional probability {v} at reading x = {readings[i // p]} outside [0, 1] tolerance"))
+    out = np.clip(values.real.T, 0.0, 1.0).reshape((p,) + x.shape)
     return _scalar_or_array(out[0] if single else out)

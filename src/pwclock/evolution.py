@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ClockParams, EigenFailure, SystemSpec, _checked_whole, _scalar_or_array
+from .params import (
+    ClockParams,
+    EigenFailure,
+    SystemSpec,
+    ValidationError,
+    _checked_whole,
+    _require,
+    _scalar_or_array,
+)
 from .clock import position_expectation
 from .timemap import n_from_x_linear
 
@@ -80,8 +88,14 @@ def evolve_exact(spec: SystemSpec, n) -> np.ndarray:
     equals the state a scalar call for its time returns. Unitarity holds to
     rounding because the propagator is assembled from real eigenphases.
     Rows with ``n == 0`` are the initial state itself.
+
+    Raises
+    ------
+    ValidationError
+        If any n is not finite; names the first.
     """
     n = np.asarray(n, dtype=float)
+    _require(n, np.isfinite(n), lambda v, _: ValidationError(f"n must be finite, got {v}"))
     energies, modes = _eigensystem(spec)
     coeffs = modes.conj().T @ spec.initial_state
     phased = np.exp(1j * energies * n[..., None]) * coeffs

@@ -297,10 +297,12 @@ def _scalar_or_array(out):
 
 
 def _require(values, inside, error) -> None:
-    """Raise ``error(v)`` for the first value v, a float in C order, where ``inside`` is False."""
+    """Raise ``error(v, i)`` at the first False in ``inside``, in C order: v is the value
+    there, as a float, and i its flat index."""
     inside = np.asarray(inside).reshape(-1)
     if not inside.all():
-        raise error(float(np.asarray(values, dtype=float).reshape(-1)[np.argmin(inside)]))
+        index = int(np.argmin(inside))
+        raise error(float(np.asarray(values, dtype=float).reshape(-1)[index]), index)
 
 
 def check_abstract_time(n, params: ClockParams):
@@ -312,5 +314,5 @@ def check_abstract_time(n, params: ClockParams):
     times = np.asarray(n, dtype=float)
     window = f"the running window [0, {params.n_reset}]"
     inside = (times >= 0.0) & (times <= params.n_reset)
-    _require(times, inside, lambda v: InvalidAbstractTime(f"n = {v} outside {window}"))
+    _require(times, inside, lambda v, _: InvalidAbstractTime(f"n = {v} outside {window}"))
     return n

@@ -103,7 +103,7 @@ def n_from_x_exact(x, params: ClockParams):
     x = np.asarray(x, dtype=float)
     interval = f"the attained interval ({floor}, {amp}]"
     inside = (x > floor) & (x <= amp)
-    _require(x, inside, lambda v: OutOfRange(f"reading x = {v} outside {interval}"))
+    _require(x, inside, lambda v, _: OutOfRange(f"reading x = {v} outside {interval}"))
 
     readings = x.reshape(-1)
     out = np.zeros(readings.size)  # x == A maps to n = 0
@@ -157,7 +157,7 @@ def n_from_x_log(x, params: ClockParams):
         raise ZeroDamping("log-form inversion undefined for r = 0")
     x = np.asarray(x, dtype=float)
     amp = params.amplitude
-    _require(x, (x > 0.0) & (x <= amp), lambda v: OutOfRange(f"reading x = {v} outside (0, {amp}]"))
+    _require(x, (x > 0.0) & (x <= amp), lambda v, _: OutOfRange(f"reading x = {v} outside (0, {amp}]"))
     return _scalar_or_array((2.0 / params.damping) * np.log(amp / x))
 
 
@@ -175,7 +175,7 @@ def n_from_x_linear(x, params: ClockParams):
         raise ZeroDamping("linear inversion undefined for r = 0")
     x = np.asarray(x, dtype=float)
     amp = params.amplitude
-    _require(x, x <= amp, lambda v: OutOfRange(f"reading x = {v} outside (-inf, {amp}]"))
+    _require(x, x <= amp, lambda v, _: OutOfRange(f"reading x = {v} outside (-inf, {amp}]"))
     return _scalar_or_array(2.0 * (amp - x) / (params.damping * amp))
 
 

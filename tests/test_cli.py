@@ -180,11 +180,14 @@ def test_empty_sweep_flag_exits_one(tmp_path, capsys):
     assert err["error"]["type"] == "NoValues"
 
 
-@pytest.mark.parametrize("values", ["nan", "0.5,nan", "inf"])
+@pytest.mark.parametrize(
+    "values", ["nan", "0.5,nan", "inf", "0.1,abc", "0.1,1e400", pytest.param("1" * 400, id="400-digits")]
+)
 def test_non_finite_sweep_flag_exits_one(tmp_path, capsys, values):
     out = tmp_path / "o"
     assert main(["timemap", "--out", str(out), "--sweep", f"r={values}"]) == 1
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValidationError"
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"]["type"] == "ValidationError"
     assert not out.exists()
 
 
@@ -210,6 +213,16 @@ def test_sweep_records_per_value_failures(tmp_path):
     assert entries[1]["status"] == "error"
     assert entries[1]["error"]["type"] == "OverDamped"
     assert (tmp_path / "sw" / "sweep_index.json").exists()
+
+
+def test_failed_sweep_value_exits_one_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["clock-profile", "--out", str(out), "--sweep", "r=0.1,5.0"]) == 1  # 5.0 over-damped
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": {"type": "NumericalError", "message": "1 sweep value(s) failed"}
+    }
+    assert (out / "sweep_index.json").exists()
 
 
 def test_invalid_config_exits_one(tmp_path, capsys):

@@ -9,6 +9,7 @@ from pwclock import (
     InvalidAbstractTime,
     NonPositiveTime,
     UnderDampingViolated,
+    ValidationError,
     damping_stationary_point,
     decoherence_rate,
     position_expectation,
@@ -175,6 +176,18 @@ def test_stationary_damping_rejects_nonpositive_time():
         damping_stationary_point(0.0, ClockParams(n_reset=1.0))
     with pytest.raises(NonPositiveTime, match="got -1.0"):
         damping_stationary_point(np.array([1.0, -1.0, 0.0]), ClockParams(n_reset=1.0))
+
+
+def test_stationary_damping_rejects_non_finite_time():
+    params = ClockParams(n_reset=1.0)
+    with pytest.raises(ValidationError, match="^stationary damping requires finite n, got inf$"):
+        damping_stationary_point(math.inf, params)
+    with pytest.raises(ValidationError, match="got inf$"):
+        damping_stationary_point(np.array([1.0, math.inf, 2.0]), params)
+    # NaN and -inf keep the n > 0 message.
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(NonPositiveTime, match=f"^stationary damping requires n > 0, got {bad}$"):
+            damping_stationary_point(np.array([1.0, bad]), params)
 
 
 def test_stationary_damping_array_matches_scalar_calls():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pwclock import conditional
 from pwclock.clock import _envelope
+from pwclock.evolution import _inner
 from pwclock import (
     ClockParams,
     DegenerateSupport,
@@ -14,6 +16,7 @@ from pwclock import (
     NotAProjector,
     OutOfRange,
     SystemSpec,
+    ValidationError,
     build_history_state,
     conditional_system_probability,
     default_qubit_spec,
@@ -195,6 +198,14 @@ def test_concentration_rejects_overshoot_reading():
         ideal_limit_concentration(params.amplitude * 1.01, params, 0.05)
 
 
+@pytest.mark.parametrize("window", [math.nan, -1.0, 0.0, math.inf, -math.inf])
+def test_concentration_rejects_a_window_that_is_not_finite_and_positive(window):
+    params = narrow_clock()
+    x = position_expectation(NARROW_PROBE_TIME, params)
+    with pytest.raises(ValidationError, match=f"^window must be a finite number > 0, got {window}$"):
+        ideal_limit_concentration(x, params, window)
+
+
 def test_coherent_overlap_against_quadrature():
     rng = np.random.default_rng(29)
     for _ in range(5):
@@ -349,6 +360,40 @@ def test_conditional_probability_unreachable_reading(history):
     for reading in (math.nan, math.inf, -math.inf):
         with pytest.raises(DegenerateSupport, match=f"x = {reading}"):
             conditional_system_probability(history, np.append(xs[:2], reading), PROJECTOR_PLUS)
+
+
+def perturbed_inner(monkeypatch, offsets):
+    """Patch the inner product seen by conditioning so that each <v|P_j|v>
+    at (projector j, reading i) in ``offsets`` gains offset * <v|v>: the
+    conditional value there moves by exactly that offset, to rounding."""
+    def perturbed(a, b):
+        out = _inner(a, b)
+        if out.ndim == 2:
+            weights = _inner(a, a).real
+            for (j, i), offset in offsets.items():
+                out[j, i] += offset * weights[i]
+        return out
+
+    monkeypatch.setattr(conditional, "_inner", perturbed)
+
+
+@pytest.mark.parametrize(
+    "unit, pattern",
+    [(0.25j, r"imaginary residue 0\.25\d* exceeds 1e-9 at reading x = {x};"),
+     (2.0, r"conditional probability 2\.\d+ at reading x = {x} outside \[0, 1\] tolerance")],
+)
+def test_conditioning_checks_name_the_first_reading_across_a_stack(history, monkeypatch, unit, pattern):
+    # Projector 1 fails at reading 1 and projector 0 at reading 2: in
+    # reading order the first offender is reading 1, though projector 0 comes first.
+    xs = position_expectation(np.array([0.3, 0.5, 0.7]), history.clock_params)
+    stack = np.stack([PROJECTOR_PLUS, PROJECTOR_MINUS])
+    perturbed_inner(monkeypatch, {(1, 1): unit, (0, 2): 2 * unit})
+    with pytest.raises(DegenerateSupport, match=pattern.format(x=re.escape(repr(float(xs[1]))))):
+        conditional_system_probability(history, xs, stack)
+    # A single projector names the reading it fails at.
+    perturbed_inner(monkeypatch, {(0, 2): unit})
+    with pytest.raises(DegenerateSupport, match=pattern.format(x=re.escape(repr(float(xs[2]))))):
+        conditional_system_probability(history, xs, PROJECTOR_PLUS)
 
 
 def test_weights_are_trapezoid(history):

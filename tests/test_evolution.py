@@ -8,6 +8,7 @@ from pwclock import (
     EigenFailure,
     OutOfRange,
     SystemSpec,
+    ValidationError,
     ZeroDamping,
     compare_evolutions,
     default_qubit_spec,
@@ -120,6 +121,16 @@ def test_eigen_failure_on_malformed_matrix():
     )
     with pytest.raises(EigenFailure):
         evolve_exact(bad, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evolve_exact_rejects_non_finite_time(bad):
+    spec = default_qubit_spec()
+    with pytest.raises(ValidationError, match=f"^n must be finite, got {bad}$"):
+        evolve_exact(spec, bad)
+    # An array names its first non-finite time.
+    with pytest.raises(ValidationError, match=f"got {bad}$"):
+        evolve_exact(spec, np.array([[0.5, 1.0], [bad, math.nan]]))
 
 
 def test_clock_route_identity_at_amplitude():
