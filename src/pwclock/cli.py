@@ -163,7 +163,7 @@ def _clock_from_doc(doc: dict) -> ClockParams:
 
 
 def _system_from_doc(doc: dict) -> SystemSpec:
-    dim = _checked_whole("system.dim", doc.get("dim"), 2)
+    dim = _checked_whole("system.dim", doc.get("dim"), 2, None)
     flat = _complex_array("system.hamiltonian", doc.get("hamiltonian"))
     if len(flat) != dim * dim:
         raise ValidationError(
@@ -271,7 +271,7 @@ def resolve_config(
     # The document's values are checked even where an override replaces them.
     grid_size = _checked_whole("grid_size", doc.get("grid_size", default_grid), 16)
     grid_size = grid_size if grid is None else _checked_whole("grid_size", grid, 16)
-    doc_seed = _checked_whole("seed", doc.get("seed", 0), 0)
+    doc_seed = _checked_whole("seed", doc.get("seed", 0), 0, None)
     output_path = doc.get("output_path", "out")
     if not isinstance(output_path, str):
         raise ValidationError(f"output_path must be a string, got {output_path!r}")
@@ -284,7 +284,7 @@ def resolve_config(
         experiment=experiment,
         grid_size=grid_size,
         output_path=output_path,
-        seed=doc_seed if seed is None else _checked_whole("seed", seed, 0),
+        seed=doc_seed if seed is None else _checked_whole("seed", seed, 0, None),
         options=_options_from_doc(doc.get("options", {}), default_options, clock),
     )
 

@@ -32,11 +32,9 @@ from .params import (
 )
 
 __all__ = [
-    "StationaryDamping",
     "wavefunction",
     "position_expectation",
     "width",
-    "width_damping_derivative",
     "decoherence_rate",
     "damping_stationary_point",
     "recommend_damping",
@@ -80,17 +78,6 @@ def width(n, params: ClockParams):
     n = np.asarray(n, dtype=float)
     base = sqrt(params.hbar / (2.0 * params.mass * params.omega))
     out = base * np.exp(-params.damping * n / 2.0)
-    return _scalar_or_array(out)
-
-
-def width_damping_derivative(n, params: ClockParams):
-    """d(width)/dr at fixed n, computed from the width formula: -(n/2)*width(n).
-
-    Strictly negative for n > 0, so no finite damping makes the width
-    stationary; only r -> infinity would.
-    """
-    n = np.asarray(n, dtype=float)
-    out = -(n / 2.0) * width(n, params)
     return _scalar_or_array(out)
 
 
@@ -198,11 +185,15 @@ def recommend_damping(n_reset: float, params: ClockParams) -> float:
     ------
     NonPositiveTime
         If n_reset <= 0, or is NaN.
+    ValidationError
+        If n_reset is +inf.
     UnderDampingViolated
         If 1/(2*n_reset) >= omega.
     """
-    if not n_reset > 0.0:  # NaN fails too
-        raise NonPositiveTime(f"recommendation requires n_reset > 0, got {n_reset}")
+    _require(n_reset, n_reset > 0.0, lambda v, _: NonPositiveTime(
+        f"recommendation requires n_reset > 0, got {v}"))
+    _require(n_reset, n_reset < np.inf, lambda v, _: ValidationError(
+        f"recommendation requires finite n_reset, got {v}"))
     r = 1.0 / n_reset
     if r / 2.0 >= params.omega:
         raise UnderDampingViolated(

@@ -41,8 +41,6 @@ from .evolution import _inner, evolve_exact
 from .timemap import n_from_x_exact, n_from_x_log
 
 __all__ = [
-    "PosteriorDensity",
-    "HistoryState",
     "position_given_n",
     "posterior_over_n",
     "ideal_limit_concentration",
@@ -65,7 +63,7 @@ def position_given_n(x, n, params: ClockParams):
     return _envelope(x, _envelope_terms(n, params)) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorDensity:
     """Normalized density over abstract time conditioned on a reading x.
 
@@ -104,7 +102,7 @@ def posterior_over_n(
     Raises
     ------
     ValidationError
-        If grid_size is not a whole number >= 2.
+        If grid_size is not a whole number in [2, 2**24].
     DegenerateSupport
         If the unnormalized integral underflows (x unreachable).
     """
@@ -154,7 +152,7 @@ def ideal_limit_concentration(
     return posterior.mass_within(center - window, center + window)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoryState:
     """Discretized entangled clock+system state over an abstract-time grid.
 

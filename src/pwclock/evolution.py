@@ -29,7 +29,6 @@ from .clock import position_expectation
 from .timemap import n_from_x_linear
 
 __all__ = [
-    "EvolutionComparisonTable",
     "fidelity",
     "evolve_exact",
     "evolve_via_clock",
@@ -38,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionComparisonTable:
     """Exact vs clock-parameterized evolution on a grid, as columns.
 
@@ -61,11 +60,20 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fidelity(a: np.ndarray, b: np.ndarray):
-    """Squared overlap |<a|b>|^2 of state vectors, normalization-safe.
+    """Squared overlap |<a|b>|^2 / (<a|a> <b|b>) of state vectors, normalization-safe.
 
     Stacks of states (leading axes) give an array of fidelities.
+
+    Raises
+    ------
+    ValidationError
+        If a state of a or b has a zero or non-finite norm; names the first.
     """
-    out = np.abs(_inner(a, b)) ** 2 / (_inner(a, a).real * _inner(b, b).real)
+    norm_a, norm_b = _inner(a, a).real, _inner(b, b).real
+    for name, norm in (("a", norm_a), ("b", norm_b)):
+        _require(norm, (norm > 0.0) & (norm < np.inf), lambda v, i: ValidationError(
+            f"{name} must have a finite nonzero norm, got squared norm {v} at state {i}"))
+    out = np.abs(_inner(a, b)) ** 2 / (norm_a * norm_b)
     return _scalar_or_array(out)
 
 
@@ -117,7 +125,7 @@ def evolve_via_clock(spec: SystemSpec, x, params: ClockParams) -> np.ndarray:
     ZeroDamping
         If r = 0 (the rescaled generator is undefined).
     OutOfRange
-        If any x > A, or is NaN; names the first.
+        If any x > A, or is -inf or NaN; names the first.
     """
     return evolve_exact(spec, n_from_x_linear(x, params))
 

@@ -172,13 +172,14 @@ class ClockParams:
         return replace(self, alpha=complex(re, complex(self.alpha).imag))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemSpec:
     """Finite-dimensional Hermitian generator and initial state of the system.
 
     The generator plays the role of the system Hamiltonian (energy units,
     natural units); the initial state is a unit vector of matching dimension.
-    Arrays are stored read-only so validated specs are safe to share.
+    Arrays are stored read-only so validated specs are safe to share. A spec
+    compares and hashes by identity, as its array fields have no truth value.
     """
 
     dim: int
@@ -276,8 +277,12 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _checked_whole(name: str, value, minimum: int) -> int:
-    """``value`` as an int; anything but a whole number >= minimum raises ValidationError."""
+_MAX_SIZE = 2**24  # largest grid size or reading count; a larger one fails by name
+
+
+def _checked_whole(name: str, value, minimum: int, maximum: int | None = _MAX_SIZE) -> int:
+    """``value`` as an int if a whole number in [minimum, maximum] (None: no ceiling), else
+    ValidationError."""
     if not _is_number(value):
         raise ValidationError(f"{name} must be a whole number, got {value!r}")
     try:
@@ -288,6 +293,8 @@ def _checked_whole(name: str, value, minimum: int) -> int:
         raise ValidationError(f"{name} must be a whole number, got {value!r}")
     if number < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and number > maximum:
+        raise ValidationError(f"{name} must be <= {maximum}, got {value!r}")
     return number
 
 

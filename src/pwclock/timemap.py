@@ -30,7 +30,6 @@ from .params import (
 from .clock import position_expectation
 
 __all__ = [
-    "TimeMapResult",
     "n_from_x_exact",
     "n_from_x_log",
     "n_from_x_linear",
@@ -169,13 +168,14 @@ def n_from_x_linear(x, params: ClockParams):
     ZeroDamping
         If r = 0; callers must use n_from_x_exact instead.
     OutOfRange
-        If any x > A, or is NaN; names the first.
+        If any x > A, or is -inf or NaN; names the first.
     """
     if params.damping == 0.0:
         raise ZeroDamping("linear inversion undefined for r = 0")
     x = np.asarray(x, dtype=float)
     amp = params.amplitude
-    _require(x, x <= amp, lambda v, _: OutOfRange(f"reading x = {v} outside (-inf, {amp}]"))
+    inside = (x > -np.inf) & (x <= amp)
+    _require(x, inside, lambda v, _: OutOfRange(f"reading x = {v} outside (-inf, {amp}]"))
     return _scalar_or_array(2.0 * (amp - x) / (params.damping * amp))
 
 
@@ -186,14 +186,8 @@ def invert_position(x, params: ClockParams) -> TimeMapResult:
     n_lin = n_from_x_linear(x, params)
     rel = np.abs(np.subtract(n_lin, n_exact)) / np.maximum(n_exact, _EPS_FLOOR)
     x = np.asarray(x, dtype=float)
-    return TimeMapResult(
-        x=_scalar_or_array(x),
-        y=_scalar_or_array(params.amplitude - x),
-        n_exact=n_exact,
-        n_log=n_log,
-        n_linear=n_lin,
-        rel_error_linear=_scalar_or_array(rel),
-    )
+    fields = x, params.amplitude - x, n_exact, n_log, n_lin, rel
+    return TimeMapResult(*(_scalar_or_array(np.asarray(field)) for field in fields))
 
 
 def linearization_report(params: ClockParams, grid_size: int) -> TimeMapResult:
@@ -206,7 +200,7 @@ def linearization_report(params: ClockParams, grid_size: int) -> TimeMapResult:
     Raises
     ------
     ValidationError
-        If grid_size is not a whole number >= 2.
+        If grid_size is not a whole number in [2, 2**24].
     ZeroDamping, NonMonotonicWindow
         Propagated from the inversions.
     """

@@ -24,6 +24,7 @@ from pwclock.cli import (
     run,
     sweep,
 )
+from pwclock.params import _MAX_SIZE
 
 
 def read_csv(path):
@@ -376,6 +377,23 @@ def test_resolve_config_guards():
         resolve_config("posterior", {"clock": {"damping": "auto", "n_reset": "auto"}})
 
 
+def test_sizes_have_a_ceiling_and_seeds_do_not(tmp_path):
+    too_big = [
+        ("grid_size", {"grid_size": _MAX_SIZE + 1}, None),
+        ("grid_size", {}, _MAX_SIZE + 1),
+        ("num_readings", {"options": {"num_readings": 10**12}}, None),
+    ]
+    for name, doc, grid in too_big:
+        with pytest.raises(ValidationError, match=rf"^{name} must be <= {_MAX_SIZE}, got "):
+            resolve_config("oracle-check", doc, grid=grid)
+    assert resolve_config("oracle-check", {"grid_size": _MAX_SIZE}).grid_size == _MAX_SIZE
+    assert resolve_config("oracle-check", {"seed": 2**100}).seed == 2**100
+    # A sweep value meets the ceiling before any array is allocated for it.
+    cfg = resolve_config("posterior", out=str(tmp_path))
+    [entry] = sweep(cfg, "grid_size", [10**20])
+    assert entry["error"]["message"] == f"grid_size must be <= {_MAX_SIZE}, got {10**20}"
+
+
 def test_cli_overrides_beat_config(tmp_path):
     doc = {"grid_size": 64, "seed": 5}
     cfg = resolve_config("clock-profile", doc, grid=128, seed=9)
@@ -390,6 +408,8 @@ BAD_COMMAND_LINES = {
     **{f"oracle-check --seed {v}": "--seed" for v in ("abc", "nan")},
     **{f"oracle-check --seed {v}": "seed" for v in ("1.5", "-1")},
     "nosuch": "experiment",
+    f"oracle-check --grid {10**20}": "grid_size must be <=",
+    f"oracle-check --sweep grid_size=64,{10**20}": "grid_size must be <=",
 }
 
 

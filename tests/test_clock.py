@@ -17,7 +17,6 @@ from pwclock import (
     validate_clock_params,
     wavefunction,
     width,
-    width_damping_derivative,
 )
 
 from oracles import (
@@ -207,20 +206,8 @@ def test_recommend_damping():
     assert recommend_damping(10.0, params) == pytest.approx(0.1, rel=1e-15)
     with pytest.raises(UnderDampingViolated):
         recommend_damping(0.4, params)
-    assert recommend_damping(math.inf, params) == 0.0
     with pytest.raises(NonPositiveTime, match="nan"):
         recommend_damping(math.nan, params)
-
-
-def test_width_damping_derivative_matches_fd():
-    params = ClockParams(damping=0.5, n_reset=2.0)
-
-    def width_of_r(r):
-        return math.exp(-r * 1.3 / 2.0) * math.sqrt(0.5)
-
-    fd = central_difference(width_of_r, 0.5, 1e-6)
-    assert width_damping_derivative(1.3, params) == pytest.approx(fd, rel=1e-8)
-    assert width_damping_derivative(1.3, params) < 0.0
 
 
 def test_global_phase_never_affects_densities():

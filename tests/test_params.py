@@ -13,6 +13,7 @@ from pwclock import (
     NonPositiveScale,
     NotHermitian,
     NotNormalized,
+    OutOfRange,
     OverDamped,
     ResetTooLate,
     SystemSpec,
@@ -33,11 +34,13 @@ from pwclock import (
     n_from_x_log,
     position_expectation,
     posterior_over_n,
+    recommend_damping,
     validate_clock_params,
     validate_system_spec,
     wavefunction,
     width,
 )
+from pwclock.params import _MAX_SIZE
 
 
 def pauli_z_spec():
@@ -252,6 +255,14 @@ def test_library_grid_size_is_a_whole_number_at_least_its_minimum(name):
         np.testing.assert_array_equal(call(params, same), expected, strict=True)
 
 
+@pytest.mark.parametrize("name", GRID_TAKERS)
+def test_library_grid_size_has_a_ceiling(name):
+    call, _ = GRID_TAKERS[name]
+    params = validate_clock_params(ClockParams(damping=1.0 / 1.5, n_reset=1.5))
+    with pytest.raises(ValidationError, match=rf"^grid_size must be <= {_MAX_SIZE}, got {10**20}$"):
+        call(params, 10**20)
+
+
 
 # Each closed form, inversion, fidelity and conditioning call at time(s) n on
 # one clock (its readings are <x>(n)), and the Python type one time gives.
@@ -297,3 +308,41 @@ def test_stationary_damping_fields_are_python_scalars_for_one_time():
 
     assert field_types(0.5) == [float, str, float, float]
     assert field_types(np.array([0.5, 1.0])) == [np.ndarray] * 4
+
+
+# A library call at a bad value, the error it raises and the words that name
+# the argument and the value. Warnings are errors, so none may warn instead.
+BAD_ARGUMENTS = {
+    "recommend_damping(inf)": (
+        lambda: recommend_damping(math.inf, SCALAR_CLOCK),
+        ValidationError,
+        "^recommendation requires finite n_reset, got inf$",
+    ),
+    "n_from_x_linear(-inf)": (
+        lambda: n_from_x_linear(np.array([0.5, -math.inf, math.nan]), SCALAR_CLOCK),
+        OutOfRange,
+        r"^reading x = -inf outside \(-inf, ",
+    ),
+    "fidelity(zero, state)": (
+        lambda: fidelity(np.zeros(2, dtype=complex), QUBIT.initial_state),
+        ValidationError,
+        "^a must have a finite nonzero norm, got squared norm 0.0 at state 0$",
+    ),
+    "fidelity(state, nan)": (
+        lambda: fidelity(QUBIT.initial_state, np.array([math.nan, 1.0])),
+        ValidationError,
+        "^b must have a finite nonzero norm, got squared norm nan at state 0$",
+    ),
+    "fidelity(stack, stack with inf)": (
+        lambda: fidelity(np.eye(3), np.array([[1.0, 0, 0], [0, math.inf, 0], [0, 0, 0]])),
+        ValidationError,
+        "^b must have a finite nonzero norm, got squared norm inf at state 1$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_library_boundary_names_the_bad_argument(case):
+    call, error, message = BAD_ARGUMENTS[case]
+    with pytest.raises(error, match=message):
+        call()
