@@ -23,7 +23,6 @@ from ._csv import _write_csv, _write_json
 from ._rng import uniform
 from .params import (
     ClockParams,
-    NoValues,
     NumericalError,
     SystemSpec,
     ValidationError,
@@ -494,7 +493,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> list[dict]:
     if parameter not in SWEEPABLE:
         raise ValidationError(f"parameter {parameter!r} is not sweepable; expected one of {SWEEPABLE}")
     if not values:
-        raise NoValues("sweep requires at least one value")
+        raise ValidationError("sweep requires at least one value")
 
     entries: list[dict] = []
     for value in values:

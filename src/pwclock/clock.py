@@ -23,9 +23,8 @@ import numpy as np
 
 from .params import (
     ClockParams,
-    NonPositiveTime,
-    UnderDampingViolated,
     ValidationError,
+    _finite,
     _require,
     _scalar_or_array,
     check_abstract_time,
@@ -64,8 +63,13 @@ def position_expectation(n, params: ClockParams):
         Abstract time(s).
     params : ClockParams
         Validated clock configuration.
+
+    Raises
+    ------
+    ValidationError
+        If any n is not finite; names the first.
     """
-    n = np.asarray(n, dtype=float)
+    n = _finite("n", n)
     out = params.amplitude * np.exp(-params.damping * n / 2.0) * np.cos(params.damped_frequency * n)
     return _scalar_or_array(out)
 
@@ -74,8 +78,9 @@ def width(n, params: ClockParams):
     """Gaussian width exp(-r*n/2) * sqrt(hbar/(2*m*omega)).
 
     This is the standard deviation of the position density |psi(x, n)|^2.
+    A non-finite n raises ValidationError naming the first.
     """
-    n = np.asarray(n, dtype=float)
+    n = _finite("n", n)
     base = sqrt(params.hbar / (2.0 * params.mass * params.omega))
     out = base * np.exp(-params.damping * n / 2.0)
     return _scalar_or_array(out)
@@ -99,10 +104,12 @@ def wavefunction(x, n, params: ClockParams):
 
     Raises
     ------
-    InvalidAbstractTime
-        If any n lies outside [0, n_reset].
+    ValidationError
+        If any n lies outside [0, n_reset], or any x is not finite; names
+        the first.
     """
     check_abstract_time(n, params)
+    x = _finite("x", x)
     return _scalar_or_array(_envelope(x, _envelope_terms(n, params)) * np.exp(1j * params.phase))
 
 
@@ -138,9 +145,10 @@ def decoherence_rate(n, params: ClockParams):
     """Decoherence rate r*hbar*exp(-r*n)/(m*omega), in length^2 per abstract time.
 
     This is the magnitude of the rate of change of the squared minimum
-    Gaussian width; the value is reported positive.
+    Gaussian width; the value is reported positive. A non-finite n raises
+    ValidationError naming the first.
     """
-    return _scalar_or_array(_rate(params.damping, np.asarray(n, dtype=float), params))
+    return _scalar_or_array(_rate(params.damping, _finite("n", n), params))
 
 
 def _rate(r, n, params: ClockParams):
@@ -160,13 +168,11 @@ def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
 
     Raises
     ------
-    NonPositiveTime
-        If any n <= 0, or is NaN; names the first.
     ValidationError
-        If any n is +inf; names the first.
+        If any n <= 0, is NaN or is +inf; names the first.
     """
     n = np.asarray(n, dtype=float)
-    _require(n, n > 0.0, lambda v, _: NonPositiveTime(f"stationary damping requires n > 0, got {v}"))
+    _require(n, n > 0.0, lambda v, _: ValidationError(f"stationary damping requires n > 0, got {v}"))
     _require(n, n < np.inf, lambda v, _: ValidationError(
         f"stationary damping requires finite n, got {v}"))
     r_star = 1.0 / n
@@ -183,20 +189,16 @@ def recommend_damping(n_reset: float, params: ClockParams) -> float:
 
     Raises
     ------
-    NonPositiveTime
-        If n_reset <= 0, or is NaN.
     ValidationError
-        If n_reset is +inf.
-    UnderDampingViolated
-        If 1/(2*n_reset) >= omega.
+        If n_reset <= 0, is NaN or is +inf, or if 1/(2*n_reset) >= omega.
     """
-    _require(n_reset, n_reset > 0.0, lambda v, _: NonPositiveTime(
+    _require(n_reset, n_reset > 0.0, lambda v, _: ValidationError(
         f"recommendation requires n_reset > 0, got {v}"))
     _require(n_reset, n_reset < np.inf, lambda v, _: ValidationError(
         f"recommendation requires finite n_reset, got {v}"))
     r = 1.0 / n_reset
     if r / 2.0 >= params.omega:
-        raise UnderDampingViolated(
+        raise ValidationError(
             f"r = 1/n_reset = {r} violates under-damping r/2 < omega = {params.omega}"
         )
     return r

@@ -26,12 +26,12 @@ import numpy as np
 
 from .params import (
     ClockParams,
-    DegenerateSupport,
-    NotAProjector,
+    NumericalError,
     OutOfRange,
     SystemSpec,
     ValidationError,
     _checked_whole,
+    _finite,
     _require,
     _scalar_or_array,
     check_abstract_time,
@@ -57,9 +57,11 @@ def position_given_n(x, n, params: ClockParams):
 
     A density in x: integrates to 1 over x at every fixed n. It is the
     squared real envelope of the amplitude, so the clock's global phase
-    never enters it.
+    never enters it. An n outside [0, n_reset], or a non-finite x, raises
+    ValidationError naming the first.
     """
     check_abstract_time(n, params)
+    x = _finite("x", x)
     return _envelope(x, _envelope_terms(n, params)) ** 2
 
 
@@ -102,8 +104,8 @@ def posterior_over_n(
     Raises
     ------
     ValidationError
-        If grid_size is not a whole number in [2, 2**24].
-    DegenerateSupport
+        If grid_size is not a whole number in [2, 2**24], or x is not finite.
+    NumericalError
         If the unnormalized integral underflows (x unreachable).
     """
     grid_size = _checked_whole("grid_size", grid_size, 2)
@@ -111,7 +113,7 @@ def posterior_over_n(
     raw = position_given_n(x, grid, params)
     norm_raw = float(np.trapezoid(raw, grid))
     if not np.isfinite(norm_raw) or norm_raw < _SUPPORT_FLOOR:
-        raise DegenerateSupport(
+        raise NumericalError(
             f"reading x = {x} is unreachable: unnormalized integral {norm_raw}"
         )
     return PosteriorDensity(x=x, grid=grid, density=raw / norm_raw, norm_raw=norm_raw)
@@ -268,14 +270,13 @@ def conditional_system_probability(history: HistoryState, x, projector):
 
     Raises
     ------
-    NotAProjector
+    ValidationError
         If the shape does not match the system, or a projector is not
         Hermitian idempotent within 1e-10 (the message names its index in
-        a stack); a non-finite entry fails both tests. Every projector is
-        checked before any amplitude.
-    InvalidAbstractTime
-        If the history grid leaves the clock's running window.
-    DegenerateSupport
+        a stack), a non-finite entry failing both tests; or if the history
+        grid leaves the clock's running window. Every projector is checked
+        before any amplitude.
+    NumericalError
         If the conditioning denominator underflows for any reading (x
         unreachable), or a value's imaginary residue or range is off. Each
         of the three is checked over every reading in turn, and the message
@@ -285,7 +286,7 @@ def conditional_system_probability(history: HistoryState, x, projector):
     projectors = np.asarray(projector, dtype=np.complex128)
     single = projectors.ndim == 2
     if projectors.ndim not in (2, 3) or projectors.shape[-2:] != (dim, dim):
-        raise NotAProjector(f"projector shape {projectors.shape} does not match the system")
+        raise ValidationError(f"projector shape {projectors.shape} does not match the system")
     if single:
         projectors = projectors[None]
     for index, matrix in enumerate(projectors):
@@ -293,9 +294,9 @@ def conditional_system_probability(history: HistoryState, x, projector):
         # "not <=" so that a NaN deviation, from a non-finite entry, fails too.
         with np.errstate(invalid="ignore"):
             if not np.max(np.abs(matrix - matrix.conj().T)) <= 1e-10:
-                raise NotAProjector(f"{name} is not Hermitian within 1e-10")
+                raise ValidationError(f"{name} is not Hermitian within 1e-10")
             if not np.max(np.abs(matrix @ matrix - matrix)) <= 1e-10:
-                raise NotAProjector(f"{name} is not idempotent within 1e-10")
+                raise ValidationError(f"{name} is not idempotent within 1e-10")
     grid, params = history.grid, history.clock_params
     check_abstract_time(grid, params)
 
@@ -318,18 +319,18 @@ def conditional_system_probability(history: HistoryState, x, projector):
 
     denominators = _inner(conditioned, conditioned).real
     reachable = np.isfinite(denominators) & (denominators >= _SUPPORT_FLOOR)
-    _require(denominators, reachable, lambda v, i: DegenerateSupport(
+    _require(denominators, reachable, lambda v, i: NumericalError(
         f"reading x = {readings[i]} is unreachable: conditioning weight {v}"))
     kets = np.matmul(projectors[:, None], conditioned[:, :, None])[..., 0]
     # Reading-major, (reading, projector): flat index i is reading i // p. NaN
     # passes both checks ("not >"), and the clip keeps it.
     values = (_inner(conditioned, kets) / denominators).T
     p = len(projectors)
-    _require(values.imag, ~(np.abs(values.imag) > 1e-9), lambda v, i: DegenerateSupport(
+    _require(values.imag, ~(np.abs(values.imag) > 1e-9), lambda v, i: NumericalError(
         f"imaginary residue {v} exceeds 1e-9 at reading x = {readings[i // p]};"
         " projector arithmetic degenerated"))
     in_range = ~((values.real < -1e-9) | (values.real > 1.0 + 1e-9))
-    _require(values.real, in_range, lambda v, i: DegenerateSupport(
+    _require(values.real, in_range, lambda v, i: NumericalError(
         f"conditional probability {v} at reading x = {readings[i // p]} outside [0, 1] tolerance"))
     out = np.clip(values.real.T, 0.0, 1.0).reshape((p,) + x.shape)
     return _scalar_or_array(out[0] if single else out)

@@ -18,10 +18,11 @@ import numpy as np
 
 from .params import (
     ClockParams,
-    EigenFailure,
+    NumericalError,
     SystemSpec,
     ValidationError,
     _checked_whole,
+    _finite,
     _require,
     _scalar_or_array,
 )
@@ -62,18 +63,35 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fidelity(a: np.ndarray, b: np.ndarray):
     """Squared overlap |<a|b>|^2 / (<a|a> <b|b>) of state vectors, normalization-safe.
 
-    Stacks of states (leading axes) give an array of fidelities.
+    Stacks of states (leading axes) give an array of fidelities. Where a
+    squared norm, their product or |<a|b>|^2 is not a finite normal float,
+    as for states with huge or tiny entries, that pair is formed again from
+    each state scaled exactly, by a power of two, so that its largest real
+    or imaginary part lies in [0.5, 1).
 
     Raises
     ------
     ValidationError
-        If a state of a or b has a zero or non-finite norm; names the first.
+        If a state of a or b is zero or has a non-finite entry; names the
+        first, with its squared norm.
     """
-    norm_a, norm_b = _inner(a, a).real, _inner(b, b).real
-    for name, norm in (("a", norm_a), ("b", norm_b)):
-        _require(norm, (norm > 0.0) & (norm < np.inf), lambda v, i: ValidationError(
-            f"{name} must have a finite nonzero norm, got squared norm {v} at state {i}"))
-    out = np.abs(_inner(a, b)) ** 2 / (norm_a * norm_b)
+    a, b = np.asarray(a), np.asarray(b)
+    with np.errstate(all="ignore"):
+        norm_a, norm_b = _inner(a, a).real, _inner(b, b).real
+        overlap, product = np.abs(_inner(a, b)) ** 2, norm_a * norm_b
+        out = overlap / product
+    values = np.array(np.broadcast_arrays(norm_a, norm_b, product, overlap))
+    tiny = np.finfo(float).tiny
+    if not (np.min(values) >= tiny and np.max(values) < np.inf):  # NaN fails both
+        exponents = []
+        for name, state, norm in (("a", a, norm_a), ("b", b, norm_b)):
+            part = np.maximum(np.abs(state.real), np.abs(state.imag)).max(axis=-1)
+            _require(norm, (part > 0.0) & (part < np.inf), lambda v, i: ValidationError(
+                f"{name} must have a finite nonzero norm, got squared norm {v} at state {i}"))
+            exponents.append(-np.frexp(part)[1][..., None])
+        a, b = (np.ldexp(s.real, e) + 1j * np.ldexp(s.imag, e) for s, e in zip((a, b), exponents))
+        rescaled = np.abs(_inner(a, b)) ** 2 / (_inner(a, a).real * _inner(b, b).real)
+        out = np.where(np.all((values >= tiny) & (values < np.inf), axis=0), out, rescaled)
     return _scalar_or_array(out)
 
 
@@ -81,9 +99,9 @@ def _eigensystem(spec: SystemSpec):
     try:
         energies, modes = np.linalg.eigh(spec.hamiltonian)
     except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigendecomposition failed: {exc}") from exc
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(modes))):
-        raise EigenFailure("eigendecomposition produced non-finite output; malformed generator")
+        raise NumericalError("eigendecomposition produced non-finite output; malformed generator")
     return energies, modes
 
 
@@ -102,8 +120,7 @@ def evolve_exact(spec: SystemSpec, n) -> np.ndarray:
     ValidationError
         If any n is not finite; names the first.
     """
-    n = np.asarray(n, dtype=float)
-    _require(n, np.isfinite(n), lambda v, _: ValidationError(f"n must be finite, got {v}"))
+    n = _finite("n", n)
     energies, modes = _eigensystem(spec)
     coeffs = modes.conj().T @ spec.initial_state
     phased = np.exp(1j * energies * n[..., None]) * coeffs
@@ -122,7 +139,7 @@ def evolve_via_clock(spec: SystemSpec, x, params: ClockParams) -> np.ndarray:
 
     Raises
     ------
-    ZeroDamping
+    ValidationError
         If r = 0 (the rescaled generator is undefined).
     OutOfRange
         If any x > A, or is -inf or NaN; names the first.

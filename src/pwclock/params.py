@@ -19,24 +19,7 @@ __all__ = [
     "SystemSpec",
     "ValidationError",
     "NumericalError",
-    "OverDamped",
-    "ResetTooLate",
-    "NonPositiveAmplitude",
-    "NonPositiveScale",
-    "NegativeDamping",
-    "NotHermitian",
-    "NotNormalized",
-    "DimensionTooSmall",
-    "InvalidAbstractTime",
-    "NonPositiveTime",
-    "UnderDampingViolated",
     "OutOfRange",
-    "NonMonotonicWindow",
-    "ZeroDamping",
-    "DegenerateSupport",
-    "NotAProjector",
-    "EigenFailure",
-    "NoValues",
     "validate_clock_params",
     "validate_system_spec",
     "check_abstract_time",
@@ -50,76 +33,8 @@ class NumericalError(RuntimeError):
     """A computation failed or degenerated despite valid inputs."""
 
 
-class OverDamped(ValidationError):
-    """Damping r/2 >= omega, so the damped frequency is not real."""
-
-
-class ResetTooLate(ValidationError):
-    """Reset horizon exceeds 1/r, the limit on the running time."""
-
-
-class NonPositiveAmplitude(ValidationError):
-    """Oscillation amplitude A = sqrt(2*hbar/(m*omega)) * Re(alpha) <= 0."""
-
-
-class NonPositiveScale(ValidationError):
-    """A scale that must be positive (hbar, mass, omega, n_reset) is not."""
-
-
-class NegativeDamping(ValidationError):
-    """Damping coefficient r < 0."""
-
-
-class NotHermitian(ValidationError):
-    """Generator matrix is not equal to its conjugate transpose."""
-
-
-class NotNormalized(ValidationError):
-    """Initial state vector does not have unit norm."""
-
-
-class DimensionTooSmall(ValidationError):
-    """System dimension d < 2."""
-
-
-class InvalidAbstractTime(ValidationError):
-    """Abstract time outside the clock's running window."""
-
-
-class NonPositiveTime(ValidationError):
-    """An operation requiring n > 0 received n <= 0."""
-
-
-class UnderDampingViolated(ValidationError):
-    """Recommended damping 1/n_reset would break r/2 < omega."""
-
-
 class OutOfRange(ValidationError):
     """Position reading outside the interval attained by the clock."""
-
-
-class NonMonotonicWindow(ValidationError):
-    """Omega * n_reset >= pi/2: the position map may not be invertible."""
-
-
-class ZeroDamping(ValidationError):
-    """Operation undefined for r = 0 (use the exact inversion instead)."""
-
-
-class DegenerateSupport(NumericalError):
-    """Conditioning position is unreachable: all densities underflow."""
-
-
-class NotAProjector(ValidationError):
-    """Matrix is not Hermitian idempotent within tolerance."""
-
-
-class EigenFailure(NumericalError):
-    """Eigendecomposition did not converge (malformed matrix)."""
-
-
-class NoValues(ValidationError):
-    """A sweep was requested with an empty value list."""
 
 
 @dataclass(frozen=True)
@@ -200,7 +115,7 @@ class SystemSpec:
         Undefined for an undamped clock (r = 0).
         """
         if params.damping == 0.0:
-            raise ZeroDamping("rescaled generator requires damping r > 0")
+            raise ValidationError("rescaled generator requires damping r > 0")
         return 2.0 * self.hamiltonian / (params.damping * params.amplitude)
 
 
@@ -211,35 +126,36 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
 
     Raises
     ------
-    NonPositiveScale, NegativeDamping, OverDamped, ResetTooLate,
-    NonPositiveAmplitude, ValidationError
+    ValidationError
+        If a scale or n_reset is not > 0, r < 0, alpha or phase is not
+        finite, r/2 >= omega (over-damped), n_reset > 1/r, or A <= 0.
     """
     scales = (params.hbar, params.mass, params.omega)
     if not np.all(np.isfinite(scales)) or min(scales) <= 0.0:
-        raise NonPositiveScale(
+        raise ValidationError(
             f"hbar, mass, omega must be positive finite numbers, got "
             f"({params.hbar}, {params.mass}, {params.omega})"
         )
     if not np.isfinite(params.n_reset) or params.n_reset <= 0.0:
-        raise NonPositiveScale(f"n_reset must be a positive finite number, got {params.n_reset}")
+        raise ValidationError(f"n_reset must be a positive finite number, got {params.n_reset}")
     if not np.isfinite(params.damping) or params.damping < 0.0:
-        raise NegativeDamping(f"damping must be a finite number >= 0, got {params.damping}")
+        raise ValidationError(f"damping must be a finite number >= 0, got {params.damping}")
     if not np.isfinite(complex(params.alpha)) or not np.isfinite(params.phase):
         raise ValidationError(
             f"alpha and phase must be finite, got alpha = {params.alpha}, phase = {params.phase}"
         )
     if params.damping / 2.0 >= params.omega:
-        raise OverDamped(
+        raise ValidationError(
             f"under-damping requires r/2 < omega, got r/2 = {params.damping / 2.0}"
             f" >= omega = {params.omega}"
         )
     if params.damping > 0.0 and params.n_reset > 1.0 / params.damping:
-        raise ResetTooLate(
+        raise ValidationError(
             f"n_reset = {params.n_reset} exceeds the running-time limit "
             f"1/r = {1.0 / params.damping}"
         )
     if not np.isfinite(params.amplitude) or params.amplitude <= 0.0:
-        raise NonPositiveAmplitude(
+        raise ValidationError(
             f"amplitude sqrt(2*hbar/(m*omega))*Re(alpha) = {params.amplitude} "
             "must be > 0 for the time-map inversion"
         )
@@ -251,24 +167,26 @@ def validate_system_spec(spec: SystemSpec) -> SystemSpec:
 
     Raises
     ------
-    DimensionTooSmall, NotHermitian, NotNormalized
+    ValidationError
+        If d < 2, or the generator or the state has the wrong shape, a
+        non-finite entry, or is not Hermitian or not normalized within 1e-12.
     """
     if spec.dim < 2:
-        raise DimensionTooSmall(f"system dimension must be >= 2, got {spec.dim}")
+        raise ValidationError(f"system dimension must be >= 2, got {spec.dim}")
     h = spec.hamiltonian
     if h.shape != (spec.dim, spec.dim):
-        raise NotHermitian(f"generator must be {spec.dim}x{spec.dim}, got shape {h.shape}")
+        raise ValidationError(f"generator must be {spec.dim}x{spec.dim}, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
-        raise NotHermitian("generator has non-finite entries")
+        raise ValidationError("generator has non-finite entries")
     if not np.all(np.abs(h - h.conj().T) <= 1e-12):
-        raise NotHermitian("generator is not Hermitian within 1e-12 entrywise")
+        raise ValidationError("generator is not Hermitian within 1e-12 entrywise")
     psi = spec.initial_state
     if psi.shape != (spec.dim,):
-        raise NotNormalized(f"initial state must have length {spec.dim}, got {psi.shape}")
+        raise ValidationError(f"initial state must have length {spec.dim}, got {psi.shape}")
     if not np.all(np.isfinite(psi)):
-        raise NotNormalized("initial state has non-finite entries")
+        raise ValidationError("initial state has non-finite entries")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
-        raise NotNormalized(f"initial state norm {np.linalg.norm(psi)} is not 1 within 1e-12")
+        raise ValidationError(f"initial state norm {np.linalg.norm(psi)} is not 1 within 1e-12")
     return spec
 
 
@@ -312,6 +230,14 @@ def _require(values, inside, error) -> None:
         raise error(float(np.asarray(values, dtype=float).reshape(-1)[index]), index)
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ValidationError names the first non-finite one."""
+    values = np.asarray(values, dtype=float)
+    _require(values, np.isfinite(values), lambda v, _: ValidationError(
+        f"{name} must be finite, got {v}"))
+    return values
+
+
 def check_abstract_time(n, params: ClockParams):
     """Require 0 <= n <= n_reset for a time or every time in an array; return n.
 
@@ -321,5 +247,5 @@ def check_abstract_time(n, params: ClockParams):
     times = np.asarray(n, dtype=float)
     window = f"the running window [0, {params.n_reset}]"
     inside = (times >= 0.0) & (times <= params.n_reset)
-    _require(times, inside, lambda v, _: InvalidAbstractTime(f"n = {v} outside {window}"))
+    _require(times, inside, lambda v, _: ValidationError(f"n = {v} outside {window}"))
     return n

@@ -20,9 +20,8 @@ import numpy as np
 
 from .params import (
     ClockParams,
-    NonMonotonicWindow,
     OutOfRange,
-    ZeroDamping,
+    ValidationError,
     _checked_whole,
     _require,
     _scalar_or_array,
@@ -64,7 +63,7 @@ class TimeMapResult:
 
 def _check_monotone_window(params: ClockParams) -> None:
     if params.damped_frequency * params.n_reset >= pi / 2.0:
-        raise NonMonotonicWindow(
+        raise ValidationError(
             f"Omega * n_reset = {params.damped_frequency * params.n_reset} >= pi/2; "
             "the position map is not guaranteed invertible on this window"
         )
@@ -91,7 +90,7 @@ def n_from_x_exact(x, params: ClockParams):
 
     Raises
     ------
-    NonMonotonicWindow
+    ValidationError
         If Omega * n_reset >= pi/2.
     OutOfRange
         If any x > A or x <= <x>(n_reset), or is NaN; names the first.
@@ -147,13 +146,13 @@ def n_from_x_log(x, params: ClockParams):
 
     Raises
     ------
-    ZeroDamping
+    ValidationError
         If r = 0.
     OutOfRange
         If any x <= 0 or x > A, or is NaN; names the first.
     """
     if params.damping == 0.0:
-        raise ZeroDamping("log-form inversion undefined for r = 0")
+        raise ValidationError("log-form inversion undefined for r = 0")
     x = np.asarray(x, dtype=float)
     amp = params.amplitude
     _require(x, (x > 0.0) & (x <= amp), lambda v, _: OutOfRange(f"reading x = {v} outside (0, {amp}]"))
@@ -165,13 +164,13 @@ def n_from_x_linear(x, params: ClockParams):
 
     Raises
     ------
-    ZeroDamping
+    ValidationError
         If r = 0; callers must use n_from_x_exact instead.
     OutOfRange
         If any x > A, or is -inf or NaN; names the first.
     """
     if params.damping == 0.0:
-        raise ZeroDamping("linear inversion undefined for r = 0")
+        raise ValidationError("linear inversion undefined for r = 0")
     x = np.asarray(x, dtype=float)
     amp = params.amplitude
     inside = (x > -np.inf) & (x <= amp)
@@ -200,13 +199,12 @@ def linearization_report(params: ClockParams, grid_size: int) -> TimeMapResult:
     Raises
     ------
     ValidationError
-        If grid_size is not a whole number in [2, 2**24].
-    ZeroDamping, NonMonotonicWindow
-        Propagated from the inversions.
+        If grid_size is not a whole number in [2, 2**24], r = 0, or
+        Omega * n_reset >= pi/2.
     """
     grid_size = _checked_whole("grid_size", grid_size, 2)
     if params.damping == 0.0:
-        raise ZeroDamping("linearization report undefined for r = 0")
+        raise ValidationError("linearization report undefined for r = 0")
     _check_monotone_window(params)
     step = params.n_reset / grid_size
     return invert_position(position_expectation(np.arange(grid_size) * step, params), params)

@@ -1,9 +1,11 @@
 """The package's public names are exactly what its modules declare."""
 
+import ast
 import copy
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +45,7 @@ def test_package_exports_exactly_what_module_all_declares():
 
 def test_result_records_are_returned_not_exported():
     names = exported_names()
-    assert len(names) == 46
+    assert len(names) == 29
     removed = {
         "StationaryDamping",
         "TimeMapResult",
@@ -53,6 +55,65 @@ def test_result_records_are_returned_not_exported():
         "width_damping_derivative",
     }
     assert not removed & set(names)
+
+
+ERRORS = {"ValidationError", "NumericalError", "OutOfRange"}
+
+
+def test_exported_exception_classes_are_exactly_three():
+    classes = {
+        name for name, value in exported_names().items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    assert classes == ERRORS
+    assert issubclass(pwclock.OutOfRange, pwclock.ValidationError)
+
+
+# Raises of other classes that stay: the CSV writer's own column checks, and
+# the module attribute lookup, where Python expects AttributeError. ``error``
+# is the factory ``_require`` is handed; each factory is checked where it is
+# written, at the ``_require`` call.
+INTERNAL_RAISES = {
+    ("_csv", "_write_csv", "TypeError"),
+    ("_csv", "_write_csv", "ValueError"),
+    ("cli", "__getattr__", "AttributeError"),
+    ("params", "_require", "error"),
+}
+
+
+def raised_names(path):
+    """(module, enclosing function, name) for each raise and each ``_require`` factory in
+    the module at ``path``; a bare re-raise gives none."""
+    module = path.stem
+
+    def called(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.id if isinstance(node, ast.Name) else ast.unparse(node)
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            yield module, function, called(node.exc)
+        if isinstance(node, ast.Call) and called(node) == "_require":
+            factory = node.args[2]
+            assert isinstance(factory, ast.Lambda), ast.unparse(node)
+            yield module, function, called(factory.body)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return list(visit(ast.parse(path.read_text(encoding="utf-8")), None))
+
+
+def test_every_raise_is_one_of_the_three_classes():
+    found = [
+        site
+        for path in sorted(Path(pwclock.__file__).parent.glob("*.py"))
+        for site in raised_names(path)
+    ]
+    assert INTERNAL_RAISES <= set(found)
+    stray = [site for site in found if site[2] not in ERRORS and site not in INTERNAL_RAISES]
+    assert not stray
 
 
 def test_records_of_arrays_compare_and_hash_by_identity():

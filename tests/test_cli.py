@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pwclock
-from pwclock import NoValues, ValidationError, _csv, cli
+from pwclock import ValidationError, _csv, cli
 from pwclock.cli import (
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -171,14 +171,15 @@ def test_sweep_grid_refinement_on_posterior(tmp_path):
 
 def test_sweep_rejects_empty_values(tmp_path):
     cfg = resolve_config("clock-profile", None, out=str(tmp_path / "sw"))
-    with pytest.raises(NoValues):
+    with pytest.raises(ValidationError, match="^sweep requires at least one value$"):
         sweep(cfg, "r", [])
 
 
 def test_empty_sweep_flag_exits_one(tmp_path, capsys):
     assert main(["clock-profile", "--out", str(tmp_path / "o"), "--sweep", "r="]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "NoValues"
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"type": "ValidationError", "message": "sweep requires at least one value"}
+    }
 
 
 @pytest.mark.parametrize(
@@ -207,12 +208,15 @@ def test_sweep_index_is_strict_json(tmp_path):
     assert not (tmp_path / "sw" / "sweep_index.json").exists()
 
 
+OVER_DAMPED = "under-damping requires r/2 < omega, got r/2 = 2.5 >= omega = 1.0"
+
+
 def test_sweep_records_per_value_failures(tmp_path):
     cfg = resolve_config("clock-profile", None, out=str(tmp_path / "sw"))
     entries = sweep(cfg, "r", [0.1, 5.0])  # 5.0 is over-damped
     assert entries[0]["status"] == "ok"
     assert entries[1]["status"] == "error"
-    assert entries[1]["error"]["type"] == "OverDamped"
+    assert entries[1]["error"] == {"type": "ValidationError", "message": OVER_DAMPED}
     assert (tmp_path / "sw" / "sweep_index.json").exists()
 
 
@@ -229,8 +233,9 @@ def test_failed_sweep_value_exits_one_with_one_error_line(tmp_path, capsys):
 def test_invalid_config_exits_one(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"clock": {"damping": 5.0}})
     assert main(["clock-profile", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "OverDamped"
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"type": "ValidationError", "message": OVER_DAMPED}
+    }
 
 
 def test_missing_config_exits_two(tmp_path, capsys):
@@ -340,7 +345,10 @@ def test_all_bundle_computes_every_experiment_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["all", "--out", str(out), "--config", write_config(tmp_path, {"options": {"x": 80.0}})]
     assert main(argv) == 1
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "DegenerateSupport"
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "NumericalError",
+        "message": "reading x = 80.0 is unreachable: unnormalized integral 0.0",
+    }}
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,6 @@ import pytest
 
 from pwclock import (
     ClockParams,
-    InvalidAbstractTime,
-    NonPositiveTime,
-    UnderDampingViolated,
     ValidationError,
     damping_stationary_point,
     decoherence_rate,
@@ -45,11 +43,12 @@ def test_peak_density_at_mean():
 
 def test_wavefunction_rejects_out_of_window_time():
     params = ClockParams(damping=0.5, n_reset=2.0)
-    with pytest.raises(InvalidAbstractTime):
+    window = re.escape("outside the running window [0, 2.0]")
+    with pytest.raises(ValidationError, match=rf"^n = -0\.5 {window}$"):
         wavefunction(0.0, -0.5, params)
-    with pytest.raises(InvalidAbstractTime):
+    with pytest.raises(ValidationError, match=rf"^n = 2\.5 {window}$"):
         wavefunction(0.0, 2.5, params)
-    with pytest.raises(InvalidAbstractTime, match="n = nan "):
+    with pytest.raises(ValidationError, match=f"^n = nan {window}$"):
         wavefunction(0.0, np.array([0.5, np.nan]), params)
 
 
@@ -171,9 +170,9 @@ def test_stationary_damping_is_a_maximum_at_small_times(n):
 
 
 def test_stationary_damping_rejects_nonpositive_time():
-    with pytest.raises(NonPositiveTime):
+    with pytest.raises(ValidationError, match=r"^stationary damping requires n > 0, got 0\.0$"):
         damping_stationary_point(0.0, ClockParams(n_reset=1.0))
-    with pytest.raises(NonPositiveTime, match="got -1.0"):
+    with pytest.raises(ValidationError, match=r"^stationary damping requires n > 0, got -1\.0$"):
         damping_stationary_point(np.array([1.0, -1.0, 0.0]), ClockParams(n_reset=1.0))
 
 
@@ -185,7 +184,7 @@ def test_stationary_damping_rejects_non_finite_time():
         damping_stationary_point(np.array([1.0, math.inf, 2.0]), params)
     # NaN and -inf keep the n > 0 message.
     for bad in (math.nan, -math.inf):
-        with pytest.raises(NonPositiveTime, match=f"^stationary damping requires n > 0, got {bad}$"):
+        with pytest.raises(ValidationError, match=f"^stationary damping requires n > 0, got {bad}$"):
             damping_stationary_point(np.array([1.0, bad]), params)
 
 
@@ -204,9 +203,11 @@ def test_stationary_damping_array_matches_scalar_calls():
 def test_recommend_damping():
     params = ClockParams(n_reset=10.0)
     assert recommend_damping(10.0, params) == pytest.approx(0.1, rel=1e-15)
-    with pytest.raises(UnderDampingViolated):
+    with pytest.raises(ValidationError, match=(
+        r"^r = 1/n_reset = 2\.5 violates under-damping r/2 < omega = 1\.0$"
+    )):
         recommend_damping(0.4, params)
-    with pytest.raises(NonPositiveTime, match="nan"):
+    with pytest.raises(ValidationError, match="^recommendation requires n_reset > 0, got nan$"):
         recommend_damping(math.nan, params)
 
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from pwclock.evolution import _inner
 from pwclock import (
     ClockParams,
-    EigenFailure,
+    NumericalError,
     OutOfRange,
     SystemSpec,
     ValidationError,
-    ZeroDamping,
     compare_evolutions,
     default_qubit_spec,
     evolve_exact,
@@ -119,8 +119,31 @@ def test_eigen_failure_on_malformed_matrix():
         hamiltonian=np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex),
         initial_state=np.array([1.0, 0.0], dtype=complex),
     )
-    with pytest.raises(EigenFailure):
+    with pytest.raises(NumericalError, match=(
+        "^eigendecomposition produced non-finite output; malformed generator$"
+    )):
         evolve_exact(bad, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e-100, 1e-200, 5e-324, 1.7e308])
+def test_fidelity_of_huge_and_tiny_states(scale):
+    state = np.array([scale, 0.0])
+    assert fidelity(state, state) == 1.0
+    assert type(fidelity(state, state)) is float
+    assert fidelity(state, state[::-1]) == 0.0
+    assert fidelity(np.array([scale, scale * 1j]), state) == 0.5
+    # In a stack, each pair gives what a call for that pair alone gives.
+    stack = np.array([[scale, 0.0], [0.6, 0.8], [scale, scale]])
+    fids = fidelity(stack, np.array([1.0, 1.0]))
+    assert fids.tolist() == [fidelity(row, np.array([1.0, 1.0])) for row in stack]
+    assert fids[0] == 0.5 and fids[2] == 1.0
+
+
+def test_fidelity_keeps_its_rounding_for_ordinary_states():
+    spec = default_qubit_spec()
+    a, b = evolve_exact(spec, np.linspace(0.0, 3.0, 64)), spec.initial_state
+    expected = np.abs(_inner(a, b)) ** 2 / (_inner(a, a).real * _inner(b, b).real)
+    np.testing.assert_array_equal(fidelity(a, b), expected)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -152,7 +175,7 @@ def test_clock_route_algebraic_identity():
 
 def test_clock_route_guards():
     spec = default_qubit_spec()
-    with pytest.raises(ZeroDamping):
+    with pytest.raises(ValidationError, match="^linear inversion undefined for r = 0$"):
         evolve_via_clock(spec, 0.5, ClockParams(damping=0.0, n_reset=1.0, alpha=1.0))
     params = default_clock()
     with pytest.raises(OutOfRange):

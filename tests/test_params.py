@@ -1,24 +1,15 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pwclock import (
     ClockParams,
-    DimensionTooSmall,
-    InvalidAbstractTime,
-    NegativeDamping,
-    NonPositiveAmplitude,
-    NonPositiveScale,
-    NotHermitian,
-    NotNormalized,
     OutOfRange,
-    OverDamped,
-    ResetTooLate,
     SystemSpec,
     ValidationError,
-    ZeroDamping,
     build_history_state,
     check_abstract_time,
     compare_evolutions,
@@ -33,6 +24,7 @@ from pwclock import (
     n_from_x_linear,
     n_from_x_log,
     position_expectation,
+    position_given_n,
     posterior_over_n,
     recommend_damping,
     validate_clock_params,
@@ -57,12 +49,16 @@ def test_valid_clock_params_pass_through():
 
 
 def test_over_damped_rejected():
-    with pytest.raises(OverDamped):
+    with pytest.raises(ValidationError, match=(
+        r"^under-damping requires r/2 < omega, got r/2 = 1\.25 >= omega = 1\.0$"
+    )):
         validate_clock_params(ClockParams(damping=2.5, n_reset=0.1))
 
 
 def test_reset_too_late_rejected():
-    with pytest.raises(ResetTooLate):
+    with pytest.raises(
+        ValidationError, match=r"^n_reset = 20\.0 exceeds the running-time limit 1/r = 10\.0$"
+    ):
         validate_clock_params(ClockParams(damping=0.1, n_reset=20.0))
 
 
@@ -72,7 +68,10 @@ def test_reset_at_limit_accepted():
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, 1j])
 def test_non_positive_amplitude_rejected(alpha):
-    with pytest.raises(NonPositiveAmplitude):
+    with pytest.raises(ValidationError, match=(
+        r"^amplitude sqrt\(2\*hbar/\(m\*omega\)\)\*Re\(alpha\) = \S+ "
+        "must be > 0 for the time-map inversion$"
+    )):
         validate_clock_params(ClockParams(alpha=alpha, n_reset=1.0))
 
 
@@ -88,12 +87,18 @@ def test_non_positive_amplitude_rejected(alpha):
     ],
 )
 def test_non_positive_scales_rejected(kwargs):
-    with pytest.raises(NonPositiveScale):
-        validate_clock_params(ClockParams(**kwargs))
+    params = ClockParams(**kwargs)
+    if "n_reset" in kwargs:
+        message = f"n_reset must be a positive finite number, got {params.n_reset}"
+    else:
+        scales = params.hbar, params.mass, params.omega
+        message = f"hbar, mass, omega must be positive finite numbers, got {scales}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        validate_clock_params(params)
 
 
 def test_negative_damping_rejected():
-    with pytest.raises(NegativeDamping):
+    with pytest.raises(ValidationError, match=r"^damping must be a finite number >= 0, got -0\.1$"):
         validate_clock_params(ClockParams(damping=-0.1))
 
 
@@ -157,7 +162,7 @@ def test_valid_system_spec_pass_through():
 def test_not_hermitian_rejected():
     h = np.array([[0.5, 0.1], [0.3, -0.5]], dtype=complex)
     spec = SystemSpec(dim=2, hamiltonian=h, initial_state=np.array([1.0, 0.0]))
-    with pytest.raises(NotHermitian):
+    with pytest.raises(ValidationError, match="^generator is not Hermitian within 1e-12 entrywise$"):
         validate_system_spec(spec)
 
 
@@ -167,28 +172,29 @@ def test_not_normalized_rejected():
         hamiltonian=np.diag([0.5, -0.5]).astype(complex),
         initial_state=np.array([1.0, 1.0]),
     )
-    with pytest.raises(NotNormalized):
+    with pytest.raises(ValidationError, match=r"^initial state norm \S+ is not 1 within 1e-12$"):
         validate_system_spec(spec)
 
 
 @pytest.mark.parametrize(
-    "hamiltonian, initial_state, error",
+    "hamiltonian, initial_state, message",
     [
-        (np.diag([0.5, -0.5]), [math.nan, 1.0], NotNormalized),
-        (np.diag([0.5, -0.5]), [1.0, complex(0.0, math.inf)], NotNormalized),
-        (np.diag([math.nan, -0.5]), [1.0, 0.0], NotHermitian),
-        (np.diag([math.inf, -0.5]), [1.0, 0.0], NotHermitian),
+        (np.diag([0.5, -0.5]), [math.nan, 1.0], "initial state"),
+        (np.diag([0.5, -0.5]), [1.0, complex(0.0, math.inf)], "initial state"),
+        (np.diag([math.nan, -0.5]), [1.0, 0.0], "generator"),
+        (np.diag([math.inf, -0.5]), [1.0, 0.0], "generator"),
     ],
+    ids=["state-nan", "state-inf", "generator-nan", "generator-inf"],
 )
-def test_non_finite_system_spec_rejected(hamiltonian, initial_state, error):
+def test_non_finite_system_spec_rejected(hamiltonian, initial_state, message):
     spec = SystemSpec(dim=2, hamiltonian=hamiltonian, initial_state=np.array(initial_state))
-    with pytest.raises(error):
+    with pytest.raises(ValidationError, match=f"^{message} has non-finite entries$"):
         validate_system_spec(spec)
 
 
 def test_dimension_too_small_rejected():
     spec = SystemSpec(dim=1, hamiltonian=np.array([[1.0]]), initial_state=np.array([1.0]))
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(ValidationError, match="^system dimension must be >= 2, got 1$"):
         validate_system_spec(spec)
 
 
@@ -206,7 +212,7 @@ def test_rescaled_hamiltonian():
     scaled = spec.rescaled_hamiltonian(params)
     expected = 2.0 * spec.hamiltonian / (0.5 * params.amplitude)
     np.testing.assert_allclose(scaled, expected, rtol=0, atol=0)
-    with pytest.raises(ZeroDamping):
+    with pytest.raises(ValidationError, match="^rescaled generator requires damping r > 0$"):
         spec.rescaled_hamiltonian(ClockParams(damping=0.0, n_reset=1.0))
 
 
@@ -214,14 +220,15 @@ def test_check_abstract_time_window():
     params = ClockParams(damping=0.5, n_reset=2.0)
     assert check_abstract_time(0.0, params) == 0.0
     assert check_abstract_time(2.0, params) == 2.0
-    with pytest.raises(InvalidAbstractTime):
+    window = re.escape("outside the running window [0, 2.0]")
+    with pytest.raises(ValidationError, match=rf"^n = -0\.1 {window}$"):
         check_abstract_time(-0.1, params)
-    with pytest.raises(InvalidAbstractTime):
+    with pytest.raises(ValidationError, match=rf"^n = 2\.1 {window}$"):
         check_abstract_time(2.1, params)
     times = np.array([0.0, 1.0, 2.0])
     assert check_abstract_time(times, params) is times
     for bad in (2.1, -0.1, np.nan):
-        with pytest.raises(InvalidAbstractTime, match=f"n = {bad} "):
+        with pytest.raises(ValidationError, match=f"^n = {bad} {window}$"):
             check_abstract_time(np.array([0.5, bad, 3.0]), params)
 
 
@@ -338,6 +345,56 @@ BAD_ARGUMENTS = {
         ValidationError,
         "^b must have a finite nonzero norm, got squared norm inf at state 1$",
     ),
+    "fidelity(tiny, zero)": (
+        lambda: fidelity(np.array([1e-200, 0.0]), np.zeros(2)),
+        ValidationError,
+        "^b must have a finite nonzero norm, got squared norm 0.0 at state 0$",
+    ),
+    "position_expectation(nan)": (
+        lambda: position_expectation(math.nan, SCALAR_CLOCK),
+        ValidationError,
+        "^n must be finite, got nan$",
+    ),
+    "position_expectation(inf)": (
+        lambda: position_expectation(np.array([0.5, math.inf, math.nan]), SCALAR_CLOCK),
+        ValidationError,
+        "^n must be finite, got inf$",
+    ),
+    "width(nan)": (lambda: width(math.nan, SCALAR_CLOCK), ValidationError, "^n must be finite, got nan$"),
+    "width(-inf)": (
+        lambda: width(-math.inf, SCALAR_CLOCK), ValidationError, "^n must be finite, got -inf$"
+    ),
+    "decoherence_rate(nan)": (
+        lambda: decoherence_rate(math.nan, SCALAR_CLOCK),
+        ValidationError,
+        "^n must be finite, got nan$",
+    ),
+    "decoherence_rate(inf) undamped": (
+        lambda: decoherence_rate(math.inf, ClockParams(n_reset=1.0)),
+        ValidationError,
+        "^n must be finite, got inf$",
+    ),
+    "position_given_n(nan, 1.0)": (
+        lambda: position_given_n(math.nan, 1.0, SCALAR_CLOCK),
+        ValidationError,
+        "^x must be finite, got nan$",
+    ),
+    "wavefunction(nan, 1.0)": (
+        lambda: wavefunction(math.nan, 1.0, SCALAR_CLOCK),
+        ValidationError,
+        "^x must be finite, got nan$",
+    ),
+    "wavefunction(inf, 1.0)": (
+        lambda: wavefunction(np.array([0.5, math.inf]), 1.0, SCALAR_CLOCK),
+        ValidationError,
+        "^x must be finite, got inf$",
+    ),
+    # A NaN reading now fails as bad input, not as an unreachable one.
+    "posterior_over_n(nan)": (
+        lambda: posterior_over_n(math.nan, SCALAR_CLOCK, 64),
+        ValidationError,
+        "^x must be finite, got nan$",
+    ),
 }
 
 
@@ -346,3 +403,11 @@ def test_library_boundary_names_the_bad_argument(case):
     call, error, message = BAD_ARGUMENTS[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_closed_forms_stay_defined_at_finite_times_outside_the_window():
+    n = np.array([-1.0, 3.0, 1e3])  # the window is [0, 1.5]
+    params = SCALAR_CLOCK
+    assert np.all(np.isfinite(position_expectation(n, params)))
+    assert np.all(np.isfinite(width(n, params)))
+    assert np.all(np.isfinite(decoherence_rate(n, params)))
