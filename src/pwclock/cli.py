@@ -45,7 +45,7 @@ from .conditional import (
     ideal_limit_concentration,
     posterior_over_n,
 )
-from .evolution import _inner, compare_evolutions, default_qubit_spec, evolve_exact
+from .evolution import _eigensystem, _inner, compare_evolutions, default_qubit_spec, evolve_exact
 
 SCHEMA_VERSION = 1
 
@@ -289,34 +289,29 @@ def resolve_config(
 
 
 # ---------------------------------------------------------------------------
-# Experiment implementations: each returns (header, columns, extras), one
-# column per header entry.
+# Experiment implementations: each returns (table, extras); the table maps
+# each CSV column's name to its values, in column order.
 # ---------------------------------------------------------------------------
 
 
 def _run_clock_profile(cfg: ExperimentConfig):
-    n = np.linspace(0.0, cfg.clock.n_reset, cfg.grid_size)
-    columns = [
-        n,
-        position_expectation(n, cfg.clock),
-        width(n, cfg.clock),
-        decoherence_rate(n, cfg.clock),
-    ]
-    return ["n", "mean_x", "width", "decoherence_rate"], columns, {}
+    clock = cfg.clock
+    n = np.linspace(0.0, clock.n_reset, cfg.grid_size)
+    return dict(n=n, mean_x=position_expectation(n, clock), width=width(n, clock),
+                decoherence_rate=decoherence_rate(n, clock)), {}
 
 
 def _run_damping_opt(cfg: ExperimentConfig):
     n = np.linspace(0.0, cfg.clock.n_reset, cfg.grid_size + 1)[1:]  # exclude n = 0
     point = damping_stationary_point(n, cfg.clock)
-    columns = [n, point.r_star, point.rate, point.classification]
-    return ["n", "r_star", "rate_at_r_star", "classification"], columns, {}
+    return dict(n=n, r_star=point.r_star, rate_at_r_star=point.rate,
+                classification=point.classification), {}
 
 
 def _run_timemap(cfg: ExperimentConfig):
     table = linearization_report(cfg.clock, cfg.grid_size)
-    header = ["x", "y", "n_exact", "n_log", "n_linear", "rel_error_linear"]
-    columns = [getattr(table, name) for name in header]
-    return header, columns, {"max_rel_error_linear": float(np.max(table.rel_error_linear))}
+    # Its fields, x, y, n_exact, n_log, n_linear and rel_error_linear, are the columns.
+    return dict(vars(table)), {"max_rel_error_linear": float(np.max(table.rel_error_linear))}
 
 
 def _run_posterior(cfg: ExperimentConfig):
@@ -329,7 +324,7 @@ def _run_posterior(cfg: ExperimentConfig):
         "norm_raw": posterior.norm_raw,
         "integration_bound": float(posterior.grid[-1]),
     }
-    return ["n_prime", "density"], [posterior.grid, posterior.density], extras
+    return dict(n_prime=posterior.grid, density=posterior.density), extras
 
 
 def _run_ideal_limit(cfg: ExperimentConfig):
@@ -346,15 +341,15 @@ def _run_ideal_limit(cfg: ExperimentConfig):
         x = position_expectation(probe_time, scaled)
         readings.append(x)
         fractions.append(ideal_limit_concentration(x, scaled, window, cfg.grid_size))
-    columns = [scales, [window] * len(scales), readings, fractions]
-    extras = {"probe_time": probe_time, "amplitude": target_amplitude}
-    return ["mass_omega", "window", "x", "mass_fraction"], columns, extras
+    table = dict(mass_omega=scales, window=[window] * len(scales), x=readings,
+                 mass_fraction=fractions)
+    return table, {"probe_time": probe_time, "amplitude": target_amplitude}
 
 
 def _run_evolve_compare(cfg: ExperimentConfig):
     table = compare_evolutions(cfg.system, cfg.clock, cfg.grid_size)
-    columns = [table.n, table.x, table.y, table.fidelity]
-    return ["n", "x", "y", "fidelity"], columns, {"worst_row_fidelity": table.worst_fidelity}
+    columns = dict(n=table.n, x=table.x, y=table.y, fidelity=table.fidelity)
+    return columns, {"worst_row_fidelity": table.worst_fidelity}
 
 
 def _run_oracle_check(cfg: ExperimentConfig):
@@ -377,22 +372,13 @@ def _run_oracle_check(cfg: ExperimentConfig):
     err_a = np.abs(cond_a - exact_a)
     err_b = np.abs(cond_b - exact_b)
     residual = np.abs(cond_a + cond_b - 1.0)
-    header = [
-        "n",
-        "x",
-        "p_cond_a",
-        "p_exact_a",
-        "abs_err_a",
-        "p_cond_b",
-        "p_exact_b",
-        "abs_err_b",
-    ]
-    columns = [times, readings, cond_a, exact_a, err_a, cond_b, exact_b, err_b]
+    table = dict(n=times, x=readings, p_cond_a=cond_a, p_exact_a=exact_a, abs_err_a=err_a,
+                 p_cond_b=cond_b, p_exact_b=exact_b, abs_err_b=err_b)
     extras = {
         "max_abs_err": float(np.max([err_a, err_b], initial=0.0)),
         "max_complement_residual": float(np.max(residual, initial=0.0)),
     }
-    return header, columns, extras
+    return table, extras
 
 
 # Each experiment's runner and its default clock, grid_size and options, in
@@ -421,23 +407,24 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def _derived_constants(cfg: ExperimentConfig) -> dict:
-    derived = {
-        "damped_frequency": cfg.clock.damped_frequency,
-        "amplitude": cfg.clock.amplitude,
+    """Omega, A and the rescaled generator's norm 2*max|E|/(r*A) (None at r = 0)."""
+    clock = cfg.clock
+    norm = None
+    if clock.damping > 0.0:
+        energies = _eigensystem(cfg.system)[0]
+        norm = 2.0 * float(np.max(np.abs(energies))) / (clock.damping * clock.amplitude)
+    return {
+        "damped_frequency": clock.damped_frequency,
+        "amplitude": clock.amplitude,
+        "rescaled_generator_norm": norm,
     }
-    if cfg.clock.damping > 0.0:
-        rescaled = cfg.system.rescaled_hamiltonian(cfg.clock)
-        derived["rescaled_generator_norm"] = float(np.linalg.norm(rescaled, 2))
-    else:
-        derived["rescaled_generator_norm"] = None
-    return derived
 
 
 def _compute(cfg: ExperimentConfig):
-    """One experiment's (header, columns, extras) and the seconds it took."""
+    """One experiment's (table, extras) and the seconds it took."""
     started = time.perf_counter()
-    header, columns, extras = _EXPERIMENTS[cfg.experiment][0](cfg)
-    return header, columns, extras, time.perf_counter() - started
+    table, extras = _EXPERIMENTS[cfg.experiment][0](cfg)
+    return table, extras, time.perf_counter() - started
 
 
 def run(cfg: ExperimentConfig, computed=None) -> RunResult:
@@ -447,13 +434,14 @@ def run(cfg: ExperimentConfig, computed=None) -> RunResult:
     ``main`` computes every experiment it runs before writing, so a failing
     experiment leaves no file behind.
     """
-    header, rows, extras, seconds = computed or _compute(cfg)
+    table, extras, seconds = computed or _compute(cfg)
+    header = list(table)
     started = time.perf_counter()
     out_dir = Path(cfg.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.experiment}.csv"
     meta_path = out_dir / f"{cfg.experiment}.meta.json"
-    _write_csv(csv_path, header, rows)
+    _write_csv(csv_path, header, table.values())
     meta = {
         "schema_version": SCHEMA_VERSION,
         "experiment": cfg.experiment,

@@ -67,23 +67,42 @@ def position_expectation(n, params: ClockParams):
     Raises
     ------
     ValidationError
-        If any n is not finite; names the first.
+        If any n is not finite (names the first), or the clock breaks a
+        domain rule: hbar, m, omega positive finite numbers, r/2 < omega.
     """
-    n = _finite("n", n)
-    out = params.amplitude * np.exp(-params.damping * n / 2.0) * np.cos(params.damped_frequency * n)
-    return _scalar_or_array(out)
+    envelope, _, cos = _mean_terms(_finite("n", n), params)
+    return _scalar_or_array(envelope * cos)
 
 
 def width(n, params: ClockParams):
     """Gaussian width exp(-r*n/2) * sqrt(hbar/(2*m*omega)).
 
     This is the standard deviation of the position density |psi(x, n)|^2.
-    A non-finite n raises ValidationError naming the first.
+    A non-finite n raises ValidationError naming the first, and so does a
+    scale hbar, m or omega that is not a positive finite number.
     """
     n = _finite("n", n)
-    base = sqrt(params.hbar / (2.0 * params.mass * params.omega))
-    out = base * np.exp(-params.damping * n / 2.0)
-    return _scalar_or_array(out)
+    hbar, m_omega = params._scales()
+    return _scalar_or_array(sqrt(hbar / (2.0 * m_omega)) * _decay(n, params))
+
+
+def _decay(n, params: ClockParams):
+    """The factor exp(-r*n/2) by which the mean's envelope and the width decay."""
+    return np.exp(-params.damping * n / 2.0)
+
+
+def _mean_terms(n, params: ClockParams):
+    """A*exp(-r*n/2), Omega*n and cos(Omega*n), unchecked: <x>(n) is the first times the last."""
+    envelope = params.amplitude * _decay(n, params)
+    phase = params.damped_frequency * n
+    return envelope, phase, np.cos(phase)
+
+
+def _value_and_slope(n, params: ClockParams):
+    """<x>(n), as position_expectation rounds it, and its slope d<x>/dn, unchecked."""
+    envelope, phase, cos = _mean_terms(n, params)
+    slope = -envelope * (0.5 * params.damping * cos + params.damped_frequency * np.sin(phase))
+    return envelope * cos, slope
 
 
 def wavefunction(x, n, params: ClockParams):
@@ -153,7 +172,8 @@ def decoherence_rate(n, params: ClockParams):
 
 def _rate(r, n, params: ClockParams):
     """The decoherence rate r*hbar*exp(-r*n)/(m*omega) at damping(s) r and time(s) n."""
-    return r * params.hbar * np.exp(-r * n) / (params.mass * params.omega)
+    hbar, m_omega = params._scales()
+    return r * hbar * np.exp(-r * n) / m_omega
 
 
 def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
@@ -175,10 +195,9 @@ def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
     _require(n, n > 0.0, lambda v, _: ValidationError(f"stationary damping requires n > 0, got {v}"))
     _require(n, n < np.inf, lambda v, _: ValidationError(
         f"stationary damping requires finite n, got {v}"))
+    hbar, m_omega = params._scales()
     r_star = 1.0 / n
-    d2 = (
-        params.hbar / (params.mass * params.omega) * n * np.exp(-r_star * n) * (r_star * n - 2.0)
-    )
+    d2 = hbar / m_omega * n * np.exp(-r_star * n) * (r_star * n - 2.0)
     kind = np.where(d2 < 0.0, "maximum", "flat")  # "flat" where d2 underflows to -0.0 or is NaN
     fields = r_star, kind, d2, _rate(r_star, n, params)
     return StationaryDamping(*map(_scalar_or_array, fields))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, replace
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -73,18 +73,34 @@ class ClockParams:
 
     @property
     def damped_frequency(self) -> float:
-        """Oscillation frequency with damping, sqrt(omega**2 - r**2/4)."""
+        """Oscillation frequency with damping, sqrt(omega**2 - r**2/4); needs r/2 < omega."""
+        if not self.damping / 2.0 < self.omega:
+            raise ValidationError(
+                f"under-damping requires r/2 < omega, got r/2 = {self.damping / 2.0}"
+                f" >= omega = {self.omega}"
+            )
         return sqrt(self.omega**2 - self.damping**2 / 4.0)
 
     @property
     def amplitude(self) -> float:
         """Undamped oscillation amplitude A = sqrt(2*hbar/(m*omega)) * Re(alpha)."""
-        return sqrt(2.0 * self.hbar / (self.mass * self.omega)) * self.alpha.real
+        hbar, m_omega = self._scales()
+        return sqrt(2.0 * hbar / m_omega) * self.alpha.real
 
     def with_amplitude(self, amplitude: float) -> "ClockParams":
         """Copy of these params with Re(alpha) set so A equals `amplitude`."""
-        re = amplitude / sqrt(2.0 * self.hbar / (self.mass * self.omega))
+        hbar, m_omega = self._scales()
+        re = amplitude / sqrt(2.0 * hbar / m_omega)
         return replace(self, alpha=complex(re, complex(self.alpha).imag))
+
+    def _scales(self) -> tuple[float, float]:
+        """(hbar, m*omega); ValidationError unless hbar, m and omega are positive finite."""
+        hbar, mass, omega = self.hbar, self.mass, self.omega
+        if not (0.0 < hbar < inf and 0.0 < mass < inf and 0.0 < omega < inf):  # NaN fails
+            raise ValidationError(
+                f"hbar, mass, omega must be positive finite numbers, got ({hbar}, {mass}, {omega})"
+            )
+        return hbar, mass * omega
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,15 +125,6 @@ class SystemSpec:
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "initial_state", psi)
 
-    def rescaled_hamiltonian(self, params: ClockParams) -> np.ndarray:
-        """Generator rescaled for clock-position evolution, 2*H/(r*A).
-
-        Undefined for an undamped clock (r = 0).
-        """
-        if params.damping == 0.0:
-            raise ValidationError("rescaled generator requires damping r > 0")
-        return 2.0 * self.hamiltonian / (params.damping * params.amplitude)
-
 
 def validate_clock_params(params: ClockParams) -> ClockParams:
     """Check all ClockParams invariants; return the params unchanged.
@@ -130,12 +137,7 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
         If a scale or n_reset is not > 0, r < 0, alpha or phase is not
         finite, r/2 >= omega (over-damped), n_reset > 1/r, or A <= 0.
     """
-    scales = (params.hbar, params.mass, params.omega)
-    if not np.all(np.isfinite(scales)) or min(scales) <= 0.0:
-        raise ValidationError(
-            f"hbar, mass, omega must be positive finite numbers, got "
-            f"({params.hbar}, {params.mass}, {params.omega})"
-        )
+    params._scales()  # raises unless hbar, mass and omega are positive finite numbers
     if not np.isfinite(params.n_reset) or params.n_reset <= 0.0:
         raise ValidationError(f"n_reset must be a positive finite number, got {params.n_reset}")
     if not np.isfinite(params.damping) or params.damping < 0.0:
@@ -144,19 +146,16 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
         raise ValidationError(
             f"alpha and phase must be finite, got alpha = {params.alpha}, phase = {params.phase}"
         )
-    if params.damping / 2.0 >= params.omega:
-        raise ValidationError(
-            f"under-damping requires r/2 < omega, got r/2 = {params.damping / 2.0}"
-            f" >= omega = {params.omega}"
-        )
+    params.damped_frequency  # raises unless r/2 < omega
     if params.damping > 0.0 and params.n_reset > 1.0 / params.damping:
         raise ValidationError(
             f"n_reset = {params.n_reset} exceeds the running-time limit "
             f"1/r = {1.0 / params.damping}"
         )
-    if not np.isfinite(params.amplitude) or params.amplitude <= 0.0:
+    amplitude = params.amplitude
+    if not np.isfinite(amplitude) or amplitude <= 0.0:
         raise ValidationError(
-            f"amplitude sqrt(2*hbar/(m*omega))*Re(alpha) = {params.amplitude} "
+            f"amplitude sqrt(2*hbar/(m*omega))*Re(alpha) = {amplitude} "
             "must be > 0 for the time-map inversion"
         )
     return params
@@ -185,8 +184,9 @@ def validate_system_spec(spec: SystemSpec) -> SystemSpec:
         raise ValidationError(f"initial state must have length {spec.dim}, got {psi.shape}")
     if not np.all(np.isfinite(psi)):
         raise ValidationError("initial state has non-finite entries")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
-        raise ValidationError(f"initial state norm {np.linalg.norm(psi)} is not 1 within 1e-12")
+    norm = sqrt(psi.real @ psi.real + psi.imag @ psi.imag)
+    if abs(norm - 1.0) > 1e-12:
+        raise ValidationError(f"initial state norm {norm} is not 1 within 1e-12")
     return spec
 
 

@@ -26,7 +26,7 @@ from .params import (
     _require,
     _scalar_or_array,
 )
-from .clock import position_expectation
+from .clock import _value_and_slope, position_expectation
 
 __all__ = [
     "n_from_x_exact",
@@ -130,15 +130,6 @@ def n_from_x_exact(x, params: ClockParams):
     else:
         out[idx] = n
     return _scalar_or_array(out.reshape(x.shape))
-
-
-def _value_and_slope(n, params: ClockParams):
-    """<x>(n), with position_expectation's rounding, and its slope d<x>/dn."""
-    envelope = params.amplitude * np.exp(-params.damping * n / 2.0)
-    phase = params.damped_frequency * n
-    cos = np.cos(phase)
-    slope = -envelope * (0.5 * params.damping * cos + params.damped_frequency * np.sin(phase))
-    return envelope * cos, slope
 
 
 def n_from_x_log(x, params: ClockParams):

@@ -140,3 +140,19 @@ def test_records_of_scalars_keep_value_equality():
     x = position_expectation(0.5, params)
     assert invert_position(x, params) == invert_position(x, params)
     assert invert_position(x, params) != invert_position(np.nextafter(x, 0.0), params)
+
+
+def test_each_clock_rule_is_written_once():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(Path(pwclock.__file__).parent.glob("*.py"))
+    }
+
+    def owners(text):
+        return [module for module, source in sources.items() for _ in range(source.count(text))]
+
+    assert owners("np.exp(-params.damping * n / 2.0)") == ["clock"]
+    for gone in ("rescaled_hamiltonian", "np.linalg.norm", "svd"):
+        assert owners(gone) == [], gone
+    assert owners("hbar, mass, omega must be positive finite numbers") == ["params"]
+    assert owners("under-damping requires r/2 < omega") == ["params"]

@@ -144,6 +144,26 @@ def test_meta_sidecar_contents(tmp_path):
     assert len(meta["config"]["system"]["hamiltonian"]) == 4
 
 
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_rescaled_generator_norm_matches_an_independent_svd(tmp_path, dim):
+    # meta.json's norm is 2*max|E|/(r*A) from the eigenvalues; the SVD of
+    # 2*H/(r*A) is its independent oracle.
+    rng = np.random.default_rng(dim)
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    hamiltonian = (raw + raw.conj().T) / 2.0
+    system = {
+        "dim": dim,
+        "hamiltonian": [[z.real, z.imag] for z in hamiltonian.reshape(-1)],
+        "initial_state": [[1.0, 0.0]] + [[0.0, 0.0]] * (dim - 1),
+    }
+    for clock in ({}, {"damping": 0.1, "n_reset": 1.5, "mass": 7.0, "alpha": [0.3, 0.0]}):
+        cfg = resolve_config("clock-profile", {"system": system, "clock": clock}, str(tmp_path), 16)
+        norm = json.loads(run(cfg).meta_path.read_text())["derived"]["rescaled_generator_norm"]
+        scale = cfg.clock.damping * cfg.clock.amplitude
+        svd = np.linalg.norm(2.0 * cfg.system.hamiltonian / scale, 2)
+        assert abs(norm - svd) <= 4 * math.ulp(svd)
+
+
 def test_sweep_with_tied_reset_horizon(tmp_path):
     doc = {"clock": {"damping": 0.5, "n_reset": "auto"}}
     cfg = resolve_config("clock-profile", doc, out=str(tmp_path / "sw"))

@@ -1,12 +1,16 @@
 import dataclasses
+import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+import pwclock
 from pwclock import (
     ClockParams,
+    NumericalError,
     OutOfRange,
     SystemSpec,
     ValidationError,
@@ -18,7 +22,10 @@ from pwclock import (
     decoherence_rate,
     default_qubit_spec,
     evolve_exact,
+    evolve_via_clock,
     fidelity,
+    ideal_limit_concentration,
+    invert_position,
     linearization_report,
     n_from_x_exact,
     n_from_x_linear,
@@ -204,16 +211,6 @@ def test_system_arrays_read_only():
         spec.hamiltonian[0, 0] = 9.0
     with pytest.raises(ValueError):
         spec.initial_state[0] = 0.0
-
-
-def test_rescaled_hamiltonian():
-    spec = pauli_z_spec()
-    params = ClockParams(damping=0.5, n_reset=2.0, alpha=1.0)
-    scaled = spec.rescaled_hamiltonian(params)
-    expected = 2.0 * spec.hamiltonian / (0.5 * params.amplitude)
-    np.testing.assert_allclose(scaled, expected, rtol=0, atol=0)
-    with pytest.raises(ValidationError, match="^rescaled generator requires damping r > 0$"):
-        spec.rescaled_hamiltonian(ClockParams(damping=0.0, n_reset=1.0))
 
 
 def test_check_abstract_time_window():
@@ -411,3 +408,107 @@ def test_closed_forms_stay_defined_at_finite_times_outside_the_window():
     assert np.all(np.isfinite(position_expectation(n, params)))
     assert np.all(np.isfinite(width(n, params)))
     assert np.all(np.isfinite(decoherence_rate(n, params)))
+
+
+def clock_calls(params):
+    """One call of each public function that takes a ClockParams, and of the
+    three ClockParams members that compute from its fields."""
+    return {
+        "ClockParams.amplitude": lambda: params.amplitude,
+        "ClockParams.with_amplitude": lambda: params.with_amplitude(1.0),
+        "ClockParams.damped_frequency": lambda: params.damped_frequency,
+        "validate_clock_params": lambda: validate_clock_params(params),
+        "check_abstract_time": lambda: check_abstract_time(0.05, params),
+        "position_expectation": lambda: position_expectation(0.05, params),
+        "width": lambda: width(0.05, params),
+        "decoherence_rate": lambda: decoherence_rate(0.05, params),
+        "damping_stationary_point": lambda: damping_stationary_point(0.05, params),
+        "recommend_damping": lambda: recommend_damping(1.5, params),
+        "wavefunction": lambda: wavefunction(0.5, 0.05, params),
+        "position_given_n": lambda: position_given_n(0.5, 0.05, params),
+        "posterior_over_n": lambda: posterior_over_n(0.5, params, 16),
+        "ideal_limit_concentration": lambda: ideal_limit_concentration(0.5, params, 0.1, 16),
+        "n_from_x_exact": lambda: n_from_x_exact(0.5, params),
+        "n_from_x_log": lambda: n_from_x_log(0.5, params),
+        "n_from_x_linear": lambda: n_from_x_linear(0.5, params),
+        "invert_position": lambda: invert_position(0.5, params),
+        "linearization_report": lambda: linearization_report(params, 16),
+        "evolve_via_clock": lambda: evolve_via_clock(QUBIT, 0.5, params),
+        "compare_evolutions": lambda: compare_evolutions(QUBIT, params, 16),
+        # The build reads only n_reset; conditioning on its history reads the clock.
+        "build_history_state": lambda: conditional_system_probability(
+            build_history_state(QUBIT, params, 16), 0.5, HALF
+        ),
+    }
+
+
+# Clocks outside the domain rules: hbar, mass and omega positive finite
+# numbers, and under-damping r/2 < omega.
+BAD_SCALE_CLOCKS = {
+    "mass=-1": ClockParams(damping=0.5, n_reset=1.5, mass=-1.0),
+    "hbar=nan": ClockParams(damping=0.5, n_reset=1.5, hbar=math.nan),
+    "omega=0": ClockParams(damping=0.5, n_reset=1.5, omega=0.0),
+}
+OVER_DAMPED = ClockParams(damping=5.0, n_reset=0.1)
+# The calls that read neither A, the width nor hbar/(m*omega).
+READ_NO_SCALE = {"ClockParams.damped_frequency", "check_abstract_time", "recommend_damping"}
+# The calls that read Omega, the only quantity that needs r/2 < omega.
+READ_OMEGA = {
+    "ClockParams.damped_frequency",
+    "validate_clock_params",
+    "position_expectation",
+    "wavefunction",
+    "position_given_n",
+    "posterior_over_n",
+    "ideal_limit_concentration",
+    "n_from_x_exact",
+    "invert_position",
+    "linearization_report",
+    "compare_evolutions",
+    "build_history_state",
+}
+
+
+def all_finite(value) -> bool:
+    """True if no float or complex in ``value``, or in its fields, is NaN or infinite."""
+    if dataclasses.is_dataclass(value):
+        return all(all_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    array = np.asarray(value)
+    return array.dtype.kind not in "fc" or bool(np.all(np.isfinite(array)))
+
+
+def raises_typed_error(call) -> bool:
+    """True if ``call`` raises ValidationError (OutOfRange included) or NumericalError,
+    False if it returns values that are all finite. Anything else fails: a warning, any
+    other exception (a bare ValueError too) or a NaN or infinity in the result."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call()
+        except (ValidationError, NumericalError):
+            return True
+    assert all_finite(result), result
+    return False
+
+
+def test_clock_calls_cover_every_public_function_that_takes_a_clock():
+    takers = {
+        name
+        for name, value in vars(pwclock).items()
+        if inspect.isfunction(value)
+        and any(p.annotation in ("ClockParams", ClockParams)
+                for p in inspect.signature(value).parameters.values())
+    }
+    assert {name for name in clock_calls(SCALAR_CLOCK) if "." not in name} == takers
+
+
+@pytest.mark.parametrize("clock", BAD_SCALE_CLOCKS)
+def test_bad_scales_raise_typed_errors_wherever_they_are_read(clock):
+    calls = clock_calls(BAD_SCALE_CLOCKS[clock])
+    returned = {name for name, call in calls.items() if not raises_typed_error(call)}
+    assert returned <= READ_NO_SCALE
+
+
+def test_over_damped_clock_raises_typed_errors_wherever_omega_is_read():
+    calls = clock_calls(OVER_DAMPED)
+    assert {name for name, call in calls.items() if raises_typed_error(call)} == READ_OMEGA
