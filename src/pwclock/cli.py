@@ -9,8 +9,10 @@ fully resolved config, derived constants and timing.
 
 from __future__ import annotations
 
+import atexit
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -595,5 +597,47 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if isinstance(exc, OSError) else 1
 
 
+def script() -> None:
+    """Entry of ``python -m pwclock.cli`` and of the ``pwclock`` console script.
+
+    Runs ``main`` and ends the process with its exit code. Every CSV and meta
+    file is closed by then, so the entry does what shutdown would do first,
+    in shutdown's order: it runs the atexit handlers, then flushes stdout
+    and stderr. It then leaves by ``os._exit``, skipping the interpreter's
+    teardown (module cleanup and the cyclic collector's final passes). It
+    exits the normal way, through ``sys.exit``, wherever skipping teardown
+    could be seen: if ``main`` raised (argparse's exit 2 too), inspect mode
+    is on (``-i``, ``PYTHONINSPECT``), another thread is alive, a tracer,
+    profiler or ``sys.monitoring`` tool is attached (coverage, cProfile, a
+    debugger), or a flush failed.
+    """
+    code = main()
+    if _teardown_observable():
+        sys.exit(code)
+    atexit._run_exitfuncs()  # runs each handler once; a normal exit runs none again
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except Exception:  # the normal exit reports it
+        sys.exit(code)
+    os._exit(code)
+
+
+def _teardown_observable() -> bool:
+    """True where a process that skips teardown could differ from one that does not."""
+    threading = sys.modules.get("threading")
+    monitoring = getattr(sys, "monitoring", None)  # Python >= 3.12
+    return bool(
+        sys.flags.inspect
+        or os.environ.get("PYTHONINSPECT")
+        or (threading is not None and threading.active_count() > 1)
+        or sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None
+            and any(monitoring.get_tool(tool) is not None for tool in range(6)))
+    )
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    script()

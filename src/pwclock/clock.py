@@ -68,7 +68,8 @@ def position_expectation(n, params: ClockParams):
     ------
     ValidationError
         If any n is not finite (names the first), or the clock breaks a
-        domain rule: hbar, m, omega positive finite numbers, r/2 < omega.
+        domain rule: hbar, m, omega positive finite numbers, r a finite
+        number >= 0, r/2 < omega, alpha and phase finite.
     """
     envelope, _, cos = _mean_terms(_finite("n", n), params)
     return _scalar_or_array(envelope * cos)
@@ -79,7 +80,8 @@ def width(n, params: ClockParams):
 
     This is the standard deviation of the position density |psi(x, n)|^2.
     A non-finite n raises ValidationError naming the first, and so does a
-    scale hbar, m or omega that is not a positive finite number.
+    scale hbar, m or omega that is not a positive finite number, or a
+    damping r that is not a finite number >= 0.
     """
     n = _finite("n", n)
     hbar, m_omega = params._scales()
@@ -88,7 +90,7 @@ def width(n, params: ClockParams):
 
 def _decay(n, params: ClockParams):
     """The factor exp(-r*n/2) by which the mean's envelope and the width decay."""
-    return np.exp(-params.damping * n / 2.0)
+    return np.exp(-params._damping() * n / 2.0)
 
 
 def _mean_terms(n, params: ClockParams):
@@ -101,7 +103,7 @@ def _mean_terms(n, params: ClockParams):
 def _value_and_slope(n, params: ClockParams):
     """<x>(n), as position_expectation rounds it, and its slope d<x>/dn, unchecked."""
     envelope, phase, cos = _mean_terms(n, params)
-    slope = -envelope * (0.5 * params.damping * cos + params.damped_frequency * np.sin(phase))
+    slope = -envelope * (0.5 * params._damping() * cos + params.damped_frequency * np.sin(phase))
     return envelope * cos, slope
 
 
@@ -165,9 +167,10 @@ def decoherence_rate(n, params: ClockParams):
 
     This is the magnitude of the rate of change of the squared minimum
     Gaussian width; the value is reported positive. A non-finite n raises
-    ValidationError naming the first.
+    ValidationError naming the first, and so do the clock's rules for the
+    scales and for r.
     """
-    return _scalar_or_array(_rate(params.damping, _finite("n", n), params))
+    return _scalar_or_array(_rate(params._damping(), _finite("n", n), params))
 
 
 def _rate(r, n, params: ClockParams):
@@ -209,12 +212,14 @@ def recommend_damping(n_reset: float, params: ClockParams) -> float:
     Raises
     ------
     ValidationError
-        If n_reset <= 0, is NaN or is +inf, or if 1/(2*n_reset) >= omega.
+        If n_reset <= 0, is NaN or is +inf, if hbar, m or omega is not a
+        positive finite number, or if 1/(2*n_reset) >= omega.
     """
     _require(n_reset, n_reset > 0.0, lambda v, _: ValidationError(
         f"recommendation requires n_reset > 0, got {v}"))
     _require(n_reset, n_reset < np.inf, lambda v, _: ValidationError(
         f"recommendation requires finite n_reset, got {v}"))
+    params._scales()  # raises unless hbar, m and omega are positive finite numbers
     r = 1.0 / n_reset
     if r / 2.0 >= params.omega:
         raise ValidationError(

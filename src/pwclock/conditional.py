@@ -146,7 +146,7 @@ def ideal_limit_concentration(
     try:
         center = n_from_x_exact(x, params)
     except OutOfRange:
-        if params.damping > 0.0 and 0.0 < x <= params.amplitude:
+        if params._damping() > 0.0 and 0.0 < x <= params.amplitude:
             center = n_from_x_log(x, params)
         else:
             raise

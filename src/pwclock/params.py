@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, replace
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
@@ -74,24 +74,25 @@ class ClockParams:
     @property
     def damped_frequency(self) -> float:
         """Oscillation frequency with damping, sqrt(omega**2 - r**2/4); needs r/2 < omega."""
-        if not self.damping / 2.0 < self.omega:
+        r = self._damping()
+        if not r / 2.0 < self.omega:
             raise ValidationError(
-                f"under-damping requires r/2 < omega, got r/2 = {self.damping / 2.0}"
+                f"under-damping requires r/2 < omega, got r/2 = {r / 2.0}"
                 f" >= omega = {self.omega}"
             )
-        return sqrt(self.omega**2 - self.damping**2 / 4.0)
+        return sqrt(self.omega**2 - r**2 / 4.0)
 
     @property
     def amplitude(self) -> float:
         """Undamped oscillation amplitude A = sqrt(2*hbar/(m*omega)) * Re(alpha)."""
         hbar, m_omega = self._scales()
-        return sqrt(2.0 * hbar / m_omega) * self.alpha.real
+        return sqrt(2.0 * hbar / m_omega) * self._alpha().real
 
     def with_amplitude(self, amplitude: float) -> "ClockParams":
         """Copy of these params with Re(alpha) set so A equals `amplitude`."""
         hbar, m_omega = self._scales()
         re = amplitude / sqrt(2.0 * hbar / m_omega)
-        return replace(self, alpha=complex(re, complex(self.alpha).imag))
+        return replace(self, alpha=complex(re, self._alpha().imag))
 
     def _scales(self) -> tuple[float, float]:
         """(hbar, m*omega); ValidationError unless hbar, m and omega are positive finite."""
@@ -101,6 +102,22 @@ class ClockParams:
                 f"hbar, mass, omega must be positive finite numbers, got ({hbar}, {mass}, {omega})"
             )
         return hbar, mass * omega
+
+    def _damping(self) -> float:
+        """r; ValidationError unless r is a finite number >= 0."""
+        r = self.damping
+        if not 0.0 <= r < inf:  # NaN fails
+            raise ValidationError(f"damping must be a finite number >= 0, got {r}")
+        return r
+
+    def _alpha(self) -> complex:
+        """alpha as a complex; ValidationError unless alpha and phase are finite."""
+        alpha = complex(self.alpha)
+        if not (isfinite(alpha.real) and isfinite(alpha.imag) and isfinite(self.phase)):
+            raise ValidationError(
+                f"alpha and phase must be finite, got alpha = {self.alpha}, phase = {self.phase}"
+            )
+        return alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,17 +157,12 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
     params._scales()  # raises unless hbar, mass and omega are positive finite numbers
     if not np.isfinite(params.n_reset) or params.n_reset <= 0.0:
         raise ValidationError(f"n_reset must be a positive finite number, got {params.n_reset}")
-    if not np.isfinite(params.damping) or params.damping < 0.0:
-        raise ValidationError(f"damping must be a finite number >= 0, got {params.damping}")
-    if not np.isfinite(complex(params.alpha)) or not np.isfinite(params.phase):
-        raise ValidationError(
-            f"alpha and phase must be finite, got alpha = {params.alpha}, phase = {params.phase}"
-        )
+    r = params._damping()  # raises unless r is a finite number >= 0
+    params._alpha()  # raises unless alpha and phase are finite
     params.damped_frequency  # raises unless r/2 < omega
-    if params.damping > 0.0 and params.n_reset > 1.0 / params.damping:
+    if r > 0.0 and params.n_reset > 1.0 / r:
         raise ValidationError(
-            f"n_reset = {params.n_reset} exceeds the running-time limit "
-            f"1/r = {1.0 / params.damping}"
+            f"n_reset = {params.n_reset} exceeds the running-time limit 1/r = {1.0 / r}"
         )
     amplitude = params.amplitude
     if not np.isfinite(amplitude) or amplitude <= 0.0:

@@ -142,12 +142,13 @@ def n_from_x_log(x, params: ClockParams):
     OutOfRange
         If any x <= 0 or x > A, or is NaN; names the first.
     """
-    if params.damping == 0.0:
+    r = params._damping()
+    if r == 0.0:
         raise ValidationError("log-form inversion undefined for r = 0")
     x = np.asarray(x, dtype=float)
     amp = params.amplitude
     _require(x, (x > 0.0) & (x <= amp), lambda v, _: OutOfRange(f"reading x = {v} outside (0, {amp}]"))
-    return _scalar_or_array((2.0 / params.damping) * np.log(amp / x))
+    return _scalar_or_array((2.0 / r) * np.log(amp / x))
 
 
 def n_from_x_linear(x, params: ClockParams):
@@ -160,13 +161,14 @@ def n_from_x_linear(x, params: ClockParams):
     OutOfRange
         If any x > A, or is -inf or NaN; names the first.
     """
-    if params.damping == 0.0:
+    r = params._damping()
+    if r == 0.0:
         raise ValidationError("linear inversion undefined for r = 0")
     x = np.asarray(x, dtype=float)
     amp = params.amplitude
     inside = (x > -np.inf) & (x <= amp)
     _require(x, inside, lambda v, _: OutOfRange(f"reading x = {v} outside (-inf, {amp}]"))
-    return _scalar_or_array(2.0 * (amp - x) / (params.damping * amp))
+    return _scalar_or_array(2.0 * (amp - x) / (r * amp))
 
 
 def invert_position(x, params: ClockParams) -> TimeMapResult:
@@ -194,7 +196,7 @@ def linearization_report(params: ClockParams, grid_size: int) -> TimeMapResult:
         Omega * n_reset >= pi/2.
     """
     grid_size = _checked_whole("grid_size", grid_size, 2)
-    if params.damping == 0.0:
+    if params._damping() == 0.0:
         raise ValidationError("linearization report undefined for r = 0")
     _check_monotone_window(params)
     step = params.n_reset / grid_size

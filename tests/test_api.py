@@ -81,39 +81,62 @@ INTERNAL_RAISES = {
 }
 
 
-def raised_names(path):
-    """(module, enclosing function, name) for each raise and each ``_require`` factory in
-    the module at ``path``; a bare re-raise gives none."""
-    module = path.stem
+SOURCES = sorted(Path(pwclock.__file__).parent.glob("*.py"))
 
-    def called(node):
-        node = node.func if isinstance(node, ast.Call) else node
-        return node.id if isinstance(node, ast.Name) else ast.unparse(node)
+
+def nodes(path):
+    """(module, enclosing function, node) for every node of the module at ``path``; the
+    function is None at module level."""
+    module = path.stem
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            yield module, function, called(node.exc)
-        if isinstance(node, ast.Call) and called(node) == "_require":
-            factory = node.args[2]
-            assert isinstance(factory, ast.Lambda), ast.unparse(node)
-            yield module, function, called(factory.body)
+        yield module, function, node
         for child in ast.iter_child_nodes(node):
             yield from visit(child, function)
 
-    return list(visit(ast.parse(path.read_text(encoding="utf-8")), None))
+    return visit(ast.parse(path.read_text(encoding="utf-8")), None)
+
+
+def called(node):
+    """The name a call, or the expression a raise, is made through, such as ``sys.exit``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else ast.unparse(node)
+
+
+def raised_names(path):
+    """(module, enclosing function, name) for each raise and each ``_require`` factory in
+    the module at ``path``; a bare re-raise gives none."""
+    found = []
+    for module, function, node in nodes(path):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            found.append((module, function, called(node.exc)))
+        if isinstance(node, ast.Call) and called(node) == "_require":
+            factory = node.args[2]
+            assert isinstance(factory, ast.Lambda), ast.unparse(node)
+            found.append((module, function, called(factory.body)))
+    return found
 
 
 def test_every_raise_is_one_of_the_three_classes():
-    found = [
-        site
-        for path in sorted(Path(pwclock.__file__).parent.glob("*.py"))
-        for site in raised_names(path)
-    ]
+    found = [site for path in SOURCES for site in raised_names(path)]
     assert INTERNAL_RAISES <= set(found)
     stray = [site for site in found if site[2] not in ERRORS and site not in INTERNAL_RAISES]
     assert not stray
+
+
+def test_only_the_script_entry_ends_the_process():
+    # Library code and ``main`` return; the script entry alone leaves, by
+    # ``os._exit`` or, where teardown could be seen, by ``sys.exit``. A call
+    # through any name ending in ``exit`` or ``_exit`` counts, aliases too.
+    found = {
+        (module, function, called(node))
+        for path in SOURCES
+        for module, function, node in nodes(path)
+        if isinstance(node, ast.Call) and called(node).rpartition(".")[2] in ("exit", "_exit")
+    }
+    assert found == {("cli", "script", "os._exit"), ("cli", "script", "sys.exit")}
 
 
 def test_records_of_arrays_compare_and_hash_by_identity():
@@ -151,8 +174,12 @@ def test_each_clock_rule_is_written_once():
     def owners(text):
         return [module for module, source in sources.items() for _ in range(source.count(text))]
 
-    assert owners("np.exp(-params.damping * n / 2.0)") == ["clock"]
+    assert owners("np.exp(-params._damping() * n / 2.0)") == ["clock"]
     for gone in ("rescaled_hamiltonian", "np.linalg.norm", "svd"):
         assert owners(gone) == [], gone
     assert owners("hbar, mass, omega must be positive finite numbers") == ["params"]
+    assert owners("damping must be a finite number >= 0") == ["params"]
+    assert owners("alpha and phase must be finite") == ["params"]
+    # Every read of r in the library goes through the rule's owner.
+    assert owners("params.damping") == []
     assert owners("under-damping requires r/2 < omega") == ["params"]

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -1023,14 +1024,7 @@ def test_cli_process_loads_no_rng_hash_or_pool_module(tmp_path):
     # A fresh process that runs the bundle and an oracle-check sweep draws its
     # readings from pwclock._rng, imports argparse only inside main, and
     # imports concurrent.futures only when cli.ThreadPoolExecutor is read.
-    package_root = Path(pwclock.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-B", "-c", _COLD_START, str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(package_root),
-             "OPENBLAS_NUM_THREADS": "1"},
-    )
+    proc = run_child(["-c", _COLD_START, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     argparse_on_import, codes, loaded, pool, missing = json.loads(proc.stdout)
     assert not argparse_on_import
@@ -1038,3 +1032,111 @@ def test_cli_process_loads_no_rng_hash_or_pool_module(tmp_path):
     assert loaded == []
     assert pool
     assert missing == "module 'pwclock.cli' has no attribute 'NoSuchName'"
+
+
+# The script entry: ``python -m pwclock.cli`` and the ``pwclock`` console script.
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def run_child(args, **kwargs):
+    """A fresh Python process on the pwclock this test imported, with a minimal environment."""
+    package_root = Path(pwclock.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-B", *args],
+        capture_output=True,
+        text=True,
+        stdin=subprocess.DEVNULL,
+        env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(package_root),
+             "OPENBLAS_NUM_THREADS": "1"},
+        **kwargs,
+    )
+
+
+def test_script_writes_the_bytes_main_writes(tmp_path):
+    proc = run_child(["-m", "pwclock.cli", "clock-profile", "--out", str(tmp_path / "script")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert main(["clock-profile", "--out", str(tmp_path / "main")]) == 0
+    written = [(tmp_path / tag / "clock-profile.csv").read_bytes() for tag in ("script", "main")]
+    assert written[0] == written[1]
+
+
+def test_script_bad_value_exits_one_with_one_error_line(tmp_path):
+    proc = run_child(["-m", "pwclock.cli", "clock-profile", "--grid", "nan",
+                      "--out", str(tmp_path / "o")])
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line) == {"error": {
+        "type": "ValidationError", "message": "--grid must be a finite number, got 'nan'"}}
+    assert not (tmp_path / "o").exists()
+
+
+def test_script_leaves_a_malformed_command_line_to_argparse():
+    proc = run_child(["-m", "pwclock.cli", "clock-profile", "--bogus"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: pwclock")
+    assert proc.stderr.splitlines()[-1] == "pwclock: error: unrecognized arguments: --bogus"
+
+
+# Runs the module as ``python -m`` does, after ``SETUP``, and prints how it ended:
+# "SystemExit <code>" only if the entry left through the normal exit.
+_AS_MAIN = """
+import atexit, io, os, runpy, sys, threading
+{setup}
+sys.argv = ["pwclock", "clock-profile", "--out", sys.argv[1]]
+try:
+    runpy.run_module("pwclock.cli", run_name="__main__")
+except SystemExit as exc:
+    print("SystemExit", exc.code, file=sys.__stdout__)
+    raise
+"""
+
+
+def test_script_runs_the_atexit_handlers(tmp_path):
+    setup = "atexit.register(print, 'handler ran')"
+    proc = run_child(["-c", _AS_MAIN.format(setup=setup), str(tmp_path)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "handler ran\n", "")
+    assert (tmp_path / "clock-profile.csv").is_file()
+
+
+# Where skipping teardown could be seen, the entry exits the normal way. The
+# tracer stands in for coverage and the profile hook for cProfile. The thread
+# outlives the main thread's code: shutdown joins it once the main thread
+# stops, and ``os._exit`` would cut it short.
+OBSERVERS = {
+    "tracer": "sys.settrace(lambda *args: None)",
+    "profiler": "sys.setprofile(lambda *args: None)",
+    "thread": "threading.Thread(target=lambda: (threading.main_thread().join(),"
+              " print('thread done'))).start()",
+    "inspect": "os.environ['PYTHONINSPECT'] = '1'",
+}
+
+
+@pytest.mark.parametrize("observer", OBSERVERS)
+def test_script_exits_normally_where_teardown_could_be_seen(tmp_path, observer):
+    proc = run_child(["-c", _AS_MAIN.format(setup=OBSERVERS[observer]), str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert "SystemExit 0" in proc.stdout.splitlines()
+    assert ("thread done" in proc.stdout) == (observer == "thread")
+    assert (tmp_path / "clock-profile.csv").is_file()
+
+
+def test_script_exits_normally_when_a_flush_fails(tmp_path):
+    setup = ("class Unflushable(io.StringIO):\n"
+             "    def flush(self):\n"
+             "        raise OSError('flush failed')\n"
+             "sys.stdout = Unflushable()")
+    proc = run_child(["-c", _AS_MAIN.format(setup=setup), str(tmp_path)])
+    assert proc.stdout == "SystemExit 0\n"
+    assert proc.returncode == 120, proc.stderr  # shutdown's own code for a failed flush
+    assert "flush failed" in proc.stderr
+
+
+def test_console_script_and_module_share_one_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(PYPROJECT, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["pwclock"]
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(node) for node in block.body] == ["script()"]
+    assert target == "pwclock.cli:script"

@@ -450,8 +450,8 @@ BAD_SCALE_CLOCKS = {
     "omega=0": ClockParams(damping=0.5, n_reset=1.5, omega=0.0),
 }
 OVER_DAMPED = ClockParams(damping=5.0, n_reset=0.1)
-# The calls that read neither A, the width nor hbar/(m*omega).
-READ_NO_SCALE = {"ClockParams.damped_frequency", "check_abstract_time", "recommend_damping"}
+# The calls that read neither A, the width, hbar/(m*omega) nor omega's scale rule.
+READ_NO_SCALE = {"ClockParams.damped_frequency", "check_abstract_time"}
 # The calls that read Omega, the only quantity that needs r/2 < omega.
 READ_OMEGA = {
     "ClockParams.damped_frequency",
@@ -512,3 +512,68 @@ def test_bad_scales_raise_typed_errors_wherever_they_are_read(clock):
 def test_over_damped_clock_raises_typed_errors_wherever_omega_is_read():
     calls = clock_calls(OVER_DAMPED)
     assert {name for name, call in calls.items() if raises_typed_error(call)} == READ_OMEGA
+
+
+# Clocks outside the damping rule, r a finite number >= 0, and the calls
+# that read no r: A, the reset window and the stationary point's own r = 1/n.
+BAD_DAMPING_CLOCKS = {
+    "damping=-5": ClockParams(damping=-5.0),
+    "damping=-0.1": ClockParams(damping=-0.1, n_reset=1.5),
+    "damping=inf": ClockParams(damping=math.inf, n_reset=1.5),
+    "damping=nan": ClockParams(damping=math.nan, n_reset=1.5),
+}
+READ_NO_DAMPING = {
+    "ClockParams.amplitude",
+    "check_abstract_time",
+    "damping_stationary_point",
+    "recommend_damping",
+}
+# Clocks outside the rule that alpha and phase be finite, and the calls that
+# read neither A nor alpha.
+BAD_ALPHA_CLOCKS = {
+    "alpha=nan": ClockParams(damping=0.5, n_reset=1.5, alpha=complex(math.nan, 0.0)),
+    "alpha=1+infj": ClockParams(damping=0.5, n_reset=1.5, alpha=complex(1.0, math.inf)),
+    "phase=nan": ClockParams(damping=0.5, n_reset=1.5, phase=math.nan),
+}
+READ_NO_ALPHA = {
+    "ClockParams.damped_frequency",
+    "check_abstract_time",
+    "damping_stationary_point",
+    "decoherence_rate",
+    "recommend_damping",
+    "width",
+}
+
+
+@pytest.mark.parametrize("clock", BAD_DAMPING_CLOCKS)
+def test_bad_damping_raises_the_rule_wherever_r_is_read(clock):
+    calls = clock_calls(BAD_DAMPING_CLOCKS[clock])
+    del calls["ClockParams.with_amplitude"]  # reads no r; the copy it returns keeps the bad one
+    returned = {name for name, call in calls.items() if not raises_typed_error(call)}
+    assert returned == READ_NO_DAMPING
+    for name in sorted(calls.keys() - returned):
+        with pytest.raises(ValidationError, match="^damping must be a finite number >= 0, got "):
+            calls[name]()
+
+
+@pytest.mark.parametrize("clock", BAD_ALPHA_CLOCKS)
+def test_bad_alpha_or_phase_raises_the_rule_wherever_alpha_is_read(clock):
+    calls = clock_calls(BAD_ALPHA_CLOCKS[clock])
+    returned = {name for name, call in calls.items() if not raises_typed_error(call)}
+    assert returned == READ_NO_ALPHA
+    for name in sorted(calls.keys() - returned):
+        with pytest.raises(ValidationError, match="^alpha and phase must be finite, got "):
+            calls[name]()
+
+
+@pytest.mark.parametrize("damping", [-5.0, math.inf, math.nan])
+@pytest.mark.parametrize("closed_form", [position_expectation, width, decoherence_rate])
+@pytest.mark.parametrize("n", [0.0, 0.5])
+def test_closed_forms_reject_a_bad_damping_at_every_time(damping, closed_form, n):
+    # Each once leaked: at r = -5 a bare "math domain error" from the mean, a
+    # width of 2.468 and a rate of -60.9 at n = 0.5; at r = inf a width of 0.0,
+    # and a RuntimeWarning at n = 0; at r = NaN a NaN width.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^damping must be a finite number >= 0, got {damping}$"):
+            closed_form(n, ClockParams(damping=damping))
