@@ -137,7 +137,7 @@ def wavefunction(x, n, params: ClockParams):
 def _envelope_terms(n, params: ClockParams):
     """Per-time terms of ``_envelope``: <x>(n), -4*delta^2 and (2*pi*delta^2)**(-1/4).
 
-    The times are not checked; callers check them first.
+    The times' finiteness is checked by ``position_expectation`` and ``width``, the window by callers.
     """
     n = np.asarray(n, dtype=float)
     delta = np.asarray(width(n, params))

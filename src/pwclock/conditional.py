@@ -109,7 +109,7 @@ def posterior_over_n(
         If the unnormalized integral underflows (x unreachable).
     """
     grid_size = _checked_whole("grid_size", grid_size, 2)
-    grid = np.linspace(0.0, params.n_reset, grid_size)
+    grid = np.linspace(0.0, params._n_reset(), grid_size)
     raw = position_given_n(x, grid, params)
     norm_raw = float(np.trapezoid(raw, grid))
     if not np.isfinite(norm_raw) or norm_raw < _SUPPORT_FLOOR:
@@ -180,7 +180,7 @@ def build_history_state(
     amplitude.
     """
     grid_size = _checked_whole("grid_size", grid_size, 16)
-    grid = np.linspace(0.0, params.n_reset, grid_size)
+    grid = np.linspace(0.0, params._n_reset(), grid_size)
     step = grid[1] - grid[0]
     weights = np.full(grid_size, step)
     weights[0] = weights[-1] = step / 2.0
@@ -205,16 +205,14 @@ def _reading_bands(history: HistoryState, readings: np.ndarray, mean: np.ndarray
     2 * sqrt(rho) * exp(-R^2 / (4*d0^2)) of term j, which
     R = 2*d0*sqrt(ln(2^54 * K * sqrt(rho))) makes 2^-53 / K. Where mu
     strictly decreases along the grid, the terms kept are one contiguous run
-    of k, found by two searchsorted calls on -mu. Elsewhere, and for a
-    non-finite reading, the band is the whole grid. ``mean`` is mu over the
-    grid.
+    of k, found by two searchsorted calls on -mu. Elsewhere the band is the
+    whole grid. ``mean`` is mu over the grid, and every reading is finite.
     """
     grid, params = history.grid, history.clock_params
     size = grid.size
-    lo, hi = np.zeros(readings.size, dtype=np.intp), np.full(readings.size, size)
     neg_mean = -mean
     if not np.all(np.diff(neg_mean) > 0.0):
-        return lo, hi
+        return np.zeros(readings.size, dtype=np.intp), np.full(readings.size, size)
     widest, narrowest = width(grid[0], params), width(grid[-1], params)
     ratio = widest / narrowest
     reach = 2.0 * widest * np.sqrt(np.log(2.0**54 * size * np.sqrt(ratio)))
@@ -223,10 +221,8 @@ def _reading_bands(history: HistoryState, readings: np.ndarray, mean: np.ndarray
         np.abs(readings + neg_mean[nearest - 1]), np.abs(readings + neg_mean[nearest])
     )
     radius = ratio * gap + reach
-    finite = np.isfinite(radius)
-    x, radius = readings[finite], radius[finite]
-    lo[finite] = np.searchsorted(neg_mean, -(x + radius), side="left")
-    hi[finite] = np.searchsorted(neg_mean, radius - x, side="right")
+    lo = np.searchsorted(neg_mean, -(readings + radius), side="left")
+    hi = np.searchsorted(neg_mean, radius - readings, side="right")
     return lo, hi
 
 
@@ -273,9 +269,9 @@ def conditional_system_probability(history: HistoryState, x, projector):
     ValidationError
         If the shape does not match the system, or a projector is not
         Hermitian idempotent within 1e-10 (the message names its index in
-        a stack), a non-finite entry failing both tests; or if the history
-        grid leaves the clock's running window. Every projector is checked
-        before any amplitude.
+        a stack), a non-finite entry failing both tests; if the history grid
+        leaves the clock's running window; or if a reading x is not finite (names
+        the first). Projectors, grid and readings are checked before any amplitude.
     NumericalError
         If the conditioning denominator underflows for any reading (x
         unreachable), or a value's imaginary residue or range is off. Each
@@ -300,7 +296,7 @@ def conditional_system_probability(history: HistoryState, x, projector):
     grid, params = history.grid, history.clock_params
     check_abstract_time(grid, params)
 
-    x = np.asarray(x, dtype=float)
+    x = _finite("x", x)
     readings = x.reshape(-1)
     mean, neg_four_var, prefactor = _envelope_terms(grid, params)
     lo, hi = _reading_bands(history, readings, mean)

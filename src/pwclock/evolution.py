@@ -157,7 +157,7 @@ def compare_evolutions(
     carries the worst-row fidelity.
     """
     grid_size = _checked_whole("grid_size", grid_size, 2)
-    n = np.arange(grid_size) * (params.n_reset / grid_size)
+    n = np.arange(grid_size) * (params._n_reset() / grid_size)
     x = position_expectation(n, params)
     state_exact = evolve_exact(spec, n)
     state_clock = evolve_via_clock(spec, x, params)

@@ -110,6 +110,12 @@ class ClockParams:
             raise ValidationError(f"damping must be a finite number >= 0, got {r}")
         return r
 
+    def _n_reset(self) -> float:
+        """n_reset; ValidationError unless it is a positive finite number."""
+        if not 0.0 < self.n_reset < inf:  # NaN fails
+            raise ValidationError(f"n_reset must be a positive finite number, got {self.n_reset}")
+        return self.n_reset
+
     def _alpha(self) -> complex:
         """alpha as a complex; ValidationError unless alpha and phase are finite."""
         alpha = complex(self.alpha)
@@ -155,14 +161,13 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
         finite, r/2 >= omega (over-damped), n_reset > 1/r, or A <= 0.
     """
     params._scales()  # raises unless hbar, mass and omega are positive finite numbers
-    if not np.isfinite(params.n_reset) or params.n_reset <= 0.0:
-        raise ValidationError(f"n_reset must be a positive finite number, got {params.n_reset}")
+    n_reset = params._n_reset()  # raises unless n_reset is a positive finite number
     r = params._damping()  # raises unless r is a finite number >= 0
     params._alpha()  # raises unless alpha and phase are finite
     params.damped_frequency  # raises unless r/2 < omega
-    if r > 0.0 and params.n_reset > 1.0 / r:
+    if r > 0.0 and n_reset > 1.0 / r:
         raise ValidationError(
-            f"n_reset = {params.n_reset} exceeds the running-time limit 1/r = {1.0 / r}"
+            f"n_reset = {n_reset} exceeds the running-time limit 1/r = {1.0 / r}"
         )
     amplitude = params.amplitude
     if not np.isfinite(amplitude) or amplitude <= 0.0:
@@ -213,13 +218,11 @@ _MAX_SIZE = 2**24  # largest grid size or reading count; a larger one fails by n
 def _checked_whole(name: str, value, minimum: int, maximum: int | None = _MAX_SIZE) -> int:
     """``value`` as an int if a whole number in [minimum, maximum] (None: no ceiling), else
     ValidationError."""
-    if not _is_number(value):
-        raise ValidationError(f"{name} must be a whole number, got {value!r}")
     try:
-        number = int(value)
-    except (ValueError, OverflowError) as exc:  # NaN or infinity
-        raise ValidationError(f"{name} must be a whole number, got {value!r}") from exc
-    if number != value:
+        number = int(value) if _is_number(value) else None
+    except (ValueError, OverflowError):  # NaN or infinity
+        number = None
+    if number is None or number != value:
         raise ValidationError(f"{name} must be a whole number, got {value!r}")
     if number < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
@@ -254,10 +257,10 @@ def check_abstract_time(n, params: ClockParams):
     """Require 0 <= n <= n_reset for a time or every time in an array; return n.
 
     The reset point itself is admitted so quadrature grids can close the
-    running window. NaN is rejected.
+    running window. NaN is rejected, and so is an n_reset outside its rule.
     """
-    times = np.asarray(n, dtype=float)
-    window = f"the running window [0, {params.n_reset}]"
-    inside = (times >= 0.0) & (times <= params.n_reset)
+    times, n_reset = np.asarray(n, dtype=float), params._n_reset()
+    window = f"the running window [0, {n_reset}]"
+    inside = (times >= 0.0) & (times <= n_reset)
     _require(times, inside, lambda v, _: ValidationError(f"n = {v} outside {window}"))
     return n

@@ -61,12 +61,15 @@ class TimeMapResult:
     rel_error_linear: float | np.ndarray
 
 
-def _check_monotone_window(params: ClockParams) -> None:
-    if params.damped_frequency * params.n_reset >= pi / 2.0:
+def _check_monotone_window(params: ClockParams) -> float:
+    """n_reset, once Omega * n_reset < pi/2 is checked; else ValidationError."""
+    n_reset = params._n_reset()
+    if params.damped_frequency * n_reset >= pi / 2.0:
         raise ValidationError(
-            f"Omega * n_reset = {params.damped_frequency * params.n_reset} >= pi/2; "
+            f"Omega * n_reset = {params.damped_frequency * n_reset} >= pi/2; "
             "the position map is not guaranteed invertible on this window"
         )
+    return n_reset
 
 
 def n_from_x_exact(x, params: ClockParams):
@@ -91,13 +94,13 @@ def n_from_x_exact(x, params: ClockParams):
     Raises
     ------
     ValidationError
-        If Omega * n_reset >= pi/2.
+        If n_reset is not a positive finite number, or Omega * n_reset >= pi/2.
     OutOfRange
         If any x > A or x <= <x>(n_reset), or is NaN; names the first.
     """
-    _check_monotone_window(params)
+    n_reset = _check_monotone_window(params)
     amp = params.amplitude
-    floor = position_expectation(params.n_reset, params)
+    floor = position_expectation(n_reset, params)
     x = np.asarray(x, dtype=float)
     interval = f"the attained interval ({floor}, {amp}]"
     inside = (x > floor) & (x <= amp)
@@ -107,8 +110,7 @@ def n_from_x_exact(x, params: ClockParams):
     out = np.zeros(readings.size)  # x == A maps to n = 0
     idx = np.flatnonzero(readings != amp)
     target = readings[idx]
-    lo = np.zeros(idx.size)
-    hi = np.full(idx.size, params.n_reset)
+    lo, hi = np.zeros(idx.size), np.full(idx.size, n_reset)
     n = np.minimum(np.arccos(target / amp) / params.damped_frequency, hi)
     for _ in range(_ROOT_MAX_ITER):
         f, slope = _value_and_slope(n, params)
@@ -192,12 +194,11 @@ def linearization_report(params: ClockParams, grid_size: int) -> TimeMapResult:
     Raises
     ------
     ValidationError
-        If grid_size is not a whole number in [2, 2**24], r = 0, or
-        Omega * n_reset >= pi/2.
+        If grid_size is not a whole number in [2, 2**24], r = 0, n_reset
+        is not a positive finite number, or Omega * n_reset >= pi/2.
     """
     grid_size = _checked_whole("grid_size", grid_size, 2)
     if params._damping() == 0.0:
         raise ValidationError("linearization report undefined for r = 0")
-    _check_monotone_window(params)
-    step = params.n_reset / grid_size
+    step = params._n_reset() / grid_size
     return invert_position(position_expectation(np.arange(grid_size) * step, params), params)

@@ -3,6 +3,7 @@
 import ast
 import copy
 import importlib
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import pwclock
+from pwclock import conditional
 from pwclock import (
     ClockParams,
     build_history_state,
@@ -183,3 +185,10 @@ def test_each_clock_rule_is_written_once():
     # Every read of r in the library goes through the rule's owner.
     assert owners("params.damping") == []
     assert owners("under-damping requires r/2 < omega") == ["params"]
+    assert owners("n_reset must be a positive finite number") == ["params"]
+    # Every read of n_reset in the library goes through the rule's owner.
+    library = ("params", "clock", "timemap", "conditional", "evolution")
+    reads = [module for module in library for _ in range(sources[module].count(".n_reset"))]
+    assert reads == ["params"] * inspect.getsource(ClockParams._n_reset).count(".n_reset")
+    # Readings are checked where they enter; the bands never see a non-finite one.
+    assert "isfinite" not in inspect.getsource(conditional._reading_bands)

@@ -361,9 +361,19 @@ def test_conditional_probability_unreachable_reading(history):
     xs = np.array([position_expectation(n, history.clock_params) for n in (0.4, 0.7)] + [80.0])
     with pytest.raises(NumericalError, match=unreachable.format(r"80\.0")):
         conditional_system_probability(history, xs, PROJECTOR_PLUS)
+
+
+def test_non_finite_readings_stop_at_the_door(history, monkeypatch):
+    # A NaN or infinite reading has no conditional state: it is bad input,
+    # refused by name before any envelope is evaluated, not an unreachable one.
+    finite = position_expectation(np.array([0.4, 0.7]), history.clock_params)
+    calls = record_amplitude_calls(monkeypatch)
     for reading in (math.nan, math.inf, -math.inf):
-        with pytest.raises(NumericalError, match=unreachable.format(reading)):
-            conditional_system_probability(history, np.append(xs[:2], reading), PROJECTOR_PLUS)
+        message = f"^x must be finite, got {reading}$"
+        for x in (reading, np.array([reading]), np.append(finite, [reading, math.nan])):
+            with pytest.raises(ValidationError, match=message):
+                conditional_system_probability(history, x, PROJECTOR_PLUS)
+    assert calls == []
 
 
 def perturbed_inner(monkeypatch, offsets):

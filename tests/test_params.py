@@ -566,6 +566,49 @@ def test_bad_alpha_or_phase_raises_the_rule_wherever_alpha_is_read(clock):
             calls[name]()
 
 
+# Clocks outside the rule that n_reset be a positive finite number, and the
+# calls that read no n_reset: A, Omega, the closed forms, the log and linear
+# inversions, and recommend_damping, which takes an n_reset of its own.
+BAD_N_RESET_CLOCKS = {
+    f"n_reset={n_reset}": ClockParams(damping=0.5, n_reset=n_reset)
+    for n_reset in (math.nan, math.inf, 0.0, -1.0)
+}
+READ_NO_N_RESET = {
+    "ClockParams.amplitude",
+    "ClockParams.damped_frequency",
+    "position_expectation",
+    "width",
+    "decoherence_rate",
+    "damping_stationary_point",
+    "recommend_damping",
+    "n_from_x_log",
+    "n_from_x_linear",
+    "evolve_via_clock",
+}
+
+
+@pytest.mark.parametrize("clock", BAD_N_RESET_CLOCKS)
+def test_bad_n_reset_raises_the_rule_wherever_n_reset_is_read(clock):
+    # Each once leaked: "n = 0.05 outside the running window [0, nan]" from
+    # the window check, or "n must be finite" from a grid that ends in NaN.
+    params = BAD_N_RESET_CLOCKS[clock]
+    calls = clock_calls(params)
+    del calls["ClockParams.with_amplitude"]  # reads no n_reset; the copy it returns keeps the bad one
+    # Conditioning reads the window of the clock its history carries.
+    history = build_history_state(QUBIT, SCALAR_CLOCK, 16)
+    calls["conditional_system_probability"] = lambda: conditional_system_probability(
+        dataclasses.replace(history, clock_params=params), 0.5, HALF
+    )
+    returned = {name for name, call in calls.items() if not raises_typed_error(call)}
+    assert returned == READ_NO_N_RESET
+    message = f"^n_reset must be a positive finite number, got {params.n_reset}$"
+    for name in sorted(calls.keys() - returned):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                calls[name]()
+
+
 @pytest.mark.parametrize("damping", [-5.0, math.inf, math.nan])
 @pytest.mark.parametrize("closed_form", [position_expectation, width, decoherence_rate])
 @pytest.mark.parametrize("n", [0.0, 0.5])
