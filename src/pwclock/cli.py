@@ -30,7 +30,6 @@ from .params import (
     ValidationError,
     _checked_whole,
     _is_number,
-    validate_clock_params,
     validate_system_spec,
 )
 from .clock import (
@@ -136,7 +135,7 @@ def _complex_to_json(z: complex) -> list[float]:
 
 
 def _clock_from_doc(doc: dict) -> ClockParams:
-    """The validated clock of a merged clock document (every field present).
+    """The clock of a merged clock document (every field present).
 
     The one place "auto" is resolved: ``"damping": "auto"`` becomes
     ``recommend_damping(n_reset)`` = 1/n_reset, ``"n_reset": "auto"`` 1/damping.
@@ -149,18 +148,15 @@ def _clock_from_doc(doc: dict) -> ClockParams:
         if damping <= 0:
             raise ValidationError("clock.n_reset 'auto' requires a positive numeric damping")
         n_reset = 1.0 / damping
-    params = ClockParams(
-        hbar=_real("clock.hbar", doc["hbar"]),
-        mass=_real("clock.mass", doc["mass"]),
-        omega=_real("clock.omega", doc["omega"]),
-        damping=0.0,  # placeholder until 'auto' is resolved
-        alpha=_complex_from_json("clock.alpha", doc["alpha"]),
-        n_reset=_real("clock.n_reset", n_reset),
-        phase=_real("clock.phase", doc["phase"]),
-    )
+    scales = {key: _real(f"clock.{key}", doc[key]) for key in ("hbar", "mass", "omega")}
+    alpha = _complex_from_json("clock.alpha", doc["alpha"])
+    n_reset = _real("clock.n_reset", n_reset)
+    phase = _real("clock.phase", doc["phase"])
     if damping == "auto":
-        damping = recommend_damping(params.n_reset, params)
-    return validate_clock_params(replace(params, damping=_real("clock.damping", damping)))
+        # recommend_damping reads only omega; the clock built below checks every rule.
+        damping = recommend_damping(n_reset, ClockParams(**scales))
+    damping = _real("clock.damping", damping)
+    return ClockParams(damping=damping, alpha=alpha, n_reset=n_reset, phase=phase, **scales)
 
 
 def _system_from_doc(doc: dict) -> SystemSpec:
@@ -339,7 +335,6 @@ def _run_ideal_limit(cfg: ExperimentConfig):
         scaled = replace(cfg.clock, mass=scale / cfg.clock.omega).with_amplitude(
             target_amplitude
         )
-        validate_clock_params(scaled)
         x = position_expectation(probe_time, scaled)
         readings.append(x)
         fractions.append(ideal_limit_concentration(x, scaled, window, cfg.grid_size))

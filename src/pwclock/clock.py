@@ -62,14 +62,12 @@ def position_expectation(n, params: ClockParams):
     n : float or ndarray
         Abstract time(s).
     params : ClockParams
-        Validated clock configuration.
+        The clock.
 
     Raises
     ------
     ValidationError
-        If any n is not finite (names the first), or the clock breaks a
-        domain rule: hbar, m, omega positive finite numbers, r a finite
-        number >= 0, r/2 < omega, alpha and phase finite.
+        If any n is not finite; names the first.
     """
     envelope, _, cos = _mean_terms(_finite("n", n), params)
     return _scalar_or_array(envelope * cos)
@@ -79,18 +77,16 @@ def width(n, params: ClockParams):
     """Gaussian width exp(-r*n/2) * sqrt(hbar/(2*m*omega)).
 
     This is the standard deviation of the position density |psi(x, n)|^2.
-    A non-finite n raises ValidationError naming the first, and so does a
-    scale hbar, m or omega that is not a positive finite number, or a
-    damping r that is not a finite number >= 0.
+    A non-finite n raises ValidationError naming the first.
     """
     n = _finite("n", n)
-    hbar, m_omega = params._scales()
-    return _scalar_or_array(sqrt(hbar / (2.0 * m_omega)) * _decay(n, params))
+    m_omega = params.mass * params.omega
+    return _scalar_or_array(sqrt(params.hbar / (2.0 * m_omega)) * _decay(n, params))
 
 
 def _decay(n, params: ClockParams):
     """The factor exp(-r*n/2) by which the mean's envelope and the width decay."""
-    return np.exp(-params._damping() * n / 2.0)
+    return np.exp(-params.damping * n / 2.0)
 
 
 def _mean_terms(n, params: ClockParams):
@@ -103,7 +99,7 @@ def _mean_terms(n, params: ClockParams):
 def _value_and_slope(n, params: ClockParams):
     """<x>(n), as position_expectation rounds it, and its slope d<x>/dn, unchecked."""
     envelope, phase, cos = _mean_terms(n, params)
-    slope = -envelope * (0.5 * params._damping() * cos + params.damped_frequency * np.sin(phase))
+    slope = -envelope * (0.5 * params.damping * cos + params.damped_frequency * np.sin(phase))
     return envelope * cos, slope
 
 
@@ -112,7 +108,9 @@ def wavefunction(x, n, params: ClockParams):
 
     Returns ``(2*pi*delta^2)**(-1/4) * exp(-(x - <x>)^2 / (4*delta^2) + i*phi)``
     with ``delta = width(n, params)`` and ``<x> = position_expectation(n, params)``,
-    so that the squared magnitude integrates to 1 over x at every n.
+    so that the squared magnitude integrates to 1 over x at every n. An x so
+    far from <x> that (x - <x>)^2 overflows gives exactly 0, the Gaussian's
+    value there.
 
     Parameters
     ----------
@@ -121,7 +119,7 @@ def wavefunction(x, n, params: ClockParams):
     n : float or ndarray
         Abstract time(s) in [0, n_reset]; broadcast against x.
     params : ClockParams
-        Validated clock configuration.
+        The clock.
 
     Raises
     ------
@@ -131,7 +129,10 @@ def wavefunction(x, n, params: ClockParams):
     """
     check_abstract_time(n, params)
     x = _finite("x", x)
-    return _scalar_or_array(_envelope(x, _envelope_terms(n, params)) * np.exp(1j * params.phase))
+    terms = _envelope_terms(n, params)
+    with np.errstate(over="ignore"):  # an overflowing (x - <x>)^2 gives exp(-inf) = 0
+        envelope = _envelope(x, terms)
+    return _scalar_or_array(envelope * np.exp(1j * params.phase))
 
 
 def _envelope_terms(n, params: ClockParams):
@@ -151,7 +152,8 @@ def _envelope(x, terms, out=None) -> np.ndarray:
     ``terms`` of ``_envelope_terms``, as a float64 array of the broadcast
     shape of x and the terms, built in place on ``out`` (a new array if
     None). The negation sits in the divisor, which IEEE division makes
-    exact: the value is that of ``-(x - <x>)^2 / (4*delta^2)``.
+    exact: the value is that of ``-(x - <x>)^2 / (4*delta^2)``. Where the
+    square overflows the value is 0; callers silence that overflow warning.
     """
     mean, neg_four_var, prefactor = terms
     out = np.asarray(np.subtract(np.asarray(x, dtype=float), mean, out=out))
@@ -167,16 +169,14 @@ def decoherence_rate(n, params: ClockParams):
 
     This is the magnitude of the rate of change of the squared minimum
     Gaussian width; the value is reported positive. A non-finite n raises
-    ValidationError naming the first, and so do the clock's rules for the
-    scales and for r.
+    ValidationError naming the first.
     """
-    return _scalar_or_array(_rate(params._damping(), _finite("n", n), params))
+    return _scalar_or_array(_rate(params.damping, _finite("n", n), params))
 
 
 def _rate(r, n, params: ClockParams):
     """The decoherence rate r*hbar*exp(-r*n)/(m*omega) at damping(s) r and time(s) n."""
-    hbar, m_omega = params._scales()
-    return r * hbar * np.exp(-r * n) / m_omega
+    return r * params.hbar * np.exp(-r * n) / (params.mass * params.omega)
 
 
 def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
@@ -198,9 +198,8 @@ def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
     _require(n, n > 0.0, lambda v, _: ValidationError(f"stationary damping requires n > 0, got {v}"))
     _require(n, n < np.inf, lambda v, _: ValidationError(
         f"stationary damping requires finite n, got {v}"))
-    hbar, m_omega = params._scales()
     r_star = 1.0 / n
-    d2 = hbar / m_omega * n * np.exp(-r_star * n) * (r_star * n - 2.0)
+    d2 = params.hbar / (params.mass * params.omega) * n * np.exp(-r_star * n) * (r_star * n - 2.0)
     kind = np.where(d2 < 0.0, "maximum", "flat")  # "flat" where d2 underflows to -0.0 or is NaN
     fields = r_star, kind, d2, _rate(r_star, n, params)
     return StationaryDamping(*map(_scalar_or_array, fields))
@@ -212,14 +211,12 @@ def recommend_damping(n_reset: float, params: ClockParams) -> float:
     Raises
     ------
     ValidationError
-        If n_reset <= 0, is NaN or is +inf, if hbar, m or omega is not a
-        positive finite number, or if 1/(2*n_reset) >= omega.
+        If n_reset <= 0, is NaN or is +inf, or if 1/(2*n_reset) >= omega.
     """
     _require(n_reset, n_reset > 0.0, lambda v, _: ValidationError(
         f"recommendation requires n_reset > 0, got {v}"))
     _require(n_reset, n_reset < np.inf, lambda v, _: ValidationError(
         f"recommendation requires finite n_reset, got {v}"))
-    params._scales()  # raises unless hbar, m and omega are positive finite numbers
     r = 1.0 / n_reset
     if r / 2.0 >= params.omega:
         raise ValidationError(

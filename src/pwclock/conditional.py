@@ -58,11 +58,14 @@ def position_given_n(x, n, params: ClockParams):
     A density in x: integrates to 1 over x at every fixed n. It is the
     squared real envelope of the amplitude, so the clock's global phase
     never enters it. An n outside [0, n_reset], or a non-finite x, raises
-    ValidationError naming the first.
+    ValidationError naming the first. An x so far from <x> that
+    (x - <x>)^2 overflows gives exactly 0.
     """
     check_abstract_time(n, params)
     x = _finite("x", x)
-    return _envelope(x, _envelope_terms(n, params)) ** 2
+    terms = _envelope_terms(n, params)
+    with np.errstate(over="ignore"):  # an overflowing (x - <x>)^2 gives exp(-inf) = 0
+        return _envelope(x, terms) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +102,7 @@ def posterior_over_n(
     """Posterior density over abstract time n' given a position reading x.
 
     The density is |<x|clock(n')>|^2 normalized by its trapezoid integral
-    over a uniform grid on [0, n_reset]; a validated clock has n_reset <= 1/r.
+    over a uniform grid on [0, n_reset]; every clock has n_reset <= 1/r.
 
     Raises
     ------
@@ -109,7 +112,7 @@ def posterior_over_n(
         If the unnormalized integral underflows (x unreachable).
     """
     grid_size = _checked_whole("grid_size", grid_size, 2)
-    grid = np.linspace(0.0, params._n_reset(), grid_size)
+    grid = np.linspace(0.0, params.n_reset, grid_size)
     raw = position_given_n(x, grid, params)
     norm_raw = float(np.trapezoid(raw, grid))
     if not np.isfinite(norm_raw) or norm_raw < _SUPPORT_FLOOR:
@@ -146,7 +149,7 @@ def ideal_limit_concentration(
     try:
         center = n_from_x_exact(x, params)
     except OutOfRange:
-        if params._damping() > 0.0 and 0.0 < x <= params.amplitude:
+        if params.damping > 0.0 and 0.0 < x <= params.amplitude:
             center = n_from_x_log(x, params)
         else:
             raise
@@ -180,7 +183,7 @@ def build_history_state(
     amplitude.
     """
     grid_size = _checked_whole("grid_size", grid_size, 16)
-    grid = np.linspace(0.0, params._n_reset(), grid_size)
+    grid = np.linspace(0.0, params.n_reset, grid_size)
     step = grid[1] - grid[0]
     weights = np.full(grid_size, step)
     weights[0] = weights[-1] = step / 2.0
@@ -299,19 +302,25 @@ def conditional_system_probability(history: HistoryState, x, projector):
     x = _finite("x", x)
     readings = x.reshape(-1)
     mean, neg_four_var, prefactor = _envelope_terms(grid, params)
-    lo, hi = _reading_bands(history, readings, mean)
-    # One float buffer and one complex row, reused by every reading; the
-    # row's imaginary part stays zero.
-    widest = int(np.max(hi - lo, initial=0))
-    envelope, row = np.empty(widest), np.zeros(widest, dtype=np.complex128)
-    weighted, weights, states = row.real, history.weights, history.sys_states
-    conditioned = np.empty((readings.size, dim), dtype=np.complex128)
-    for index, (reading, first, last) in enumerate(zip(readings.tolist(), lo.tolist(), hi.tolist())):
-        size = last - first
-        terms = mean[first:last], neg_four_var[first:last], prefactor[first:last]
-        out = _envelope(reading, terms, envelope[:size])
-        np.multiply(weights[first:last], out, out=weighted[:size])
-        np.dot(row[:size], states[first:last], out=conditioned[index])
+    # A huge finite reading may overflow its band's keys x +- radius and its
+    # (x - mu)^2 to inf: its band is the whole grid, its envelopes exactly 0,
+    # and it fails below as unreachable. One errstate serves every reading.
+    with np.errstate(over="ignore"):
+        lo, hi = _reading_bands(history, readings, mean)
+        # One float buffer and one complex row, reused by every reading; the
+        # row's imaginary part stays zero.
+        widest = int(np.max(hi - lo, initial=0))
+        envelope, row = np.empty(widest), np.zeros(widest, dtype=np.complex128)
+        weighted, weights, states = row.real, history.weights, history.sys_states
+        conditioned = np.empty((readings.size, dim), dtype=np.complex128)
+        for index, (reading, first, last) in enumerate(
+            zip(readings.tolist(), lo.tolist(), hi.tolist())
+        ):
+            size = last - first
+            terms = mean[first:last], neg_four_var[first:last], prefactor[first:last]
+            out = _envelope(reading, terms, envelope[:size])
+            np.multiply(weights[first:last], out, out=weighted[:size])
+            np.dot(row[:size], states[first:last], out=conditioned[index])
 
     denominators = _inner(conditioned, conditioned).real
     reachable = np.isfinite(denominators) & (denominators >= _SUPPORT_FLOOR)

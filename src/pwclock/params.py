@@ -41,6 +41,9 @@ class OutOfRange(ValidationError):
 class ClockParams:
     """Physical constants and damping/reset configuration of the clock.
 
+    ``validate_clock_params`` checks every clock when it is made, so a
+    ClockParams outside the domain rules cannot exist.
+
     Parameters
     ----------
     hbar : float
@@ -71,59 +74,23 @@ class ClockParams:
     n_reset: float = 1.0
     phase: float = 0.0
 
+    def __post_init__(self) -> None:
+        validate_clock_params(self)
+
     @property
     def damped_frequency(self) -> float:
-        """Oscillation frequency with damping, sqrt(omega**2 - r**2/4); needs r/2 < omega."""
-        r = self._damping()
-        if not r / 2.0 < self.omega:
-            raise ValidationError(
-                f"under-damping requires r/2 < omega, got r/2 = {r / 2.0}"
-                f" >= omega = {self.omega}"
-            )
-        return sqrt(self.omega**2 - r**2 / 4.0)
+        """Oscillation frequency with damping, sqrt(omega**2 - r**2/4)."""
+        return sqrt(self.omega**2 - self.damping**2 / 4.0)
 
     @property
     def amplitude(self) -> float:
         """Undamped oscillation amplitude A = sqrt(2*hbar/(m*omega)) * Re(alpha)."""
-        hbar, m_omega = self._scales()
-        return sqrt(2.0 * hbar / m_omega) * self._alpha().real
+        return sqrt(2.0 * self.hbar / (self.mass * self.omega)) * complex(self.alpha).real
 
     def with_amplitude(self, amplitude: float) -> "ClockParams":
-        """Copy of these params with Re(alpha) set so A equals `amplitude`."""
-        hbar, m_omega = self._scales()
-        re = amplitude / sqrt(2.0 * hbar / m_omega)
-        return replace(self, alpha=complex(re, self._alpha().imag))
-
-    def _scales(self) -> tuple[float, float]:
-        """(hbar, m*omega); ValidationError unless hbar, m and omega are positive finite."""
-        hbar, mass, omega = self.hbar, self.mass, self.omega
-        if not (0.0 < hbar < inf and 0.0 < mass < inf and 0.0 < omega < inf):  # NaN fails
-            raise ValidationError(
-                f"hbar, mass, omega must be positive finite numbers, got ({hbar}, {mass}, {omega})"
-            )
-        return hbar, mass * omega
-
-    def _damping(self) -> float:
-        """r; ValidationError unless r is a finite number >= 0."""
-        r = self.damping
-        if not 0.0 <= r < inf:  # NaN fails
-            raise ValidationError(f"damping must be a finite number >= 0, got {r}")
-        return r
-
-    def _n_reset(self) -> float:
-        """n_reset; ValidationError unless it is a positive finite number."""
-        if not 0.0 < self.n_reset < inf:  # NaN fails
-            raise ValidationError(f"n_reset must be a positive finite number, got {self.n_reset}")
-        return self.n_reset
-
-    def _alpha(self) -> complex:
-        """alpha as a complex; ValidationError unless alpha and phase are finite."""
-        alpha = complex(self.alpha)
-        if not (isfinite(alpha.real) and isfinite(alpha.imag) and isfinite(self.phase)):
-            raise ValidationError(
-                f"alpha and phase must be finite, got alpha = {self.alpha}, phase = {self.phase}"
-            )
-        return alpha
+        """Copy of these params with Re(alpha) set so A equals `amplitude`, which must be > 0."""
+        re = amplitude / sqrt(2.0 * self.hbar / (self.mass * self.omega))
+        return replace(self, alpha=complex(re, complex(self.alpha).imag))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +119,9 @@ class SystemSpec:
 def validate_clock_params(params: ClockParams) -> ClockParams:
     """Check all ClockParams invariants; return the params unchanged.
 
-    Non-finite values fail the check of their field.
+    ``ClockParams`` calls it when it is made, by ``dataclasses.replace`` and
+    ``with_amplitude`` too, so no invalid clock exists. Non-finite values fail
+    the check of their field.
 
     Raises
     ------
@@ -160,11 +129,25 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
         If a scale or n_reset is not > 0, r < 0, alpha or phase is not
         finite, r/2 >= omega (over-damped), n_reset > 1/r, or A <= 0.
     """
-    params._scales()  # raises unless hbar, mass and omega are positive finite numbers
-    n_reset = params._n_reset()  # raises unless n_reset is a positive finite number
-    r = params._damping()  # raises unless r is a finite number >= 0
-    params._alpha()  # raises unless alpha and phase are finite
-    params.damped_frequency  # raises unless r/2 < omega
+    hbar, mass, omega = params.hbar, params.mass, params.omega
+    if not (0.0 < hbar < inf and 0.0 < mass < inf and 0.0 < omega < inf):  # NaN fails
+        raise ValidationError(
+            f"hbar, mass, omega must be positive finite numbers, got ({hbar}, {mass}, {omega})"
+        )
+    n_reset, r = params.n_reset, params.damping
+    if not 0.0 < n_reset < inf:  # NaN fails
+        raise ValidationError(f"n_reset must be a positive finite number, got {n_reset}")
+    if not 0.0 <= r < inf:  # NaN fails
+        raise ValidationError(f"damping must be a finite number >= 0, got {r}")
+    alpha = complex(params.alpha)
+    if not (isfinite(alpha.real) and isfinite(alpha.imag) and isfinite(params.phase)):
+        raise ValidationError(
+            f"alpha and phase must be finite, got alpha = {params.alpha}, phase = {params.phase}"
+        )
+    if not r / 2.0 < omega:
+        raise ValidationError(
+            f"under-damping requires r/2 < omega, got r/2 = {r / 2.0} >= omega = {omega}"
+        )
     if r > 0.0 and n_reset > 1.0 / r:
         raise ValidationError(
             f"n_reset = {n_reset} exceeds the running-time limit 1/r = {1.0 / r}"
@@ -257,9 +240,9 @@ def check_abstract_time(n, params: ClockParams):
     """Require 0 <= n <= n_reset for a time or every time in an array; return n.
 
     The reset point itself is admitted so quadrature grids can close the
-    running window. NaN is rejected, and so is an n_reset outside its rule.
+    running window. NaN is rejected.
     """
-    times, n_reset = np.asarray(n, dtype=float), params._n_reset()
+    times, n_reset = np.asarray(n, dtype=float), params.n_reset
     window = f"the running window [0, {n_reset}]"
     inside = (times >= 0.0) & (times <= n_reset)
     _require(times, inside, lambda v, _: ValidationError(f"n = {v} outside {window}"))

@@ -61,17 +61,6 @@ class TimeMapResult:
     rel_error_linear: float | np.ndarray
 
 
-def _check_monotone_window(params: ClockParams) -> float:
-    """n_reset, once Omega * n_reset < pi/2 is checked; else ValidationError."""
-    n_reset = params._n_reset()
-    if params.damped_frequency * n_reset >= pi / 2.0:
-        raise ValidationError(
-            f"Omega * n_reset = {params.damped_frequency * n_reset} >= pi/2; "
-            "the position map is not guaranteed invertible on this window"
-        )
-    return n_reset
-
-
 def n_from_x_exact(x, params: ClockParams):
     """Unique n in [0, n_reset) with position_expectation(n) = x, per reading.
 
@@ -94,12 +83,16 @@ def n_from_x_exact(x, params: ClockParams):
     Raises
     ------
     ValidationError
-        If n_reset is not a positive finite number, or Omega * n_reset >= pi/2.
+        If Omega * n_reset >= pi/2.
     OutOfRange
         If any x > A or x <= <x>(n_reset), or is NaN; names the first.
     """
-    n_reset = _check_monotone_window(params)
-    amp = params.amplitude
+    n_reset, amp = params.n_reset, params.amplitude
+    if params.damped_frequency * n_reset >= pi / 2.0:
+        raise ValidationError(
+            f"Omega * n_reset = {params.damped_frequency * n_reset} >= pi/2; "
+            "the position map is not guaranteed invertible on this window"
+        )
     floor = position_expectation(n_reset, params)
     x = np.asarray(x, dtype=float)
     interval = f"the attained interval ({floor}, {amp}]"
@@ -144,7 +137,7 @@ def n_from_x_log(x, params: ClockParams):
     OutOfRange
         If any x <= 0 or x > A, or is NaN; names the first.
     """
-    r = params._damping()
+    r = params.damping
     if r == 0.0:
         raise ValidationError("log-form inversion undefined for r = 0")
     x = np.asarray(x, dtype=float)
@@ -163,7 +156,7 @@ def n_from_x_linear(x, params: ClockParams):
     OutOfRange
         If any x > A, or is -inf or NaN; names the first.
     """
-    r = params._damping()
+    r = params.damping
     if r == 0.0:
         raise ValidationError("linear inversion undefined for r = 0")
     x = np.asarray(x, dtype=float)
@@ -194,11 +187,11 @@ def linearization_report(params: ClockParams, grid_size: int) -> TimeMapResult:
     Raises
     ------
     ValidationError
-        If grid_size is not a whole number in [2, 2**24], r = 0, n_reset
-        is not a positive finite number, or Omega * n_reset >= pi/2.
+        If grid_size is not a whole number in [2, 2**24], r = 0, or
+        Omega * n_reset >= pi/2.
     """
     grid_size = _checked_whole("grid_size", grid_size, 2)
-    if params._damping() == 0.0:
+    if params.damping == 0.0:
         raise ValidationError("linearization report undefined for r = 0")
-    step = params._n_reset() / grid_size
+    step = params.n_reset / grid_size
     return invert_position(position_expectation(np.arange(grid_size) * step, params), params)

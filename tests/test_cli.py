@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -404,6 +405,31 @@ def test_resolve_config_guards():
         resolve_config("posterior", {"grid_size": 8})
     with pytest.raises(ValidationError):
         resolve_config("posterior", {"clock": {"damping": "auto", "n_reset": "auto"}})
+
+
+# A clock document and the message resolve_config raises for it: "auto" is
+# resolved, and each field read, before the clock's own rules are checked.
+BAD_CLOCK_MESSAGES = [
+    ({"damping": "auto", "n_reset": -1.0}, "recommendation requires n_reset > 0, got -1.0"),
+    ({"damping": "auto", "n_reset": 0.1},
+     "r = 1/n_reset = 10.0 violates under-damping r/2 < omega = 1.0"),
+    ({"damping": "auto", "mass": -1.0},
+     "hbar, mass, omega must be positive finite numbers, got (1.0, -1.0, 1.0)"),
+    ({"damping": -1.0, "alpha": [math.nan, 0]}, "damping must be a finite number >= 0, got -1.0"),
+    ({"damping": 5.0, "alpha": [-1.0, 0]},
+     "under-damping requires r/2 < omega, got r/2 = 2.5 >= omega = 1.0"),
+    ({"damping": "abc", "alpha": [-1.0, 0]}, "clock.damping must be a number, got 'abc'"),
+    ({"damping": 0.9, "n_reset": 2.0, "alpha": [-1.0, 0]},
+     "n_reset = 2.0 exceeds the running-time limit 1/r = 1.1111111111111112"),
+    ({"n_reset": "auto", "damping": 0.5, "alpha": [0.0, 0]},
+     "amplitude sqrt(2*hbar/(m*omega))*Re(alpha) = 0.0 must be > 0 for the time-map inversion"),
+]
+
+
+@pytest.mark.parametrize("clock, message", BAD_CLOCK_MESSAGES)
+def test_a_bad_clock_document_fails_with_its_first_rule(clock, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        resolve_config("clock-profile", {"clock": clock})
 
 
 def test_sizes_have_a_ceiling_and_seeds_do_not(tmp_path):

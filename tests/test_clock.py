@@ -27,9 +27,10 @@ from oracles import (
 
 
 def test_unit_gaussian_peak():
-    # Centered unit-width packet: peak density 1/sqrt(pi).
-    params = ClockParams(alpha=0.0, n_reset=1.0)
-    assert abs(wavefunction(0.0, 0.0, params)) ** 2 == pytest.approx(
+    # Unit-width packet at its mean: peak density 1/sqrt(pi).
+    params = ClockParams(alpha=1.0, n_reset=1.0)
+    peak = position_expectation(0.0, params)
+    assert abs(wavefunction(peak, 0.0, params)) ** 2 == pytest.approx(
         1.0 / math.sqrt(math.pi), rel=1e-12
     )
 
@@ -189,14 +190,17 @@ def test_stationary_damping_rejects_non_finite_time():
 
 
 def test_stationary_damping_array_matches_scalar_calls():
-    params = ClockParams(damping=0.5, n_reset=2.0)
+    # omega = 20 keeps every r* = 1/n up to 32 under-damped.
+    params = ClockParams(omega=20.0, damping=0.5, n_reset=2.0)
     n = np.linspace(0.0, 2.0, 65)[1:]
     points = damping_stationary_point(n, params)
     singles = [damping_stationary_point(float(t), params) for t in n]
     for name in ("r_star", "second_difference", "rate"):
         assert np.array_equal(getattr(points, name), [getattr(p, name) for p in singles])
     assert points.classification.tolist() == [p.classification for p in singles]
-    at_star = [decoherence_rate(t, replace(params, damping=r)) for t, r in zip(n, points.r_star)]
+    at_star = [
+        decoherence_rate(t, replace(params, damping=r, n_reset=t)) for t, r in zip(n, points.r_star)
+    ]
     assert np.array_equal(points.rate, at_star)
 
 

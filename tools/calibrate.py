@@ -18,9 +18,7 @@ import pwclock as pw
 
 
 def linear_error_sweep() -> None:
-    params = pw.validate_clock_params(
-        pw.ClockParams(omega=1.0, damping=0.5, n_reset=1.5, alpha=1.0)
-    )
+    params = pw.ClockParams(omega=1.0, damping=0.5, n_reset=1.5, alpha=1.0)
     rn_values = np.logspace(-3, -1, 9)
     rel_errors = []
     for rn in rn_values:
@@ -36,9 +34,7 @@ def linear_error_sweep() -> None:
 
 
 def concentration_ladder() -> None:
-    base = pw.validate_clock_params(
-        pw.ClockParams(omega=1.0, damping=0.1, n_reset=1.5, alpha=np.sqrt(0.5))
-    )
+    base = pw.ClockParams(omega=1.0, damping=0.1, n_reset=1.5, alpha=np.sqrt(0.5))
     print("ideal-limit ladder (amplitude 1, window 0.05, reading at n = 0.5):")
     for scale in (10.0, 100.0, 1000.0, 10000.0):
         scaled = replace(base, mass=scale / base.omega).with_amplitude(1.0)
@@ -48,13 +44,13 @@ def concentration_ladder() -> None:
 
 
 def worst_row_fidelity() -> None:
-    params = pw.validate_clock_params(pw.ClockParams(omega=1.0, damping=0.5, n_reset=2.0))
+    params = pw.ClockParams(omega=1.0, damping=0.5, n_reset=2.0)
     table = pw.compare_evolutions(pw.default_qubit_spec(), params, 128)
     print(f"worst-row fidelity (default comparison): {table.worst_fidelity:.5f}")
 
 
 def fidelity_loss_prefactor() -> None:
-    params = pw.validate_clock_params(pw.ClockParams(omega=1.0, damping=0.5, n_reset=2.0))
+    params = pw.ClockParams(omega=1.0, damping=0.5, n_reset=2.0)
     spec = pw.default_qubit_spec()
     h_norm = float(np.linalg.norm(spec.hamiltonian, 2))
     ratios = []
@@ -72,9 +68,7 @@ def fidelity_slope() -> None:
     losses = []
     for rn in rn_values:
         r = rn  # probe time n = 1
-        params = pw.validate_clock_params(
-            pw.ClockParams(omega=2.0 * r, damping=r, n_reset=1.0 / r, alpha=1.0)
-        )
+        params = pw.ClockParams(omega=2.0 * r, damping=r, n_reset=1.0 / r, alpha=1.0)
         x = pw.position_expectation(1.0, params)
         losses.append(
             1.0 - pw.fidelity(pw.evolve_exact(spec, 1.0), pw.evolve_via_clock(spec, x, params))
