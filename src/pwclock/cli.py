@@ -30,7 +30,6 @@ from .params import (
     ValidationError,
     _checked_whole,
     _is_number,
-    validate_system_spec,
 )
 from .clock import (
     damping_stationary_point,
@@ -167,9 +166,7 @@ def _system_from_doc(doc: dict) -> SystemSpec:
             f"hamiltonian must be a row-major list of {dim * dim} [re, im] pairs"
         )
     psi = _complex_array("system.initial_state", doc.get("initial_state"))
-    return validate_system_spec(
-        SystemSpec(dim=dim, hamiltonian=flat.reshape(dim, dim), initial_state=psi)
-    )
+    return SystemSpec(dim=dim, hamiltonian=flat.reshape(dim, dim), initial_state=psi)
 
 
 def _system_to_doc(spec: SystemSpec) -> dict:
@@ -332,9 +329,7 @@ def _run_ideal_limit(cfg: ExperimentConfig):
     target_amplitude = cfg.clock.amplitude
     readings, fractions = [], []
     for scale in scales:  # one clock per scale
-        scaled = replace(cfg.clock, mass=scale / cfg.clock.omega).with_amplitude(
-            target_amplitude
-        )
+        scaled = cfg.clock.with_amplitude(target_amplitude, mass=scale / cfg.clock.omega)
         x = position_expectation(probe_time, scaled)
         readings.append(x)
         fractions.append(ideal_limit_concentration(x, scaled, window, cfg.grid_size))

@@ -164,13 +164,18 @@ class HistoryState:
     The state is sum_k weights[k] |clock(n_k)> |sys_states[k]>, with
     trapezoid weights on [0, n_reset]. It is stored unnormalized:
     conditioning normalizes each reading by <v|v>, so the global norm
-    cancels and is never formed.
+    cancels and is never formed. ``check_abstract_time`` checks the grid
+    against the clock's running window when the state is made, by
+    ``dataclasses.replace`` too, so no state leaves its window.
     """
 
     grid: np.ndarray
     weights: np.ndarray
     sys_states: np.ndarray
     clock_params: ClockParams
+
+    def __post_init__(self) -> None:
+        check_abstract_time(self.grid, self.clock_params)
 
 
 def build_history_state(
@@ -272,9 +277,9 @@ def conditional_system_probability(history: HistoryState, x, projector):
     ValidationError
         If the shape does not match the system, or a projector is not
         Hermitian idempotent within 1e-10 (the message names its index in
-        a stack), a non-finite entry failing both tests; if the history grid
-        leaves the clock's running window; or if a reading x is not finite (names
-        the first). Projectors, grid and readings are checked before any amplitude.
+        a stack), a non-finite entry failing both tests; or if a reading x is
+        not finite (names the first). Projectors and readings are checked
+        before any amplitude.
     NumericalError
         If the conditioning denominator underflows for any reading (x
         unreachable), or a value's imaginary residue or range is off. Each
@@ -297,8 +302,6 @@ def conditional_system_probability(history: HistoryState, x, projector):
             if not np.max(np.abs(matrix @ matrix - matrix)) <= 1e-10:
                 raise ValidationError(f"{name} is not idempotent within 1e-10")
     grid, params = history.grid, history.clock_params
-    check_abstract_time(grid, params)
-
     x = _finite("x", x)
     readings = x.reshape(-1)
     mean, neg_four_var, prefactor = _envelope_terms(grid, params)

@@ -22,7 +22,6 @@ __all__ = [
     "OutOfRange",
     "validate_clock_params",
     "validate_system_spec",
-    "check_abstract_time",
 ]
 
 class ValidationError(ValueError):
@@ -85,12 +84,22 @@ class ClockParams:
     @property
     def amplitude(self) -> float:
         """Undamped oscillation amplitude A = sqrt(2*hbar/(m*omega)) * Re(alpha)."""
-        return sqrt(2.0 * self.hbar / (self.mass * self.omega)) * complex(self.alpha).real
+        return _amplitude_unit(self.hbar, self.mass, self.omega) * complex(self.alpha).real
 
-    def with_amplitude(self, amplitude: float) -> "ClockParams":
-        """Copy of these params with Re(alpha) set so A equals `amplitude`, which must be > 0."""
-        re = amplitude / sqrt(2.0 * self.hbar / (self.mass * self.omega))
-        return replace(self, alpha=complex(re, complex(self.alpha).imag))
+    def with_amplitude(self, amplitude: float, **changes) -> "ClockParams":
+        """Copy of these params with the field ``changes`` made and Re(alpha) set so that A
+        equals `amplitude`, which must be > 0. The copy is built, and checked, once."""
+        merged = dict(vars(self), **changes)
+        try:
+            re = amplitude / _amplitude_unit(merged["hbar"], merged["mass"], merged["omega"])
+        except (ZeroDivisionError, ValueError):  # scales that a rule refuses, in the copy too
+            re = 0.0
+        return replace(self, **changes, alpha=complex(re, complex(merged["alpha"]).imag))
+
+
+def _amplitude_unit(hbar: float, mass: float, omega: float) -> float:
+    """sqrt(2*hbar/(m*omega)), the amplitude A per unit Re(alpha)."""
+    return sqrt(2.0 * hbar / (mass * omega))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +108,10 @@ class SystemSpec:
 
     The generator plays the role of the system Hamiltonian (energy units,
     natural units); the initial state is a unit vector of matching dimension.
-    Arrays are stored read-only so validated specs are safe to share. A spec
-    compares and hashes by identity, as its array fields have no truth value.
+    Arrays are stored read-only, and ``validate_system_spec`` checks every
+    spec when it is made, by ``dataclasses.replace`` too, so a spec is valid
+    and safe to share. A spec compares and hashes by identity, as its array
+    fields have no truth value.
     """
 
     dim: int
@@ -114,6 +125,7 @@ class SystemSpec:
         psi.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "initial_state", psi)
+        validate_system_spec(self)
 
 
 def validate_clock_params(params: ClockParams) -> ClockParams:
@@ -127,7 +139,8 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
     ------
     ValidationError
         If a scale or n_reset is not > 0, r < 0, alpha or phase is not
-        finite, r/2 >= omega (over-damped), n_reset > 1/r, or A <= 0.
+        finite, r/2 >= omega (over-damped), n_reset > 1/r, m*omega
+        underflows to 0, A <= 0, or omega**2 overflows.
     """
     hbar, mass, omega = params.hbar, params.mass, params.omega
     if not (0.0 < hbar < inf and 0.0 < mass < inf and 0.0 < omega < inf):  # NaN fails
@@ -152,17 +165,23 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
         raise ValidationError(
             f"n_reset = {n_reset} exceeds the running-time limit 1/r = {1.0 / r}"
         )
+    if not mass * omega > 0.0:
+        raise ValidationError(f"m*omega underflows to 0, got mass = {mass}, omega = {omega}")
     amplitude = params.amplitude
     if not np.isfinite(amplitude) or amplitude <= 0.0:
         raise ValidationError(
             f"amplitude sqrt(2*hbar/(m*omega))*Re(alpha) = {amplitude} "
             "must be > 0 for the time-map inversion"
         )
+    if not omega * omega < inf:
+        raise ValidationError(f"omega**2 overflows, got omega = {omega}")
     return params
 
 
 def validate_system_spec(spec: SystemSpec) -> SystemSpec:
     """Check finiteness, Hermiticity, normalization and dimension; return spec unchanged.
+
+    ``SystemSpec`` calls it when it is made, so no invalid spec exists.
 
     Raises
     ------

@@ -48,7 +48,7 @@ def test_package_exports_exactly_what_module_all_declares():
 
 def test_result_records_are_returned_not_exported():
     names = exported_names()
-    assert len(names) == 29
+    assert len(names) == 28
     removed = {
         "StationaryDamping",
         "TimeMapResult",
@@ -56,6 +56,7 @@ def test_result_records_are_returned_not_exported():
         "HistoryState",
         "EvolutionComparisonTable",
         "width_damping_derivative",
+        "check_abstract_time",
     }
     assert not removed & set(names)
 
@@ -168,6 +169,17 @@ def test_records_of_scalars_keep_value_equality():
     assert invert_position(x, params) != invert_position(np.nextafter(x, 0.0), params)
 
 
+def test_specs_and_histories_are_checked_only_when_made():
+    calls = {
+        name: {(module, function) for path in SOURCES for module, function, node in nodes(path)
+               if isinstance(node, ast.Call) and called(node) == name}
+        for name in ("validate_system_spec", "check_abstract_time")
+    }
+    assert calls["validate_system_spec"] == {("params", "__post_init__")}
+    assert ("conditional", "__post_init__") in calls["check_abstract_time"]
+    assert ("conditional", "conditional_system_probability") not in calls["check_abstract_time"]
+
+
 def test_each_clock_rule_is_written_once():
     sources = {
         path.stem: path.read_text(encoding="utf-8")
@@ -191,6 +203,8 @@ def test_each_clock_rule_is_written_once():
         "under-damping requires r/2 < omega",
         "exceeds the running-time limit 1/r",
         "must be > 0 for the time-map inversion",
+        "m*omega underflows to 0, got",
+        "omega**2 overflows, got",
     ):
         assert owners(rule) == ["params"], rule
     # Readings are checked where they enter; the bands never see a non-finite one.

@@ -530,6 +530,18 @@ def test_ideal_limit_fractions_monotone(tmp_path):
     assert fractions[-1] >= 0.99
 
 
+def test_ideal_limit_builds_each_scaled_clock_in_one_step():
+    # At Re(alpha) = 1e-300 a clock with only its mass scaled to 1e60 has an
+    # amplitude that underflows to 0; the scaled clock, amplitude kept, is valid.
+    cfg = resolve_config(
+        "ideal-limit", {"clock": {"alpha": [1e-300, 0]}, "options": {"scales": [1e60]}}, None, 64
+    )
+    table, extras, _ = cli._compute(cfg)
+    assert table["mass_omega"] == [1e60]
+    assert extras["amplitude"] == cfg.clock.amplitude
+    assert 0.0 <= table["mass_fraction"][0] <= 1.0
+
+
 def test_oracle_check_accuracy(tmp_path):
     out = tmp_path / "out"
     assert main(["oracle-check", "--out", str(out)]) == 0
@@ -794,6 +806,9 @@ def in_directory(path):
 @example(doc={"clock": {"alpha": True}}, sweep=None, overrides={})
 @example(doc={"clock": {"damping": True}}, sweep=None, overrides={})
 @example(doc={"output_path": ["a"]}, sweep=None, overrides={})
+# Clocks whose omega**2 overflows, or whose m*omega underflows, are refused by a rule.
+@example(doc={"clock": {"omega": 1e200, "mass": 1e-200}}, sweep=None, overrides={})
+@example(doc={"clock": {"mass": 1e-200, "omega": 1e-200, "damping": 0}}, sweep=None, overrides={})
 # A command-line override does not excuse the document's value it replaces.
 @example(doc={"grid_size": "abc", "seed": True, "output_path": 5}, sweep=None,
          overrides={"grid": 64, "seed": 1, "out": "DIR"})

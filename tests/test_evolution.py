@@ -114,9 +114,11 @@ def test_comparison_decomposes_the_generator_at_most_twice(monkeypatch):
 
 
 def test_eigen_failure_on_malformed_matrix():
+    # A valid spec, finite and Hermitian, whose eigenvalues +-1.7e308*sqrt(2)
+    # overflow: eigh returns +-inf for them.
     bad = SystemSpec(
         dim=2,
-        hamiltonian=np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex),
+        hamiltonian=np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]], dtype=complex),
         initial_state=np.array([1.0, 0.0], dtype=complex),
     )
     with pytest.raises(NumericalError, match=(

@@ -13,7 +13,6 @@ from pwclock import (
     SystemSpec,
     ValidationError,
     build_history_state,
-    check_abstract_time,
     compare_evolutions,
     conditional_system_probability,
     damping_stationary_point,
@@ -34,7 +33,7 @@ from pwclock import (
     wavefunction,
     width,
 )
-from pwclock.params import _MAX_SIZE
+from pwclock.params import _MAX_SIZE, check_abstract_time
 
 
 def pauli_z_spec():
@@ -166,6 +165,40 @@ def test_with_amplitude_hits_target():
         params.with_amplitude(0.0)
 
 
+def test_with_amplitude_builds_the_changed_clock_in_one_step():
+    params = ClockParams(damping=0.1, n_reset=1.5, alpha=1.0 - 0.5j)
+    assert params.with_amplitude(1.0, mass=100.0) == dataclasses.replace(
+        params, mass=100.0).with_amplitude(1.0)
+    # At Re(alpha) = 1e-300 the clock with only its mass changed has A = 0 and
+    # is refused; the clock with both changed is built.
+    tiny = ClockParams(damping=0.1, n_reset=1.5, alpha=1e-300)
+    with pytest.raises(ValidationError, match=f"^{re.escape(amplitude_message(0.0))}$"):
+        dataclasses.replace(tiny, mass=1e60)
+    scaled = tiny.with_amplitude(tiny.amplitude, mass=1e60)
+    assert scaled.mass == 1e60
+    assert scaled.amplitude == pytest.approx(tiny.amplitude, rel=1e-14)
+    # Scales that a rule refuses give that rule's message, not an arithmetic error.
+    for mass in (0.0, math.inf, -1.0):
+        with pytest.raises(ValidationError, match="^hbar, mass, omega must be positive finite"):
+            params.with_amplitude(1.0, mass=mass)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"omega": 1e200, "mass": 1e-200}, "omega**2 overflows, got omega = 1e+200"),
+        ({"mass": 1e-200, "omega": 1e-200, "damping": 0.0},
+         "m*omega underflows to 0, got mass = 1e-200, omega = 1e-200"),
+        # Where an earlier rule holds, it keeps its message.
+        ({"omega": 1e200, "mass": 1e200}, amplitude_message(0.0)),
+        ({"omega": 1e200, "alpha": -1.0}, amplitude_message(-math.sqrt(2e-200))),
+    ],
+    ids=["omega-squared-overflows", "m-omega-underflows", "m-omega-overflows", "negative-alpha"],
+)
+def test_extreme_scales_are_refused_by_a_rule(fields, message):
+    assert_refused_when_built(fields, message)
+
+
 def test_clock_params_frozen():
     params = ClockParams()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -179,19 +212,17 @@ def test_valid_system_spec_pass_through():
 
 def test_not_hermitian_rejected():
     h = np.array([[0.5, 0.1], [0.3, -0.5]], dtype=complex)
-    spec = SystemSpec(dim=2, hamiltonian=h, initial_state=np.array([1.0, 0.0]))
     with pytest.raises(ValidationError, match="^generator is not Hermitian within 1e-12 entrywise$"):
-        validate_system_spec(spec)
+        SystemSpec(dim=2, hamiltonian=h, initial_state=np.array([1.0, 0.0]))
 
 
 def test_not_normalized_rejected():
-    spec = SystemSpec(
-        dim=2,
-        hamiltonian=np.diag([0.5, -0.5]).astype(complex),
-        initial_state=np.array([1.0, 1.0]),
-    )
     with pytest.raises(ValidationError, match=r"^initial state norm \S+ is not 1 within 1e-12$"):
-        validate_system_spec(spec)
+        SystemSpec(
+            dim=2,
+            hamiltonian=np.diag([0.5, -0.5]).astype(complex),
+            initial_state=np.array([1.0, 1.0]),
+        )
 
 
 @pytest.mark.parametrize(
@@ -205,15 +236,36 @@ def test_not_normalized_rejected():
     ids=["state-nan", "state-inf", "generator-nan", "generator-inf"],
 )
 def test_non_finite_system_spec_rejected(hamiltonian, initial_state, message):
-    spec = SystemSpec(dim=2, hamiltonian=hamiltonian, initial_state=np.array(initial_state))
     with pytest.raises(ValidationError, match=f"^{message} has non-finite entries$"):
-        validate_system_spec(spec)
+        SystemSpec(dim=2, hamiltonian=hamiltonian, initial_state=np.array(initial_state))
 
 
 def test_dimension_too_small_rejected():
-    spec = SystemSpec(dim=1, hamiltonian=np.array([[1.0]]), initial_state=np.array([1.0]))
     with pytest.raises(ValidationError, match="^system dimension must be >= 2, got 1$"):
-        validate_system_spec(spec)
+        SystemSpec(dim=1, hamiltonian=np.array([[1.0]]), initial_state=np.array([1.0]))
+
+
+# A SystemSpec is checked when it is made, as a ClockParams is: the spec
+# itself and dataclasses.replace on a valid spec both refuse a system that
+# breaks a rule, with the rule's message.
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"hamiltonian": np.array([[0.5, 1.0], [0.0, -0.5]])},
+         "generator is not Hermitian within 1e-12 entrywise"),
+        ({"dim": 3}, "generator must be 3x3, got shape (2, 2)"),
+        ({"initial_state": np.array([3.0, 0.0])}, "initial state norm 3.0 is not 1 within 1e-12"),
+        ({"hamiltonian": np.diag([math.nan, -0.5])}, "generator has non-finite entries"),
+    ],
+    ids=["non-hermitian", "dim-3-for-2x2", "norm-3", "nan-generator"],
+)
+def test_invalid_system_cannot_be_built(fields, message):
+    valid = pauli_z_spec()
+    made = dict(dim=2, hamiltonian=valid.hamiltonian, initial_state=valid.initial_state)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SystemSpec(**dict(made, **fields))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(valid, **fields)
 
 
 def test_system_arrays_read_only():

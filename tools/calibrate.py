@@ -10,8 +10,6 @@ and copy any changed values into tests/calibration.py by hand.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 import pwclock as pw
@@ -37,7 +35,7 @@ def concentration_ladder() -> None:
     base = pw.ClockParams(omega=1.0, damping=0.1, n_reset=1.5, alpha=np.sqrt(0.5))
     print("ideal-limit ladder (amplitude 1, window 0.05, reading at n = 0.5):")
     for scale in (10.0, 100.0, 1000.0, 10000.0):
-        scaled = replace(base, mass=scale / base.omega).with_amplitude(1.0)
+        scaled = base.with_amplitude(1.0, mass=scale / base.omega)
         x = pw.position_expectation(0.5, scaled)
         fraction = pw.ideal_limit_concentration(x, scaled, 0.05, 4096)
         print(f"  m*omega = {scale:>8.0f}: mass fraction = {fraction:.5f}")
