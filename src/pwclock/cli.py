@@ -29,7 +29,7 @@ from .params import (
     SystemSpec,
     ValidationError,
     _checked_whole,
-    _is_number,
+    _real,
 )
 from .clock import (
     damping_stationary_point,
@@ -50,6 +50,9 @@ from .evolution import _eigensystem, _inner, compare_evolutions, default_qubit_s
 SCHEMA_VERSION = 1
 
 SWEEPABLE = ("damping", "r", "n_reset", "mass", "omega", "grid_size")
+
+# The system of every config without a "system" key, shared: a spec is read-only.
+_DEFAULT_SYSTEM = default_qubit_spec()
 
 # Base clock: natural units with the recommended damping saturating the
 # running-time bound.
@@ -108,16 +111,6 @@ class RunResult:
     meta_path: Path
 
 
-def _real(name: str, value) -> float:
-    """``value`` as a float; a bool, a string or any other non-number raises ValidationError."""
-    if _is_number(value):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ValidationError(f"{name} must be a number, got {value!r}")
-
-
 def _complex_from_json(name: str, value) -> complex:
     re, im = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
     return complex(_real(name, re), _real(name, im))
@@ -151,10 +144,8 @@ def _clock_from_doc(doc: dict) -> ClockParams:
     alpha = _complex_from_json("clock.alpha", doc["alpha"])
     n_reset = _real("clock.n_reset", n_reset)
     phase = _real("clock.phase", doc["phase"])
-    if damping == "auto":
-        # recommend_damping reads only omega; the clock built below checks every rule.
-        damping = recommend_damping(n_reset, ClockParams(**scales))
-    damping = _real("clock.damping", damping)
+    # The one clock built below checks every rule, under-damping of an "auto" damping too.
+    damping = recommend_damping(n_reset) if damping == "auto" else _real("clock.damping", damping)
     return ClockParams(damping=damping, alpha=alpha, n_reset=n_reset, phase=phase, **scales)
 
 
@@ -163,7 +154,7 @@ def _system_from_doc(doc: dict) -> SystemSpec:
     flat = _complex_array("system.hamiltonian", doc.get("hamiltonian"))
     if len(flat) != dim * dim:
         raise ValidationError(
-            f"hamiltonian must be a row-major list of {dim * dim} [re, im] pairs"
+            f"system.hamiltonian must be a row-major list of {dim * dim} [re, im] pairs"
         )
     psi = _complex_array("system.initial_state", doc.get("initial_state"))
     return SystemSpec(dim=dim, hamiltonian=flat.reshape(dim, dim), initial_state=psi)
@@ -178,7 +169,7 @@ def _system_to_doc(spec: SystemSpec) -> dict:
 
 
 def _clock_to_doc(params: ClockParams) -> dict:
-    return dict(asdict(params), alpha=_complex_to_json(complex(params.alpha)))
+    return dict(asdict(params), alpha=_complex_to_json(params.alpha))
 
 
 def _json_object(name: str, value, keys) -> dict:
@@ -192,7 +183,8 @@ def _json_object(name: str, value, keys) -> dict:
 
 
 def _options_from_doc(doc, defaults: dict, clock: ClockParams) -> dict:
-    """The experiment's default options updated by ``doc``, checked.
+    """The experiment's default options updated by ``doc``, checked, each stored as read: a
+    float, a list of floats or num_readings' int, so no runner converts one.
 
     Raises ValidationError for an option no runner reads, or one out of range.
     Every key is checked wherever it appears, whichever experiment reads it,
@@ -222,13 +214,14 @@ def _options_from_doc(doc, defaults: dict, clock: ClockParams) -> dict:
         listed = isinstance(raw, (list, tuple))
         try:
             cells = [_real(name, cell) for cell in (raw if listed else [raw])]
-            value = np.array(cells if listed else cells[0])
         except ValidationError:
-            value = np.array(np.nan)
-        if not (np.all(np.isfinite(value)) and valid(value)):
+            cells = [math.nan]
+        value = cells if listed else cells[0]
+        if not (np.all(np.isfinite(value)) and valid(np.array(value))):
             raise ValidationError(f"option {name} must be {rule}, got {raw!r}")
+        options[name] = value
     if "num_readings" in options:
-        _checked_whole("num_readings", options["num_readings"], 1)
+        options["num_readings"] = _checked_whole("num_readings", options["num_readings"], 1)
     return options
 
 
@@ -260,7 +253,7 @@ def resolve_config(
     if "system" in doc:
         system = _system_from_doc(_json_object("system", doc["system"], _SYSTEM_KEYS))
     else:
-        system = default_qubit_spec()
+        system = _DEFAULT_SYSTEM
 
     # The document's values are checked even where an override replaces them.
     grid_size = _checked_whole("grid_size", doc.get("grid_size", default_grid), 16)
@@ -313,9 +306,9 @@ def _run_posterior(cfg: ExperimentConfig):
     x = cfg.options.get("x")
     if x is None:
         x = position_expectation(cfg.clock.n_reset / 2.0, cfg.clock)
-    posterior = posterior_over_n(float(x), cfg.clock, cfg.grid_size)
+    posterior = posterior_over_n(x, cfg.clock, cfg.grid_size)
     extras = {
-        "x": float(x),
+        "x": x,
         "norm_raw": posterior.norm_raw,
         "integration_bound": float(posterior.grid[-1]),
     }
@@ -323,9 +316,8 @@ def _run_posterior(cfg: ExperimentConfig):
 
 
 def _run_ideal_limit(cfg: ExperimentConfig):
-    scales = [float(scale) for scale in cfg.options["scales"]]
-    window = float(cfg.options["window"])
-    probe_time = float(cfg.options.get("probe_time", cfg.clock.n_reset / 3.0))
+    scales, window = cfg.options["scales"], cfg.options["window"]
+    probe_time = cfg.options.get("probe_time", cfg.clock.n_reset / 3.0)
     target_amplitude = cfg.clock.amplitude
     readings, fractions = [], []
     for scale in scales:  # one clock per scale
@@ -352,8 +344,7 @@ def _run_oracle_check(cfg: ExperimentConfig):
     projectors = np.stack([proj_a, np.eye(dim, dtype=np.complex128) - proj_a])
 
     lo, hi = cfg.options["reading_span"]
-    size = int(cfg.options["num_readings"])
-    times = np.sort(uniform(cfg.seed, lo, hi, size)) * cfg.clock.n_reset
+    times = np.sort(uniform(cfg.seed, lo, hi, cfg.options["num_readings"])) * cfg.clock.n_reset
 
     readings = position_expectation(times, cfg.clock)
     cond_a, cond_b = conditional_system_probability(history, readings, projectors)

@@ -205,22 +205,19 @@ def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
     return StationaryDamping(*map(_scalar_or_array, fields))
 
 
-def recommend_damping(n_reset: float, params: ClockParams) -> float:
+def recommend_damping(n_reset: float) -> float:
     """Damping choice r = 1/n_reset, the largest r stationary at end of run.
+
+    Under-damping is the clock's rule: a ClockParams built with this r
+    checks it, as it checks every rule.
 
     Raises
     ------
     ValidationError
-        If n_reset <= 0, is NaN or is +inf, or if 1/(2*n_reset) >= omega.
+        If n_reset <= 0, is NaN or is +inf.
     """
     _require(n_reset, n_reset > 0.0, lambda v, _: ValidationError(
         f"recommendation requires n_reset > 0, got {v}"))
     _require(n_reset, n_reset < np.inf, lambda v, _: ValidationError(
         f"recommendation requires finite n_reset, got {v}"))
-    r = 1.0 / n_reset
-    if r / 2.0 >= params.omega:
-        raise ValidationError(
-            f"r = 1/n_reset = {r} violates under-damping r/2 < omega = {params.omega}"
-        )
-    return r
-
+    return 1.0 / n_reset

@@ -41,7 +41,9 @@ class ClockParams:
     """Physical constants and damping/reset configuration of the clock.
 
     ``validate_clock_params`` checks every clock when it is made, so a
-    ClockParams outside the domain rules cannot exist.
+    ClockParams outside the domain rules cannot exist. Each real field is
+    stored as a float and alpha as a complex; a value of another type (a
+    bool, a string, a list) raises ValidationError naming the field.
 
     Parameters
     ----------
@@ -74,6 +76,8 @@ class ClockParams:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in _read_fields(vars(self)).items():
+            object.__setattr__(self, name, value)
         validate_clock_params(self)
 
     @property
@@ -84,17 +88,23 @@ class ClockParams:
     @property
     def amplitude(self) -> float:
         """Undamped oscillation amplitude A = sqrt(2*hbar/(m*omega)) * Re(alpha)."""
-        return _amplitude_unit(self.hbar, self.mass, self.omega) * complex(self.alpha).real
+        return _amplitude_unit(self.hbar, self.mass, self.omega) * self.alpha.real
 
     def with_amplitude(self, amplitude: float, **changes) -> "ClockParams":
         """Copy of these params with the field ``changes`` made and Re(alpha) set so that A
         equals `amplitude`, which must be > 0. The copy is built, and checked, once."""
-        merged = dict(vars(self), **changes)
+        merged, amplitude = _read_fields(dict(vars(self), **changes)), _real("amplitude", amplitude)
         try:
             re = amplitude / _amplitude_unit(merged["hbar"], merged["mass"], merged["omega"])
         except (ZeroDivisionError, ValueError):  # scales that a rule refuses, in the copy too
             re = 0.0
-        return replace(self, **changes, alpha=complex(re, complex(merged["alpha"]).imag))
+        return replace(self, **changes, alpha=complex(re, merged["alpha"].imag))
+
+
+def _read_fields(values: dict) -> dict:
+    """A clock's field ``values`` as stored: alpha a complex, every other a float."""
+    return {name: _complex(name, value) if name == "alpha" else _real(name, value)
+            for name, value in values.items()}
 
 
 def _amplitude_unit(hbar: float, mass: float, omega: float) -> float:
@@ -108,7 +118,8 @@ class SystemSpec:
 
     The generator plays the role of the system Hamiltonian (energy units,
     natural units); the initial state is a unit vector of matching dimension.
-    Arrays are stored read-only, and ``validate_system_spec`` checks every
+    ``dim`` is read as a whole number >= 2 and stored as an int (2.0 gives
+    2). Arrays are stored read-only, and ``validate_system_spec`` checks every
     spec when it is made, by ``dataclasses.replace`` too, so a spec is valid
     and safe to share. A spec compares and hashes by identity, as its array
     fields have no truth value.
@@ -119,6 +130,7 @@ class SystemSpec:
     initial_state: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", _checked_whole("system dimension", self.dim, 2, None))
         h = np.array(self.hamiltonian, dtype=np.complex128)
         psi = np.array(self.initial_state, dtype=np.complex128).reshape(-1)
         h.setflags(write=False)
@@ -152,7 +164,7 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
         raise ValidationError(f"n_reset must be a positive finite number, got {n_reset}")
     if not 0.0 <= r < inf:  # NaN fails
         raise ValidationError(f"damping must be a finite number >= 0, got {r}")
-    alpha = complex(params.alpha)
+    alpha = params.alpha
     if not (isfinite(alpha.real) and isfinite(alpha.imag) and isfinite(params.phase)):
         raise ValidationError(
             f"alpha and phase must be finite, got alpha = {params.alpha}, phase = {params.phase}"
@@ -179,18 +191,17 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
 
 
 def validate_system_spec(spec: SystemSpec) -> SystemSpec:
-    """Check finiteness, Hermiticity, normalization and dimension; return spec unchanged.
+    """Check finiteness, Hermiticity, normalization and shapes; return spec unchanged.
 
-    ``SystemSpec`` calls it when it is made, so no invalid spec exists.
+    ``SystemSpec`` calls it when it is made, after it reads ``dim`` as a whole
+    number >= 2, so no invalid spec exists.
 
     Raises
     ------
     ValidationError
-        If d < 2, or the generator or the state has the wrong shape, a
-        non-finite entry, or is not Hermitian or not normalized within 1e-12.
+        If the generator or the state has the wrong shape, a non-finite
+        entry, or is not Hermitian or not normalized within 1e-12.
     """
-    if spec.dim < 2:
-        raise ValidationError(f"system dimension must be >= 2, got {spec.dim}")
     h = spec.hamiltonian
     if h.shape != (spec.dim, spec.dim):
         raise ValidationError(f"generator must be {spec.dim}x{spec.dim}, got shape {h.shape}")
@@ -212,6 +223,26 @@ def validate_system_spec(spec: SystemSpec) -> SystemSpec:
 def _is_number(value) -> bool:
     """True for a real number, numpy's included; a bool is not one."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool, a string or any other non-number raises ValidationError."""
+    if _is_number(value):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
+def _complex(name: str, value) -> complex:
+    """``value`` as a complex; a bool, a string or any other non-number raises ValidationError."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        try:
+            return complex(value)
+        except OverflowError:
+            pass
+    raise ValidationError(f"{name} must be a complex number, got {value!r}")
 
 
 _MAX_SIZE = 2**24  # largest grid size or reading count; a larger one fails by name

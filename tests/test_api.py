@@ -207,5 +207,7 @@ def test_each_clock_rule_is_written_once():
         "omega**2 overflows, got",
     ):
         assert owners(rule) == ["params"], rule
+    # Under-damping has one owner: recommend_damping leaves it to the clock.
+    assert owners("r/2 < omega") == ["params"]
     # Readings are checked where they enter; the bands never see a non-finite one.
     assert "isfinite" not in inspect.getsource(conditional._reading_bands)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pwclock
-from pwclock import ValidationError, _csv, cli
+from pwclock import ValidationError, _csv, cli, params
 from pwclock.cli import (
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -412,7 +412,7 @@ def test_resolve_config_guards():
 BAD_CLOCK_MESSAGES = [
     ({"damping": "auto", "n_reset": -1.0}, "recommendation requires n_reset > 0, got -1.0"),
     ({"damping": "auto", "n_reset": 0.1},
-     "r = 1/n_reset = 10.0 violates under-damping r/2 < omega = 1.0"),
+     "under-damping requires r/2 < omega, got r/2 = 5.0 >= omega = 1.0"),
     ({"damping": "auto", "mass": -1.0},
      "hbar, mass, omega must be positive finite numbers, got (1.0, -1.0, 1.0)"),
     ({"damping": -1.0, "alpha": [math.nan, 0]}, "damping must be a finite number >= 0, got -1.0"),
@@ -465,6 +465,9 @@ BAD_COMMAND_LINES = {
     "nosuch": "experiment",
     f"oracle-check --grid {10**20}": "grid_size must be <=",
     f"oracle-check --sweep grid_size=64,{10**20}": "grid_size must be <=",
+    "all --sweep r=0.1": "--sweep is not supported with the 'all' bundle",
+    "oracle-check --sweep hbar=1": "parameter 'hbar' is not sweepable",
+    "oracle-check --sweep r": "--sweep expects param=v1,v2,...",
 }
 
 
@@ -565,6 +568,36 @@ def test_system_config_round_trip(tmp_path):
         cfg.system.hamiltonian, np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
     )
     np.testing.assert_allclose(cfg.system.initial_state, np.array([c, 1j * c]))
+
+
+def test_a_generator_of_the_wrong_length_is_named():
+    system = {"dim": 2, "hamiltonian": [[0.5, 0.0], [0.0, 0.0], [-0.5, 0.0]],
+              "initial_state": [1.0, 0.0]}
+    with pytest.raises(ValidationError, match=(
+        r"^system\.hamiltonian must be a row-major list of 4 \[re, im\] pairs$"
+    )):
+        resolve_config("evolve-compare", {"system": system})
+
+
+def test_each_config_builds_each_object_once(monkeypatch):
+    # A "damping": "auto" config builds, and so checks, exactly one clock.
+    calls, validate = [], params.validate_clock_params
+    monkeypatch.setattr(params, "validate_clock_params",
+                        lambda clock: validate(calls.append(clock) or clock))
+    cfg = resolve_config("posterior", {"clock": {"damping": "auto", "n_reset": 4.0}})
+    assert calls == [cfg.clock] and cfg.clock.damping == 0.25
+    # Configs without "system" share one demo-qubit spec.
+    assert resolve_config("oracle-check").system is resolve_config("evolve-compare").system
+    # Options hold the values their rules read, so no runner converts one.
+    doc = {"options": {"window": 1, "scales": [10, 100.0], "probe_time": 0,
+                       "reading_span": [0, 1], "x": -1, "num_readings": 8.0}}
+    options = resolve_config("oracle-check", doc).options
+    types = {name: [type(v) for v in value] if isinstance(value, list) else type(value)
+             for name, value in options.items()}
+    assert types == {"window": float, "scales": [float, float], "probe_time": float,
+                     "reading_span": [float, float], "x": float, "num_readings": int}
+    assert options == {"window": 1.0, "scales": [10.0, 100.0], "probe_time": 0.0,
+                       "reading_span": [0.0, 1.0], "x": -1.0, "num_readings": 8}
 
 
 @st.composite

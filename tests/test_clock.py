@@ -205,14 +205,14 @@ def test_stationary_damping_array_matches_scalar_calls():
 
 
 def test_recommend_damping():
-    params = ClockParams(n_reset=10.0)
-    assert recommend_damping(10.0, params) == pytest.approx(0.1, rel=1e-15)
+    assert recommend_damping(10.0) == pytest.approx(0.1, rel=1e-15)
+    # Under-damping is the clock's rule: the clock built with the recommendation states it.
     with pytest.raises(ValidationError, match=(
-        r"^r = 1/n_reset = 2\.5 violates under-damping r/2 < omega = 1\.0$"
+        r"^under-damping requires r/2 < omega, got r/2 = 1\.25 >= omega = 1\.0$"
     )):
-        recommend_damping(0.4, params)
+        ClockParams(damping=recommend_damping(0.4), n_reset=0.4)
     with pytest.raises(ValidationError, match="^recommendation requires n_reset > 0, got nan$"):
-        recommend_damping(math.nan, params)
+        recommend_damping(math.nan)
 
 
 def test_global_phase_never_affects_densities():

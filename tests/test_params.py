@@ -163,6 +163,8 @@ def test_with_amplitude_hits_target():
     assert scaled.alpha.imag == -0.5
     with pytest.raises(ValidationError, match=f"^{re.escape(amplitude_message(0.0))}$"):
         params.with_amplitude(0.0)
+    with pytest.raises(ValidationError, match="^amplitude must be a number, got '1'$"):
+        params.with_amplitude("1")
 
 
 def test_with_amplitude_builds_the_changed_clock_in_one_step():
@@ -256,8 +258,9 @@ def test_dimension_too_small_rejected():
         ({"dim": 3}, "generator must be 3x3, got shape (2, 2)"),
         ({"initial_state": np.array([3.0, 0.0])}, "initial state norm 3.0 is not 1 within 1e-12"),
         ({"hamiltonian": np.diag([math.nan, -0.5])}, "generator has non-finite entries"),
+        ({"initial_state": np.array([1.0, 0.0, 0.0])}, "initial state must have length 2, got (3,)"),
     ],
-    ids=["non-hermitian", "dim-3-for-2x2", "norm-3", "nan-generator"],
+    ids=["non-hermitian", "dim-3-for-2x2", "norm-3", "nan-generator", "state-length-3"],
 )
 def test_invalid_system_cannot_be_built(fields, message):
     valid = pauli_z_spec()
@@ -266,6 +269,47 @@ def test_invalid_system_cannot_be_built(fields, message):
         SystemSpec(**dict(made, **fields))
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(valid, **fields)
+
+
+# A clock or system field of the wrong type is refused when the object is made,
+# with a ValidationError that names the field: no bare TypeError or
+# OverflowError, and no string parsed or bool read as a number.
+WRONG_TYPES = {
+    'mass="1"': ({"mass": "1"}, "mass must be a number, got '1'"),
+    "n_reset=None": ({"n_reset": None}, "n_reset must be a number, got None"),
+    'phase="0"': ({"phase": "0"}, "phase must be a number, got '0'"),
+    "alpha=[1, 0]": ({"alpha": [1, 0]}, "alpha must be a complex number, got [1, 0]"),
+    "hbar=1+0j": ({"hbar": 1 + 0j}, "hbar must be a number, got (1+0j)"),
+    "mass=10**400": ({"mass": 10**400}, f"mass must be a number, got {10**400}"),
+    'alpha="1"': ({"alpha": "1"}, "alpha must be a complex number, got '1'"),
+    "alpha=10**400": ({"alpha": 10**400}, f"alpha must be a complex number, got {10**400}"),
+    "damping=True": ({"damping": True}, "damping must be a number, got True"),
+    'dim="2"': ({"dim": "2"}, "system dimension must be a whole number, got '2'"),
+    "dim=2.5": ({"dim": 2.5}, "system dimension must be a whole number, got 2.5"),
+    "dim=True": ({"dim": True}, "system dimension must be a whole number, got True"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_a_field_of_the_wrong_type_is_refused_by_name(case):
+    fields, message = WRONG_TYPES[case]
+    match = f"^{re.escape(message)}$"
+    if "dim" in fields:
+        qubit = pauli_z_spec()
+        with pytest.raises(ValidationError, match=match):
+            SystemSpec(hamiltonian=qubit.hamiltonian, initial_state=qubit.initial_state, **fields)
+        return
+    assert_refused_when_built(fields, message)
+    with pytest.raises(ValidationError, match=match):  # the same reading for a changed field
+        VALID_CLOCK.with_amplitude(1.0, **fields)
+
+
+def test_fields_are_stored_as_the_type_they_are_read_as():
+    clock = ClockParams(hbar=np.int64(1), mass=2, damping=np.float32(0.5), alpha=1, n_reset=1)
+    assert [type(value) for value in vars(clock).values()] == [float] * 4 + [complex, float, float]
+    qubit = pauli_z_spec()
+    spec = SystemSpec(dim=2.0, hamiltonian=qubit.hamiltonian, initial_state=qubit.initial_state)
+    assert type(spec.dim) is int and spec.dim == 2
 
 
 def test_system_arrays_read_only():
@@ -381,7 +425,7 @@ def test_stationary_damping_fields_are_python_scalars_for_one_time():
 # the argument and the value. Warnings are errors, so none may warn instead.
 BAD_ARGUMENTS = {
     "recommend_damping(inf)": (
-        lambda: recommend_damping(math.inf, SCALAR_CLOCK),
+        lambda: recommend_damping(math.inf),
         ValidationError,
         "^recommendation requires finite n_reset, got inf$",
     ),

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from pwclock._csv import _write_csv
+from pwclock.cli import EXPERIMENTS
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def test_csv_digests_repeat_at_small_grids():
     # The byte-check set at small grids, in two fresh processes: the same
-    # 23 CSVs (7 of the bundle, 3 seeds, 4 sweep values, 1 large grid, 6
-    # per-row experiments, 2 at phase 1.3) with the same digests.
+    # CSVs (one per experiment of the bundle, 3 seeds, 4 sweep values, 1
+    # large grid, 6 per-row experiments, 2 at phase 1.3) with the same digests.
     command = [sys.executable, str(TOOLS / "csv_digests.py"),
                "--grid", "256", "--readings", "8", "--large-grid", "1024", "--tables-grid", "64"]
     outputs = [
@@ -24,8 +25,8 @@ def test_csv_digests_repeat_at_small_grids():
         for _ in range(2)
     ]
     assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == 23
-    assert sum(name.startswith("all/") for name in outputs[0]) == 7
+    assert len(outputs[0]) == len(EXPERIMENTS) + 16
+    assert sum(name.startswith("all/") for name in outputs[0]) == len(EXPERIMENTS)
     assert sum(name.startswith("tables-grid64/") for name in outputs[0]) == 6
     # The global phase cancels exactly: its files equal their phase-0 twins byte for byte.
     digests = outputs[0]
@@ -73,7 +74,7 @@ def test_csv_digests_do_not_depend_on_blas_threads_at_the_benchmark_grid():
         result = subprocess.run(command, capture_output=True, text=True, check=True, env=env)
         outputs.append(json.loads(result.stdout))
     assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == 22  # the large grid is the seed-5 case: one CSV fewer
+    assert len(outputs[0]) == len(EXPERIMENTS) + 15  # the large grid is the seed-5 case
 
 
 def load_tool(name):
