@@ -29,6 +29,7 @@ from .params import (
     SystemSpec,
     ValidationError,
     _checked_whole,
+    _is_number,
     _real,
 )
 from .clock import (
@@ -129,24 +130,22 @@ def _complex_to_json(z: complex) -> list[float]:
 def _clock_from_doc(doc: dict) -> ClockParams:
     """The clock of a merged clock document (every field present).
 
-    The one place "auto" is resolved: ``"damping": "auto"`` becomes
-    ``recommend_damping(n_reset)`` = 1/n_reset, ``"n_reset": "auto"`` 1/damping.
+    The CLI does only what the JSON format adds: it resolves "auto"
+    (``"damping": "auto"`` becomes ``recommend_damping(n_reset)`` = 1/n_reset,
+    ``"n_reset": "auto"`` 1/damping) and makes alpha's [re, im] pair a complex.
+    ClockParams reads every other field as it stands, and checks every rule.
     """
     damping, n_reset = doc["damping"], doc["n_reset"]
     if damping == "auto" and n_reset == "auto":
         raise ValidationError("clock.damping and clock.n_reset cannot both be 'auto'")
     if n_reset == "auto":
-        damping = _real("clock.damping", damping)
-        if damping <= 0:
+        if not (_is_number(damping) and damping > 0):
             raise ValidationError("clock.n_reset 'auto' requires a positive numeric damping")
-        n_reset = 1.0 / damping
-    scales = {key: _real(f"clock.{key}", doc[key]) for key in ("hbar", "mass", "omega")}
+        n_reset = 1 / damping  # not 1.0 /: a huge int gives 0.0, and the clock names it
+    if damping == "auto":
+        damping = recommend_damping(n_reset)
     alpha = _complex_from_json("clock.alpha", doc["alpha"])
-    n_reset = _real("clock.n_reset", n_reset)
-    phase = _real("clock.phase", doc["phase"])
-    # The one clock built below checks every rule, under-damping of an "auto" damping too.
-    damping = recommend_damping(n_reset) if damping == "auto" else _real("clock.damping", damping)
-    return ClockParams(damping=damping, alpha=alpha, n_reset=n_reset, phase=phase, **scales)
+    return ClockParams(**dict(doc, damping=damping, n_reset=n_reset, alpha=alpha))
 
 
 def _system_from_doc(doc: dict) -> SystemSpec:
@@ -573,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
         for cfg, result in zip(configs, computed):
             run(cfg, result)
         return 0
-    except (OSError, ValidationError, NumericalError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, NumericalError) as exc:
         print(json.dumps(_error_doc(exc)), file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1
 

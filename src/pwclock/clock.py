@@ -25,6 +25,7 @@ from .params import (
     ClockParams,
     ValidationError,
     _finite,
+    _real,
     _require,
     _scalar_or_array,
     check_abstract_time,
@@ -214,8 +215,9 @@ def recommend_damping(n_reset: float) -> float:
     Raises
     ------
     ValidationError
-        If n_reset <= 0, is NaN or is +inf.
+        If n_reset is not a number, or is <= 0, NaN or +inf.
     """
+    n_reset = _real("n_reset", n_reset)
     _require(n_reset, n_reset > 0.0, lambda v, _: ValidationError(
         f"recommendation requires n_reset > 0, got {v}"))
     _require(n_reset, n_reset < np.inf, lambda v, _: ValidationError(

@@ -32,6 +32,7 @@ from .params import (
     ValidationError,
     _checked_whole,
     _finite,
+    _real,
     _require,
     _scalar_or_array,
     check_abstract_time,
@@ -144,6 +145,7 @@ def ideal_limit_concentration(
         If x exceeds the amplitude, or lies below the attainable window for
         an undamped clock.
     """
+    window = _real("window", window)
     _require(window, 0.0 < window < np.inf, lambda v, _: ValidationError(
         f"window must be a finite number > 0, got {v}"))
     try:

@@ -9,8 +9,9 @@ Abstract time ``n`` is carried as a plain float or an array of floats;
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
-from math import inf, isfinite, sqrt
+from math import inf, isfinite, log10, sqrt
 
 import numpy as np
 
@@ -20,8 +21,6 @@ __all__ = [
     "ValidationError",
     "NumericalError",
     "OutOfRange",
-    "validate_clock_params",
-    "validate_system_spec",
 ]
 
 class ValidationError(ValueError):
@@ -94,6 +93,7 @@ class ClockParams:
         """Copy of these params with the field ``changes`` made and Re(alpha) set so that A
         equals `amplitude`, which must be > 0. The copy is built, and checked, once."""
         merged, amplitude = _read_fields(dict(vars(self), **changes)), _real("amplitude", amplitude)
+        _finite("amplitude", amplitude)  # named here, before it becomes Re(alpha)
         try:
             re = amplitude / _amplitude_unit(merged["hbar"], merged["mass"], merged["omega"])
         except (ZeroDivisionError, ValueError):  # scales that a rule refuses, in the copy too
@@ -225,24 +225,35 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """``value`` as an error message shows it: its repr, or the digit count of an int beyond
+    the float range, worked out without ``str``, which refuses an int of over 4300 digits."""
+    size = abs(value) if isinstance(value, int) else 0
+    if size <= sys.float_info.max:
+        return repr(value)
+    digits = int(log10(size)) + 1  # log10 may round across a power of ten
+    digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+    return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
 def _real(name: str, value) -> float:
-    """``value`` as a float; a bool, a string or any other non-number raises ValidationError."""
-    if _is_number(value):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ValidationError(f"{name} must be a number, got {value!r}")
+    """``value`` as a float; a bool, a non-number or a too large int raises ValidationError."""
+    if not _is_number(value):
+        raise ValidationError(f"{name} must be a number, got {_shown(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be a finite number, got {_shown(value)}") from None
 
 
 def _complex(name: str, value) -> complex:
-    """``value`` as a complex; a bool, a string or any other non-number raises ValidationError."""
-    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
-        try:
-            return complex(value)
-        except OverflowError:
-            pass
-    raise ValidationError(f"{name} must be a complex number, got {value!r}")
+    """``value`` as a complex; a bool, a non-number or a too large int raises ValidationError."""
+    if not isinstance(value, numbers.Complex) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a complex number, got {_shown(value)}")
+    try:
+        return complex(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be a finite complex number, got {_shown(value)}") from None
 
 
 _MAX_SIZE = 2**24  # largest grid size or reading count; a larger one fails by name
@@ -256,11 +267,11 @@ def _checked_whole(name: str, value, minimum: int, maximum: int | None = _MAX_SI
     except (ValueError, OverflowError):  # NaN or infinity
         number = None
     if number is None or number != value:
-        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+        raise ValidationError(f"{name} must be a whole number, got {_shown(value)}")
     if number < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+        raise ValidationError(f"{name} must be >= {minimum}, got {_shown(value)}")
     if maximum is not None and number > maximum:
-        raise ValidationError(f"{name} must be <= {maximum}, got {value!r}")
+        raise ValidationError(f"{name} must be <= {maximum}, got {_shown(value)}")
     return number
 
 

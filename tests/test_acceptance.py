@@ -29,10 +29,10 @@ from pwclock import (
     n_from_x_exact,
     position_expectation,
     posterior_over_n,
-    validate_clock_params,
     width,
 )
 from pwclock.cli import EXPERIMENTS
+from pwclock.params import validate_clock_params
 
 from calibration import (
     IDEAL_LIMIT_CROSSING_SCALE,

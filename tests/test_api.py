@@ -48,7 +48,7 @@ def test_package_exports_exactly_what_module_all_declares():
 
 def test_result_records_are_returned_not_exported():
     names = exported_names()
-    assert len(names) == 28
+    assert len(names) == 26
     removed = {
         "StationaryDamping",
         "TimeMapResult",
@@ -57,6 +57,8 @@ def test_result_records_are_returned_not_exported():
         "EvolutionComparisonTable",
         "width_damping_derivative",
         "check_abstract_time",
+        "validate_clock_params",
+        "validate_system_spec",
     }
     assert not removed & set(names)
 
@@ -173,8 +175,9 @@ def test_specs_and_histories_are_checked_only_when_made():
     calls = {
         name: {(module, function) for path in SOURCES for module, function, node in nodes(path)
                if isinstance(node, ast.Call) and called(node) == name}
-        for name in ("validate_system_spec", "check_abstract_time")
+        for name in ("validate_clock_params", "validate_system_spec", "check_abstract_time")
     }
+    assert calls["validate_clock_params"] == {("params", "__post_init__")}
     assert calls["validate_system_spec"] == {("params", "__post_init__")}
     assert ("conditional", "__post_init__") in calls["check_abstract_time"]
     assert ("conditional", "conditional_system_probability") not in calls["check_abstract_time"]

@@ -418,7 +418,7 @@ BAD_CLOCK_MESSAGES = [
     ({"damping": -1.0, "alpha": [math.nan, 0]}, "damping must be a finite number >= 0, got -1.0"),
     ({"damping": 5.0, "alpha": [-1.0, 0]},
      "under-damping requires r/2 < omega, got r/2 = 2.5 >= omega = 1.0"),
-    ({"damping": "abc", "alpha": [-1.0, 0]}, "clock.damping must be a number, got 'abc'"),
+    ({"damping": "abc", "alpha": [-1.0, 0]}, "damping must be a number, got 'abc'"),
     ({"damping": 0.9, "n_reset": 2.0, "alpha": [-1.0, 0]},
      "n_reset = 2.0 exceeds the running-time limit 1/r = 1.1111111111111112"),
     ({"n_reset": "auto", "damping": 0.5, "alpha": [0.0, 0]},
@@ -598,6 +598,24 @@ def test_each_config_builds_each_object_once(monkeypatch):
                      "reading_span": [float, float], "x": float, "num_readings": int}
     assert options == {"window": 1.0, "scales": [10.0, 100.0], "probe_time": 0.0,
                        "reading_span": [0.0, 1.0], "x": -1.0, "num_readings": 8}
+
+
+REAL_CLOCK_FIELDS = ("hbar", "mass", "omega", "damping", "n_reset", "phase")
+
+
+@pytest.mark.parametrize("clock", [{}, {"mass": 2, "phase": 0.5}, {"n_reset": "auto"}])
+def test_the_cli_reads_no_clock_field_the_clock_reads(monkeypatch, clock):
+    # The CLI resolves "auto" and alpha's [re, im] pair; ClockParams alone
+    # reads the type of each real field, so each is read once.
+    reads, read = [], params._real
+    def counted(name, value):
+        reads.append(name.removeprefix("clock."))
+        return read(name, value)
+    monkeypatch.setattr(params, "_real", counted)
+    monkeypatch.setattr(cli, "_real", counted)
+    resolve_config("clock-profile", {"clock": clock})
+    assert {name: reads.count(name) for name in REAL_CLOCK_FIELDS} == dict.fromkeys(
+        REAL_CLOCK_FIELDS, 1)
 
 
 @st.composite

@@ -12,7 +12,6 @@ from pwclock import (
     decoherence_rate,
     position_expectation,
     recommend_damping,
-    validate_clock_params,
     wavefunction,
     width,
 )
@@ -36,7 +35,7 @@ def test_unit_gaussian_peak():
 
 
 def test_peak_density_at_mean():
-    params = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0))
+    params = ClockParams(damping=0.5, alpha=1.0, n_reset=2.0)
     delta = math.sqrt(0.5)
     peak = abs(wavefunction(params.amplitude, 0.0, params)) ** 2
     assert peak == pytest.approx(1.0 / (delta * math.sqrt(2.0 * math.pi)), rel=1e-12)
@@ -65,9 +64,9 @@ def test_normalization_randomized():
 
 
 def test_position_expectation_examples():
-    params = validate_clock_params(ClockParams(damping=0.4, alpha=1.3, n_reset=2.0))
+    params = ClockParams(damping=0.4, alpha=1.3, n_reset=2.0)
     assert position_expectation(0.0, params) == params.amplitude
-    undamped = validate_clock_params(ClockParams(damping=0.0, alpha=1.3, n_reset=4.0))
+    undamped = ClockParams(damping=0.0, alpha=1.3, n_reset=4.0)
     for n in (0.3, 1.1, 2.7):
         assert position_expectation(n, undamped) == pytest.approx(
             undamped.amplitude * math.cos(undamped.omega * n), rel=1e-14
@@ -216,8 +215,8 @@ def test_recommend_damping():
 
 
 def test_global_phase_never_affects_densities():
-    base = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0, phase=0.0))
-    shifted = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0, phase=1.3))
+    base = ClockParams(damping=0.5, alpha=1.0, n_reset=2.0, phase=0.0)
+    shifted = ClockParams(damping=0.5, alpha=1.0, n_reset=2.0, phase=1.3)
     xs = np.linspace(-3.0, 3.0, 101)
     np.testing.assert_allclose(
         np.abs(wavefunction(xs, 0.7, base)) ** 2,
@@ -227,8 +226,8 @@ def test_global_phase_never_affects_densities():
 
 
 def test_imaginary_alpha_part_affects_no_shipped_quantity():
-    real_only = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0))
-    with_imag = validate_clock_params(ClockParams(damping=0.5, alpha=1.0 + 0.7j, n_reset=2.0))
+    real_only = ClockParams(damping=0.5, alpha=1.0, n_reset=2.0)
+    with_imag = ClockParams(damping=0.5, alpha=1.0 + 0.7j, n_reset=2.0)
     assert with_imag.amplitude == real_only.amplitude
     xs = np.linspace(-3.0, 3.0, 101)
     np.testing.assert_array_equal(

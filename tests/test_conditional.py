@@ -23,7 +23,6 @@ from pwclock import (
     position_expectation,
     position_given_n,
     posterior_over_n,
-    validate_clock_params,
     wavefunction,
     width,
 )
@@ -49,13 +48,12 @@ from oracles import (
 
 
 def narrow_clock(mass_omega: float = 10000.0) -> ClockParams:
-    base = ClockParams(
+    return ClockParams(
         omega=NARROW_OMEGA,
         damping=NARROW_DAMPING,
         n_reset=NARROW_N_RESET,
         mass=mass_omega / NARROW_OMEGA,
     ).with_amplitude(NARROW_AMPLITUDE)
-    return validate_clock_params(base)
 
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -90,7 +88,7 @@ def history():
 
 
 def test_position_density_peak_and_one_sigma():
-    params = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0))
+    params = ClockParams(damping=0.5, alpha=1.0, n_reset=2.0)
     n = 0.7
     mean = position_expectation(n, params)
     delta = width(n, params)
@@ -116,7 +114,7 @@ def test_position_density_normalized_over_x():
 
 
 def test_posterior_is_normalized_and_keeps_raw_integral():
-    params = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0))
+    params = ClockParams(damping=0.5, alpha=1.0, n_reset=2.0)
     x = position_expectation(1.0, params)
     posterior = posterior_over_n(x, params, 2048)
     assert np.trapezoid(posterior.density, posterior.grid) == pytest.approx(1.0, abs=1e-9)
@@ -128,11 +126,11 @@ def test_posterior_is_normalized_and_keeps_raw_integral():
 
 
 def test_posterior_bound_is_min_of_horizon_and_inverse_damping():
-    saturated = validate_clock_params(ClockParams(damping=0.5, n_reset=2.0, alpha=1.0))
+    saturated = ClockParams(damping=0.5, n_reset=2.0, alpha=1.0)
     assert posterior_over_n(1.0, saturated, 64).grid[-1] == 2.0
-    slack = validate_clock_params(ClockParams(damping=0.5, n_reset=1.0, alpha=1.0))
+    slack = ClockParams(damping=0.5, n_reset=1.0, alpha=1.0)
     assert posterior_over_n(1.0, slack, 64).grid[-1] == 1.0
-    undamped = validate_clock_params(ClockParams(damping=0.0, n_reset=1.2, alpha=1.0))
+    undamped = ClockParams(damping=0.0, n_reset=1.2, alpha=1.0)
     assert posterior_over_n(1.0, undamped, 64).grid[-1] == 1.2
 
 
@@ -152,7 +150,7 @@ def test_posterior_mode_tracks_recovered_time():
 
 
 def test_posterior_refinement():
-    params = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0))
+    params = ClockParams(damping=0.5, alpha=1.0, n_reset=2.0)
     x = position_expectation(1.0, params)
     coarse = posterior_over_n(x, params, 2048).norm_raw
     fine = posterior_over_n(x, params, 4096).norm_raw
@@ -239,7 +237,7 @@ def test_history_state_unit_joint_norm():
     # The state is stored unnormalized; scaled by its closed-form norm (clock
     # overlaps in closed form), it must have unit norm under an independent
     # dense Gram whose clock overlaps come from quadrature over x.
-    params = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0))
+    params = ClockParams(damping=0.5, alpha=1.0, n_reset=2.0)
     hist = build_history_state(default_qubit_spec(), params, 48)
     system_gram = hist.sys_states.conj() @ hist.sys_states.T
 
@@ -262,7 +260,7 @@ def test_history_state_completeness_identity():
     # squared norm sum_{j,k} w_j w_k <clock_j|clock_k> <sys_j|sys_k>, since
     # the position basis is complete. v(x) is built as conditioning builds
     # it; the clock overlaps come from the independent closed form.
-    params = validate_clock_params(ClockParams(damping=0.5, alpha=1.0, n_reset=2.0))
+    params = ClockParams(damping=0.5, alpha=1.0, n_reset=2.0)
     hist = build_history_state(default_qubit_spec(), params, 48)
 
     xs = np.linspace(-12.0, 12.0, 20001)
@@ -518,7 +516,7 @@ def monotone_histories(draw):
     damped = math.sqrt(omega**2 - damping**2 / 4.0)
     limit = min(0.99 * (math.pi / 2.0) / damped, 1.0 / damping if damping else math.inf)
     n_reset = draw(st.floats(0.2, 1.0)) * limit
-    clock = validate_clock_params(dataclasses.replace(params, n_reset=n_reset).with_amplitude(1.0))
+    clock = dataclasses.replace(params, n_reset=n_reset).with_amplitude(1.0)
     grid_size = draw(st.sampled_from([256, 1024, 4096]))
     return build_history_state(default_qubit_spec(), clock, grid_size)
 
@@ -552,7 +550,6 @@ def test_full_bands_condition_on_the_whole_grid(monkeypatch, clock):
     # Every band is the whole grid: each of 300 readings at K = 2048
     # evaluates one full row, and every value equals the full-range sum bit
     # for bit.
-    clock = validate_clock_params(clock)
     hist = build_history_state(default_qubit_spec(), clock, 2048)
     xs = position_expectation(np.linspace(0.05, 0.95, 300) * clock.n_reset, clock)
     calls = record_amplitude_calls(monkeypatch)
@@ -566,7 +563,7 @@ def test_full_bands_condition_on_the_whole_grid(monkeypatch, clock):
 def test_full_bands_at_a_phase_agree_with_the_complex_oracle(clock):
     # The oracle multiplies e^{1.3i} into every complex amplitude, where it
     # rounds; conditioning never multiplies it in. They agree to rounding.
-    clock = validate_clock_params(dataclasses.replace(clock, phase=1.3))
+    clock = dataclasses.replace(clock, phase=1.3)
     hist = build_history_state(default_qubit_spec(), clock, 2048)
     xs = position_expectation(np.linspace(0.05, 0.95, 300) * clock.n_reset, clock)
     for projector in (PROJECTOR_PLUS, PROJECTOR_MINUS):
@@ -577,12 +574,12 @@ def test_full_bands_at_a_phase_agree_with_the_complex_oracle(clock):
 @settings(max_examples=30)
 @given(
     phase=st.floats(-math.pi, math.pi),
-    clock=st.sampled_from([narrow_clock()] + [validate_clock_params(c) for c in FULL_BAND_CLOCKS.values()]),
+    clock=st.sampled_from([narrow_clock(), *FULL_BAND_CLOCKS.values()]),
 )
 def test_global_phase_cancels_exactly(phase, clock):
     # The phase multiplies every term of v and every amplitude, so it cancels
     # from <v|P|v> / <v|v> and from |amplitude|^2; neither ever forms it.
-    shifted = validate_clock_params(dataclasses.replace(clock, phase=phase))
+    shifted = dataclasses.replace(clock, phase=phase)
     at_zero = build_history_state(default_qubit_spec(), clock, 512)
     at_phase = build_history_state(default_qubit_spec(), shifted, 512)
     xs = position_expectation(np.linspace(0.05, 0.95, 9) * clock.n_reset, clock)

@@ -16,8 +16,6 @@ from pwclock import (
     evolve_via_clock,
     fidelity,
     position_expectation,
-    validate_clock_params,
-    validate_system_spec,
 )
 
 from hypothesis import given, settings, strategies as st
@@ -27,7 +25,7 @@ from oracles import expm_state, loglog_slope, random_hermitian, random_state
 
 
 def default_clock():
-    return validate_clock_params(ClockParams(omega=1.0, damping=0.5, n_reset=2.0, alpha=1.0))
+    return ClockParams(omega=1.0, damping=0.5, n_reset=2.0, alpha=1.0)
 
 
 def test_zero_time_returns_initial_state():
@@ -46,8 +44,8 @@ def test_qubit_closed_form_at_pi():
 
 def test_unitarity_random_four_level():
     rng = np.random.default_rng(31)
-    spec = validate_system_spec(
-        SystemSpec(dim=4, hamiltonian=random_hermitian(rng, 4), initial_state=random_state(rng, 4))
+    spec = SystemSpec(
+        dim=4, hamiltonian=random_hermitian(rng, 4), initial_state=random_state(rng, 4)
     )
     for n in (0.1, 1.0, 10.0):
         state = evolve_exact(spec, n)
@@ -56,8 +54,8 @@ def test_unitarity_random_four_level():
 
 def test_matches_expm_oracle():
     rng = np.random.default_rng(37)
-    spec = validate_system_spec(
-        SystemSpec(dim=5, hamiltonian=random_hermitian(rng, 5), initial_state=random_state(rng, 5))
+    spec = SystemSpec(
+        dim=5, hamiltonian=random_hermitian(rng, 5), initial_state=random_state(rng, 5)
     )
     for n in (0.3, 2.2):
         np.testing.assert_allclose(evolve_exact(spec, n), expm_state(spec, n), atol=1e-12)
@@ -67,7 +65,7 @@ def test_evolution_composes():
     rng = np.random.default_rng(41)
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)
-    spec = validate_system_spec(SystemSpec(dim=4, hamiltonian=h, initial_state=psi))
+    spec = SystemSpec(dim=4, hamiltonian=h, initial_state=psi)
     once = evolve_exact(spec, 0.9 + 1.3)
     midway = SystemSpec(dim=4, hamiltonian=h, initial_state=evolve_exact(spec, 0.9))
     np.testing.assert_allclose(evolve_exact(midway, 1.3), once, atol=1e-10)
@@ -84,8 +82,8 @@ def test_evolve_many_matches_single(dim, seed, times):
     # formula bit for bit, and scipy's expm within 1e-12; a row with n == 0
     # is exactly the initial state.
     rng = np.random.default_rng(seed)
-    spec = validate_system_spec(
-        SystemSpec(dim=dim, hamiltonian=random_hermitian(rng, dim), initial_state=random_state(rng, dim))
+    spec = SystemSpec(
+        dim=dim, hamiltonian=random_hermitian(rng, dim), initial_state=random_state(rng, dim)
     )
     ns = np.array(times + [0.0])
     many = evolve_exact(spec, ns)
@@ -194,9 +192,7 @@ def test_fidelity_loss_scaling_with_clock_scale():
     losses = []
     for rn in rn_values:
         r = float(rn)  # probe at n = 1
-        params = validate_clock_params(
-            ClockParams(omega=2.0 * r, damping=r, n_reset=1.0 / r, alpha=1.0)
-        )
+        params = ClockParams(omega=2.0 * r, damping=r, n_reset=1.0 / r, alpha=1.0)
         x = position_expectation(1.0, params)
         losses.append(1.0 - fidelity(evolve_exact(spec, 1.0), evolve_via_clock(spec, x, params)))
     assert 1.6 <= loglog_slope(rn_values, losses) <= 2.4

@@ -20,6 +20,7 @@ from pwclock import (
     default_qubit_spec,
     evolve_exact,
     fidelity,
+    ideal_limit_concentration,
     linearization_report,
     n_from_x_exact,
     n_from_x_linear,
@@ -28,12 +29,15 @@ from pwclock import (
     position_given_n,
     posterior_over_n,
     recommend_damping,
-    validate_clock_params,
-    validate_system_spec,
     wavefunction,
     width,
 )
-from pwclock.params import _MAX_SIZE, check_abstract_time
+from pwclock.params import (
+    _MAX_SIZE,
+    check_abstract_time,
+    validate_clock_params,
+    validate_system_spec,
+)
 
 
 def pauli_z_spec():
@@ -66,7 +70,7 @@ def test_over_damped_rejected():
     with pytest.raises(ValidationError, match=(
         r"^under-damping requires r/2 < omega, got r/2 = 1\.25 >= omega = 1\.0$"
     )):
-        validate_clock_params(ClockParams(damping=2.5, n_reset=0.1))
+        ClockParams(damping=2.5, n_reset=0.1)
 
 
 def test_reset_too_late_rejected():
@@ -77,7 +81,7 @@ def test_reset_too_late_rejected():
 
 
 def test_reset_at_limit_accepted():
-    validate_clock_params(ClockParams(damping=0.1, n_reset=10.0))
+    ClockParams(damping=0.1, n_reset=10.0)
 
 
 def amplitude_message(amplitude):
@@ -114,7 +118,7 @@ def test_non_positive_scales_rejected(kwargs):
 
 def test_negative_damping_rejected():
     with pytest.raises(ValidationError, match=r"^damping must be a finite number >= 0, got -0\.1$"):
-        validate_clock_params(ClockParams(damping=-0.1))
+        ClockParams(damping=-0.1)
 
 
 @pytest.mark.parametrize(
@@ -133,11 +137,11 @@ def test_negative_damping_rejected():
 )
 def test_non_finite_clock_params_rejected(kwargs):
     with pytest.raises(ValidationError):
-        validate_clock_params(ClockParams(**kwargs))
+        ClockParams(**kwargs)
 
 
 def test_undamped_clock_allowed():
-    params = validate_clock_params(ClockParams(damping=0.0, n_reset=5.0))
+    params = ClockParams(damping=0.0, n_reset=5.0)
     assert params.damped_frequency == params.omega
 
 
@@ -165,6 +169,10 @@ def test_with_amplitude_hits_target():
         params.with_amplitude(0.0)
     with pytest.raises(ValidationError, match="^amplitude must be a number, got '1'$"):
         params.with_amplitude("1")
+    # A non-finite amplitude is named as such, before it becomes Re(alpha).
+    for amplitude in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match=f"^amplitude must be finite, got {amplitude}$"):
+            params.with_amplitude(amplitude)
 
 
 def test_with_amplitude_builds_the_changed_clock_in_one_step():
@@ -280,13 +288,23 @@ WRONG_TYPES = {
     'phase="0"': ({"phase": "0"}, "phase must be a number, got '0'"),
     "alpha=[1, 0]": ({"alpha": [1, 0]}, "alpha must be a complex number, got [1, 0]"),
     "hbar=1+0j": ({"hbar": 1 + 0j}, "hbar must be a number, got (1+0j)"),
-    "mass=10**400": ({"mass": 10**400}, f"mass must be a number, got {10**400}"),
+    "mass=10**400": ({"mass": 10**400}, "mass must be a finite number, got an int of 401 digits"),
     'alpha="1"': ({"alpha": "1"}, "alpha must be a complex number, got '1'"),
-    "alpha=10**400": ({"alpha": 10**400}, f"alpha must be a complex number, got {10**400}"),
+    "alpha=10**400": (
+        {"alpha": 10**400}, "alpha must be a finite complex number, got an int of 401 digits"
+    ),
+    # Beyond 4300 digits repr itself fails, so the digits are counted, not shown.
+    "mass=10**5000": ({"mass": 10**5000}, "mass must be a finite number, got an int of 5001 digits"),
+    "alpha=10**5000": (
+        {"alpha": 10**5000}, "alpha must be a finite complex number, got an int of 5001 digits"
+    ),
     "damping=True": ({"damping": True}, "damping must be a number, got True"),
     'dim="2"': ({"dim": "2"}, "system dimension must be a whole number, got '2'"),
     "dim=2.5": ({"dim": 2.5}, "system dimension must be a whole number, got 2.5"),
     "dim=True": ({"dim": True}, "system dimension must be a whole number, got True"),
+    "dim=-10**5000": (
+        {"dim": -10**5000}, "system dimension must be >= 2, got a negative int of 5001 digits"
+    ),
 }
 
 
@@ -355,7 +373,7 @@ GRID_TAKERS = {
 @pytest.mark.parametrize("name", GRID_TAKERS)
 def test_library_grid_size_is_a_whole_number_at_least_its_minimum(name):
     call, minimum = GRID_TAKERS[name]
-    params = validate_clock_params(ClockParams(damping=1.0 / 1.5, n_reset=1.5))
+    params = ClockParams(damping=1.0 / 1.5, n_reset=1.5)
     for bad in (minimum + 0.5, True, "64", math.nan):
         with pytest.raises(ValidationError, match=r"^grid_size must be a whole number, got "):
             call(params, bad)
@@ -369,7 +387,7 @@ def test_library_grid_size_is_a_whole_number_at_least_its_minimum(name):
 @pytest.mark.parametrize("name", GRID_TAKERS)
 def test_library_grid_size_has_a_ceiling(name):
     call, _ = GRID_TAKERS[name]
-    params = validate_clock_params(ClockParams(damping=1.0 / 1.5, n_reset=1.5))
+    params = ClockParams(damping=1.0 / 1.5, n_reset=1.5)
     with pytest.raises(ValidationError, match=rf"^grid_size must be <= {_MAX_SIZE}, got {10**20}$"):
         call(params, 10**20)
 
@@ -428,6 +446,34 @@ BAD_ARGUMENTS = {
         lambda: recommend_damping(math.inf),
         ValidationError,
         "^recommendation requires finite n_reset, got inf$",
+    ),
+    # An argument of the wrong type is named, not met by a comparison's TypeError.
+    'recommend_damping("1")': (
+        lambda: recommend_damping("1"), ValidationError, "^n_reset must be a number, got '1'$"
+    ),
+    "recommend_damping(None)": (
+        lambda: recommend_damping(None), ValidationError, "^n_reset must be a number, got None$"
+    ),
+    'ideal_limit_concentration(window="a")': (
+        lambda: ideal_limit_concentration(0.5, SCALAR_CLOCK, "a"),
+        ValidationError,
+        "^window must be a number, got 'a'$",
+    ),
+    "ideal_limit_concentration(window=None)": (
+        lambda: ideal_limit_concentration(0.5, SCALAR_CLOCK, None),
+        ValidationError,
+        "^window must be a number, got None$",
+    ),
+    # An int beyond the float range is shown by its digit count, which repr cannot give.
+    "with_amplitude(10**5000)": (
+        lambda: SCALAR_CLOCK.with_amplitude(10**5000),
+        ValidationError,
+        "^amplitude must be a finite number, got an int of 5001 digits$",
+    ),
+    "posterior_over_n(grid_size=10**5000)": (
+        lambda: posterior_over_n(0.5, SCALAR_CLOCK, 10**5000),
+        ValidationError,
+        f"^grid_size must be <= {_MAX_SIZE}, got an int of 5001 digits$",
     ),
     "n_from_x_linear(-inf)": (
         lambda: n_from_x_linear(np.array([0.5, -math.inf, math.nan]), SCALAR_CLOCK),

@@ -17,7 +17,6 @@ from pwclock import (
     n_from_x_log,
     position_expectation,
     timemap,
-    validate_clock_params,
 )
 from pwclock.cli import resolve_config
 
@@ -87,9 +86,7 @@ def count_rounds(monkeypatch) -> list[int]:
 
 
 def narrow_window_clock():
-    return validate_clock_params(
-        ClockParams(omega=1.0, damping=0.1, n_reset=1.5, alpha=1.0).with_amplitude(1.0)
-    )
+    return ClockParams(omega=1.0, damping=0.1, n_reset=1.5, alpha=1.0).with_amplitude(1.0)
 
 
 def test_reading_at_amplitude_maps_to_zero():
@@ -179,7 +176,7 @@ EDGE_CLOCKS = {
 
 @pytest.mark.parametrize("name", sorted(EDGE_CLOCKS))
 def test_exact_inversion_at_the_edges(name, monkeypatch):
-    params = validate_clock_params(EDGE_CLOCKS[name])
+    params = EDGE_CLOCKS[name]
     amp = params.amplitude
     floor = position_expectation(params.n_reset, params)
     # One ulp below A, just above the floor, and readings along the window.
@@ -202,7 +199,7 @@ def test_exact_inversion_at_the_edges(name, monkeypatch):
 
 
 def test_newton_step_that_leaves_the_bracket_bisects():
-    params = validate_clock_params(EDGE_CLOCKS["heavy"])
+    params = EDGE_CLOCKS["heavy"]
     x = position_expectation(0.05, params)
     start = min(math.acos(x / params.amplitude) / params.damped_frequency, params.n_reset)
     first = start - (position_expectation(start, params) - x) / slope(start, params)
@@ -239,7 +236,7 @@ def test_newton_value_rounds_as_position_expectation():
 
 
 def test_non_monotonic_window_guard():
-    params = validate_clock_params(ClockParams(damping=0.1, n_reset=10.0, alpha=1.0))
+    params = ClockParams(damping=0.1, n_reset=10.0, alpha=1.0)
     assert params.damped_frequency * params.n_reset >= math.pi / 2.0
     with pytest.raises(ValidationError, match=(
         r"^Omega \* n_reset = \S+ >= pi/2; "
@@ -254,7 +251,7 @@ def test_linear_inversion_substitution():
 
 
 def test_zero_damping_linear_forms():
-    params = validate_clock_params(ClockParams(damping=0.0, n_reset=1.0, alpha=1.0))
+    params = ClockParams(damping=0.0, n_reset=1.0, alpha=1.0)
     with pytest.raises(ValidationError, match="^linear inversion undefined for r = 0$"):
         n_from_x_linear(0.5, params)
     with pytest.raises(ValidationError, match="^log-form inversion undefined for r = 0$"):
@@ -267,7 +264,7 @@ def test_zero_damping_linear_forms():
 
 
 def test_linear_error_scaling_law():
-    params = validate_clock_params(ClockParams(omega=1.0, damping=0.5, n_reset=1.5, alpha=1.0))
+    params = ClockParams(omega=1.0, damping=0.5, n_reset=1.5, alpha=1.0)
     rn_values = np.logspace(-3, -1, 9)
     rel_errors = []
     for rn in rn_values:
@@ -280,7 +277,7 @@ def test_linear_error_scaling_law():
 def test_log_form_keeps_larger_error_than_linear_form():
     # Observed ordering on the calibration sweep: the log form overshoots
     # more than the linear form (their truncations partially cancel).
-    params = validate_clock_params(ClockParams(omega=1.0, damping=0.5, n_reset=1.5, alpha=1.0))
+    params = ClockParams(omega=1.0, damping=0.5, n_reset=1.5, alpha=1.0)
     for rn in (1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5):
         result = invert_position(position_expectation(rn / params.damping, params), params)
         log_err = abs(result.n_log - result.n_exact)
@@ -289,9 +286,7 @@ def test_log_form_keeps_larger_error_than_linear_form():
 
 
 def test_report_structure_and_error_growth():
-    params = validate_clock_params(
-        ClockParams(omega=1.0, damping=2.0 / 3.0, n_reset=1.5, alpha=1.0)
-    )
+    params = ClockParams(omega=1.0, damping=2.0 / 3.0, n_reset=1.5, alpha=1.0)
     table = linearization_report(params, 64)
     for column in (table.x, table.y, table.n_exact, table.n_log, table.n_linear):
         assert column.shape == (64,)
