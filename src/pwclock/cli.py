@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .params import (
     _checked_whole,
     _is_number,
     _real,
+    _shown,
 )
 from .clock import (
     damping_stationary_point,
@@ -83,14 +84,9 @@ _NARROW_CLOCK = dict(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved configuration of one experiment run, built by ``resolve_config``.
-
-    ``clock_doc`` is the merged clock document with its "auto" entries kept,
-    so a sweep resolves each swept value through the same rule.
-    """
+    """Fully resolved configuration of one experiment run, built by ``resolve_config``."""
 
     clock: ClockParams
-    clock_doc: dict
     system: SystemSpec
     experiment: str
     grid_size: int
@@ -99,9 +95,8 @@ class ExperimentConfig:
     options: dict
 
 
-# The keys each part of a config document may hold; any other is rejected. The
-# top level holds every ExperimentConfig field but the merged clock document.
-_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "clock_doc")
+# The keys each part of a config document may hold; any other is rejected.
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 _CLOCK_KEYS = tuple(f.name for f in fields(ClockParams))
 _SYSTEM_KEYS = tuple(f.name for f in fields(SystemSpec))
 
@@ -119,7 +114,7 @@ def _complex_from_json(name: str, value) -> complex:
 
 def _complex_array(name: str, value) -> np.ndarray:
     if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{name} must be a list of numbers or [re, im] pairs, got {value!r}")
+        raise ValidationError(f"{name} must be a list of numbers or [re, im] pairs, got {_shown(value)}")
     return np.array([_complex_from_json(name, v) for v in value], dtype=np.complex128)
 
 
@@ -177,7 +172,7 @@ def _json_object(name: str, value, keys) -> dict:
         raise ValidationError(f"{name} must be a JSON object, got {type(value).__name__}")
     unknown = [key for key in value if key not in keys]
     if unknown:
-        raise ValidationError(f"unknown {name} key(s) {unknown}; expected any of {sorted(keys)}")
+        raise ValidationError(f"unknown {name} key(s) {_shown(unknown)}; expected any of {sorted(keys)}")
     return dict(value)
 
 
@@ -217,7 +212,7 @@ def _options_from_doc(doc, defaults: dict, clock: ClockParams) -> dict:
             cells = [math.nan]
         value = cells if listed else cells[0]
         if not (np.all(np.isfinite(value)) and valid(np.array(value))):
-            raise ValidationError(f"option {name} must be {rule}, got {raw!r}")
+            raise ValidationError(f"option {name} must be {rule}, got {_shown(raw)}")
         options[name] = value
     if "num_readings" in options:
         options["num_readings"] = _checked_whole("num_readings", options["num_readings"], 1)
@@ -240,14 +235,14 @@ def resolve_config(
     ``experiment`` argument chooses which one runs.
     """
     if experiment not in EXPERIMENTS:
-        raise ValidationError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+        raise ValidationError(f"unknown experiment {_shown(experiment)}; expected one of {EXPERIMENTS}")
     doc = _json_object("config", {} if doc is None else doc, _CONFIG_KEYS)
     if doc.get("experiment", experiment) not in EXPERIMENTS:
-        raise ValidationError(f"experiment must be one of {EXPERIMENTS}, got {doc['experiment']!r}")
+        raise ValidationError(f"experiment must be one of {EXPERIMENTS}, got {_shown(doc['experiment'])}")
     _, default_clock, default_grid, default_options = _EXPERIMENTS[experiment]
 
-    clock_doc = dict(default_clock, **_json_object("clock", doc.get("clock", {}), _CLOCK_KEYS))
-    clock = _clock_from_doc(clock_doc)
+    clock = _clock_from_doc(
+        dict(default_clock, **_json_object("clock", doc.get("clock", {}), _CLOCK_KEYS)))
 
     if "system" in doc:
         system = _system_from_doc(_json_object("system", doc["system"], _SYSTEM_KEYS))
@@ -260,12 +255,11 @@ def resolve_config(
     doc_seed = _checked_whole("seed", doc.get("seed", 0), 0, None)
     output_path = doc.get("output_path", "out")
     if not isinstance(output_path, str):
-        raise ValidationError(f"output_path must be a string, got {output_path!r}")
+        raise ValidationError(f"output_path must be a string, got {_shown(output_path)}")
     output_path = output_path if out is None else str(out)
 
     return ExperimentConfig(
         clock=clock,
-        clock_doc=clock_doc,
         system=system,
         experiment=experiment,
         grid_size=grid_size,
@@ -443,46 +437,44 @@ def run(cfg: ExperimentConfig, computed=None) -> RunResult:
     return RunResult(csv_path=csv_path, meta_path=meta_path)
 
 
-def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
-    if parameter == "grid_size":
-        return replace(cfg, grid_size=_checked_whole("grid_size", value, 16))
-    doc = dict(cfg.clock_doc, **{"damping" if parameter == "r" else parameter: value})
-    clock = _clock_from_doc(doc)
-    options = _options_from_doc(cfg.options, {}, clock)  # probe_time depends on n_reset
-    return replace(cfg, clock=clock, clock_doc=doc, options=options)
-
-
-def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> list[dict]:
+def sweep(experiment: str, doc: dict | None, parameter: str, values: list,
+          out: str | None = None, grid: int | None = None, seed: int | None = None) -> list[dict]:
     """Run the experiment once per value; write per-value outputs and an index.
 
-    Each run writes into ``<output_path>/<parameter>=<value>/``; the index
-    file mapping values to outputs is written last. A failing value is
-    recorded in its index entry (status "error", type and message) and the
-    other values still run; ``main`` exits 1 when any entry failed.
+    The other arguments are ``resolve_config``'s. Their base config is resolved first, so a bad
+    document raises before any run; then each value's: it replaces its key (``r``: damping) in
+    the document's "clock", "auto" entries kept, or is the grid override. Each run writes into
+    ``<output_path>/<parameter>=<value>/``; the index file mapping values to outputs is written
+    last. A failing value is recorded in its index entry (status "error", type and message)
+    and the other values still run; ``main`` exits 1 when any entry failed.
     """
     if parameter not in SWEEPABLE:
         raise ValidationError(f"parameter {parameter!r} is not sweepable; expected one of {SWEEPABLE}")
     if not values:
         raise ValidationError("sweep requires at least one value")
-
+    out_dir = Path(resolve_config(experiment, doc, out, grid, seed).output_path)
+    doc = {} if doc is None else doc
+    key = "damping" if parameter == "r" else parameter
     entries: list[dict] = []
     for value in values:
         entry: dict = {"value": value}
         try:
-            sub_out = Path(cfg.output_path) / f"{parameter}={value}"
-            result = run(_apply_sweep_value(replace(cfg, output_path=str(sub_out)), parameter, value))
-            entry["status"] = "ok"
-            entry["csv"] = str(result.csv_path)
-            entry["meta"] = str(result.meta_path)
+            sub_out = str(out_dir / f"{parameter}={value}")
+            if parameter == "grid_size":
+                cfg = resolve_config(experiment, doc, sub_out, value, seed)
+            else:
+                swept = dict(doc, clock=dict(doc.get("clock", {}), **{key: value}))
+                cfg = resolve_config(experiment, swept, sub_out, grid, seed)
+            result = run(cfg)
+            entry.update(status="ok", csv=str(result.csv_path), meta=str(result.meta_path))
         except Exception as exc:  # recorded per value, index still written
             entry.update(status="error", **_error_doc(exc))
         entries.append(entry)
 
-    out_dir = Path(cfg.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     index = {
         "schema_version": SCHEMA_VERSION,
-        "experiment": cfg.experiment,
+        "experiment": experiment,
         "parameter": parameter,
         "runs": entries,
     }
@@ -556,18 +548,18 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
 
-        names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-        if args.sweep is not None and len(names) > 1:
-            raise ValidationError("--sweep is not supported with the 'all' bundle")
-        # Resolve and compute every experiment before the first write, so a
-        # bad config or a failing run writes no CSV.
-        configs = [resolve_config(name, doc, args.out, grid, seed) for name in names]
         if args.sweep is not None:
-            entries = sweep(configs[0], *_parse_sweep_flag(args.sweep))
+            if args.experiment == "all":
+                raise ValidationError("--sweep is not supported with the 'all' bundle")
+            entries = sweep(args.experiment, doc, *_parse_sweep_flag(args.sweep), args.out, grid, seed)
             failed = sum(entry["status"] != "ok" for entry in entries)
             if failed:
                 raise NumericalError(f"{failed} sweep value(s) failed")
             return 0
+        # Resolve and compute every experiment before the first write, so a
+        # bad config or a failing run writes no CSV.
+        names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
+        configs = [resolve_config(name, doc, args.out, grid, seed) for name in names]
         computed = [_compute(cfg) for cfg in configs]
         for cfg, result in zip(configs, computed):
             run(cfg, result)

@@ -128,12 +128,16 @@ def wavefunction(x, n, params: ClockParams):
         If any n lies outside [0, n_reset], or any x is not finite; names
         the first.
     """
+    return _scalar_or_array(_checked_envelope(x, n, params) * np.exp(1j * params.phase))
+
+
+def _checked_envelope(x, n, params: ClockParams) -> np.ndarray:
+    """``_envelope`` at x and n once n's window and x's finiteness are checked; never warns."""
     check_abstract_time(n, params)
     x = _finite("x", x)
     terms = _envelope_terms(n, params)
     with np.errstate(over="ignore"):  # an overflowing (x - <x>)^2 gives exp(-inf) = 0
-        envelope = _envelope(x, terms)
-    return _scalar_or_array(envelope * np.exp(1j * params.phase))
+        return _envelope(x, terms)
 
 
 def _envelope_terms(n, params: ClockParams):

@@ -37,7 +37,7 @@ from .params import (
     _scalar_or_array,
     check_abstract_time,
 )
-from .clock import _envelope, _envelope_terms, width
+from .clock import _checked_envelope, _envelope, _envelope_terms, width
 from .evolution import _inner, evolve_exact
 from .timemap import n_from_x_exact, n_from_x_log
 
@@ -62,11 +62,7 @@ def position_given_n(x, n, params: ClockParams):
     ValidationError naming the first. An x so far from <x> that
     (x - <x>)^2 overflows gives exactly 0.
     """
-    check_abstract_time(n, params)
-    x = _finite("x", x)
-    terms = _envelope_terms(n, params)
-    with np.errstate(over="ignore"):  # an overflowing (x - <x>)^2 gives exp(-inf) = 0
-        return _envelope(x, terms) ** 2
+    return _checked_envelope(x, n, params) ** 2
 
 
 @dataclass(frozen=True, eq=False)

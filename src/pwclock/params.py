@@ -227,7 +227,13 @@ def _is_number(value) -> bool:
 
 def _shown(value) -> str:
     """``value`` as an error message shows it: its repr, or the digit count of an int beyond
-    the float range, worked out without ``str``, which refuses an int of over 4300 digits."""
+    the float range, worked out without ``str``, which refuses an int of over 4300 digits.
+    A list, tuple or dict is shown one element at a time."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        inner = ", ".join(map(_shown, value))
+        return f"[{inner}]" if isinstance(value, list) else f"({inner}{',' * (len(value) == 1)})"
     size = abs(value) if isinstance(value, int) else 0
     if size <= sys.float_info.max:
         return repr(value)

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -168,8 +169,7 @@ def test_rescaled_generator_norm_matches_an_independent_svd(tmp_path, dim):
 
 def test_sweep_with_tied_reset_horizon(tmp_path):
     doc = {"clock": {"damping": 0.5, "n_reset": "auto"}}
-    cfg = resolve_config("clock-profile", doc, out=str(tmp_path / "sw"))
-    entries = sweep(cfg, "r", [0.01, 0.05, 0.1])
+    entries = sweep("clock-profile", doc, "r", [0.01, 0.05, 0.1], out=str(tmp_path / "sw"))
     assert [e["status"] for e in entries] == ["ok", "ok", "ok"]
     index = json.loads((tmp_path / "sw" / "sweep_index.json").read_text())
     assert index["parameter"] == "r"
@@ -179,8 +179,7 @@ def test_sweep_with_tied_reset_horizon(tmp_path):
 
 
 def test_sweep_grid_refinement_on_posterior(tmp_path):
-    cfg = resolve_config("posterior", None, out=str(tmp_path / "sw"))
-    entries = sweep(cfg, "grid_size", [2048, 4096])
+    entries = sweep("posterior", None, "grid_size", [2048, 4096], out=str(tmp_path / "sw"))
     assert all(e["status"] == "ok" for e in entries)
     norms = []
     for value in (2048, 4096):
@@ -192,9 +191,8 @@ def test_sweep_grid_refinement_on_posterior(tmp_path):
 
 
 def test_sweep_rejects_empty_values(tmp_path):
-    cfg = resolve_config("clock-profile", None, out=str(tmp_path / "sw"))
     with pytest.raises(ValidationError, match="^sweep requires at least one value$"):
-        sweep(cfg, "r", [])
+        sweep("clock-profile", None, "r", [], out=str(tmp_path / "sw"))
 
 
 def test_empty_sweep_flag_exits_one(tmp_path, capsys):
@@ -224,9 +222,8 @@ def test_grid_size_sweep_flag_rejects_what_grid_rejects(tmp_path, capsys, value)
 
 
 def test_sweep_index_is_strict_json(tmp_path):
-    cfg = resolve_config("clock-profile", None, out=str(tmp_path / "sw"))
     with pytest.raises(ValueError):
-        sweep(cfg, "r", [math.nan])  # the run fails, and NaN has no JSON spelling
+        sweep("clock-profile", None, "r", [math.nan], out=str(tmp_path / "sw"))  # the run fails, and NaN has no JSON spelling
     assert not (tmp_path / "sw" / "sweep_index.json").exists()
 
 
@@ -234,8 +231,7 @@ OVER_DAMPED = "under-damping requires r/2 < omega, got r/2 = 2.5 >= omega = 1.0"
 
 
 def test_sweep_records_per_value_failures(tmp_path):
-    cfg = resolve_config("clock-profile", None, out=str(tmp_path / "sw"))
-    entries = sweep(cfg, "r", [0.1, 5.0])  # 5.0 is over-damped
+    entries = sweep("clock-profile", None, "r", [0.1, 5.0], out=str(tmp_path / "sw"))  # 5.0 is over-damped
     assert entries[0]["status"] == "ok"
     assert entries[1]["status"] == "error"
     assert entries[1]["error"] == {"type": "ValidationError", "message": OVER_DAMPED}
@@ -274,9 +270,8 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
 
 def test_sweep_reset_horizon_rederives_recommended_damping(tmp_path):
     doc = {"clock": {"damping": "auto", "n_reset": 2.0}}
-    cfg = resolve_config("clock-profile", doc, out=str(tmp_path / "sw"))
-    assert cfg.clock.damping == pytest.approx(0.5)
-    entries = sweep(cfg, "n_reset", [4.0, 8.0])
+    assert resolve_config("clock-profile", doc).clock.damping == pytest.approx(0.5)
+    entries = sweep("clock-profile", doc, "n_reset", [4.0, 8.0], out=str(tmp_path / "sw"))
     assert all(e["status"] == "ok" for e in entries)
     meta = json.loads((tmp_path / "sw" / "n_reset=4.0" / "clock-profile.meta.json").read_text())
     assert meta["config"]["clock"]["damping"] == pytest.approx(0.25)
@@ -332,12 +327,45 @@ def test_sweep_resolves_each_value_as_resolve_config_does(tmp_path, capsys, tie,
     assert code == (0 if all(entry["status"] == "ok" for entry in entries) else 1)
 
 
+# A sweep of each kind and its values: r and n_reset each under the other's
+# "auto", and the grid.
+SWEEPS = {
+    "r": ({"damping": 0.5, "n_reset": "auto"}, [0.5, 1.0]),
+    "n_reset": ({"damping": "auto", "n_reset": 2.0}, [1.0, 4.0]),
+    "grid_size": ({}, [16, 32]),
+}
+
+
+@pytest.mark.parametrize("parameter", SWEEPS)
+def test_a_sweep_writes_what_a_plain_run_writes(tmp_path, parameter):
+    clock, values = SWEEPS[parameter]
+    doc = {"clock": clock, "grid_size": 64}
+    entries = sweep("posterior", doc, parameter, values, out=str(tmp_path / "sw"))
+    for value, entry in zip(values, entries, strict=True):
+        if parameter == "grid_size":
+            edited = dict(doc, grid_size=value)
+        else:
+            edited = dict(doc, clock=dict(clock, **{"damping" if parameter == "r" else parameter: value}))
+        plain = run(resolve_config("posterior", edited, out=str(tmp_path / "plain" / str(value))))
+        assert entry["status"] == "ok"
+        assert Path(entry["csv"]).read_bytes() == plain.csv_path.read_bytes()
+
+
+def test_a_sweep_of_a_bad_document_runs_nothing(tmp_path):
+    out = tmp_path / "sw"
+    with pytest.raises(ValidationError, match=f"^{re.escape(OVER_DAMPED)}$"):
+        sweep("clock-profile", {"clock": {"damping": 5.0}}, "r", [0.1], out=str(out))
+    # A bad parameter is named before a bad document.
+    with pytest.raises(ValidationError, match="^parameter 'hbar' is not sweepable"):
+        sweep("clock-profile", {"clock": {"damping": 5.0}}, "hbar", [0.1], out=str(out))
+    assert not out.exists()
+
+
 def test_sweep_to_zero_damping_under_a_tied_horizon_is_rejected(tmp_path):
     # The horizon 1/r has no value at r = 0: the value fails as its config
     # would, instead of running with the horizon of the previous damping.
-    cfg = resolve_config("clock-profile", {"clock": TIED_CLOCKS["n_reset auto"]},
-                         out=str(tmp_path / "sw"))
-    entries = sweep(cfg, "r", [0.0, 0.5])
+    entries = sweep("clock-profile", {"clock": TIED_CLOCKS["n_reset auto"]}, "r", [0.0, 0.5],
+                    out=str(tmp_path / "sw"))
     assert entries[0]["status"] == "error"
     assert entries[0]["error"]["type"] == "ValidationError"
     assert entries[1]["status"] == "ok"
@@ -444,8 +472,7 @@ def test_sizes_have_a_ceiling_and_seeds_do_not(tmp_path):
     assert resolve_config("oracle-check", {"grid_size": _MAX_SIZE}).grid_size == _MAX_SIZE
     assert resolve_config("oracle-check", {"seed": 2**100}).seed == 2**100
     # A sweep value meets the ceiling before any array is allocated for it.
-    cfg = resolve_config("posterior", out=str(tmp_path))
-    [entry] = sweep(cfg, "grid_size", [10**20])
+    [entry] = sweep("posterior", None, "grid_size", [10**20], out=str(tmp_path))
     assert entry["error"]["message"] == f"grid_size must be <= {_MAX_SIZE}, got {10**20}"
 
 
@@ -598,6 +625,56 @@ def test_each_config_builds_each_object_once(monkeypatch):
                      "reading_span": [float, float], "x": float, "num_readings": int}
     assert options == {"window": 1.0, "scales": [10.0, 100.0], "probe_time": 0.0,
                        "reading_span": [0.0, 1.0], "x": -1.0, "num_readings": 8}
+
+
+def test_the_cli_has_one_resolver(tmp_path, monkeypatch):
+    # Only resolve_config reads a clock, system or options document...
+    readers = {"_clock_from_doc", "_system_from_doc", "_options_from_doc"}
+    callers: dict = {}
+    for statement in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in readers:
+                callers.setdefault(node.func.id, set()).add(getattr(statement, "name", None))
+    assert callers == dict.fromkeys(readers, {"resolve_config"})
+    # ...the config's keys are the record's fields...
+    assert tuple(field.name for field in fields(cli.ExperimentConfig)) == cli._CONFIG_KEYS
+    # ...and a sweep runs exactly the configs it resolves, after its base config.
+    made, ran, resolve, run_one = [], [], cli.resolve_config, cli.run
+    monkeypatch.setattr(cli, "resolve_config", lambda *args: made.append(resolve(*args)) or made[-1])
+    monkeypatch.setattr(cli, "run", lambda cfg: ran.append(cfg) or run_one(cfg))
+    sweep("clock-profile", {"grid_size": 16}, "r", [0.1, 0.2], out=str(tmp_path))
+    assert len(made) == 3 and [id(cfg) for cfg in ran] == [id(cfg) for cfg in made[1:]]
+
+
+# Config values holding an int too large for repr: each message counts its digits.
+HUGE_VALUES = {
+    "x": ({"options": {"x": 10**5000}}, "option x must be a finite number, got an int of 5001"),
+    "scales": (
+        {"options": {"scales": [1.0, 10**5000]}},
+        "option scales must be a non-empty list of finite numbers > 0, got [1.0, an int of 5001",
+    ),
+    "output_path": (
+        {"output_path": [10**5000]}, "output_path must be a string, got [an int of 5001"
+    ),
+    "hamiltonian": (
+        {"system": {"dim": 2, "hamiltonian": {"a": 10**5000}, "initial_state": [1.0, 0.0]}},
+        "system.hamiltonian must be a list of numbers or [re, im] pairs, got {'a': an int of 5001",
+    ),
+    "experiment": ({"experiment": 10**5000}, "experiment must be one of"),
+    "key": ({10**5000: 1}, "unknown config key(s) [an int of 5001"),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_VALUES)
+def test_a_huge_config_value_is_shown_by_its_digit_count(name):
+    doc, message = HUGE_VALUES[name]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}") as raised:
+        resolve_config("posterior", doc)
+    assert "int of 5001 digits" in str(raised.value) and len(str(raised.value)) < 200
+    # A 400-digit int, which repr could show, is counted too.
+    if name == "x":
+        with pytest.raises(ValidationError, match="got an int of 401 digits$"):
+            resolve_config("posterior", {"options": {"x": 10**400}})
 
 
 REAL_CLOCK_FIELDS = ("hbar", "mass", "omega", "damping", "n_reset", "phase")
