@@ -25,6 +25,7 @@ from .params import (
     ClockParams,
     ValidationError,
     _finite,
+    _overflow_checked,
     _real,
     _require,
     _scalar_or_array,
@@ -68,21 +69,23 @@ def position_expectation(n, params: ClockParams):
     Raises
     ------
     ValidationError
-        If any n is not finite; names the first.
+        If any n is not finite, or the value overflows at a finite n (such
+        as n = -3000 at r = 0.5, far before the window); names the first.
     """
-    envelope, _, cos = _mean_terms(_finite("n", n), params)
-    return _scalar_or_array(envelope * cos)
+    return _overflow_checked("n", _finite("n", n), "A*exp(-r*n/2)*cos(Omega*n)",
+                             lambda t: np.multiply(*_mean_terms(t, params)[::2]))
 
 
 def width(n, params: ClockParams):
     """Gaussian width exp(-r*n/2) * sqrt(hbar/(2*m*omega)).
 
     This is the standard deviation of the position density |psi(x, n)|^2.
-    A non-finite n raises ValidationError naming the first.
+    A non-finite n raises ValidationError naming the first, and so does a
+    finite n at which the width overflows, far before the window.
     """
-    n = _finite("n", n)
-    m_omega = params.mass * params.omega
-    return _scalar_or_array(sqrt(params.hbar / (2.0 * m_omega)) * _decay(n, params))
+    scale = sqrt(params.hbar / (2.0 * (params.mass * params.omega)))
+    return _overflow_checked("n", _finite("n", n), "exp(-r*n/2)*sqrt(hbar/(2*m*omega))",
+                             lambda t: scale * _decay(t, params))
 
 
 def _decay(n, params: ClockParams):
@@ -174,9 +177,11 @@ def decoherence_rate(n, params: ClockParams):
 
     This is the magnitude of the rate of change of the squared minimum
     Gaussian width; the value is reported positive. A non-finite n raises
-    ValidationError naming the first.
+    ValidationError naming the first, and so does a finite n at which the
+    rate overflows, far before the window.
     """
-    return _scalar_or_array(_rate(params.damping, _finite("n", n), params))
+    return _overflow_checked("n", _finite("n", n), "r*hbar*exp(-r*n)/(m*omega)",
+                             lambda t: _rate(params.damping, t, params))
 
 
 def _rate(r, n, params: ClockParams):
@@ -197,17 +202,21 @@ def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
     Raises
     ------
     ValidationError
-        If any n <= 0, is NaN or is +inf; names the first.
+        If any n <= 0, is NaN or is +inf, or if a field overflows there
+        (1/n at n = 1e-320); names the first.
     """
     n = np.asarray(n, dtype=float)
     _require(n, n > 0.0, lambda v, _: ValidationError(f"stationary damping requires n > 0, got {v}"))
     _require(n, n < np.inf, lambda v, _: ValidationError(
         f"stationary damping requires finite n, got {v}"))
-    r_star = 1.0 / n
-    d2 = params.hbar / (params.mass * params.omega) * n * np.exp(-r_star * n) * (r_star * n - 2.0)
-    kind = np.where(d2 < 0.0, "maximum", "flat")  # "flat" where d2 underflows to -0.0 or is NaN
-    fields = r_star, kind, d2, _rate(r_star, n, params)
-    return StationaryDamping(*map(_scalar_or_array, fields))
+    with np.errstate(all="ignore"):  # a field that is not finite is named below
+        r_star = 1.0 / n
+        d2 = params.hbar / (params.mass * params.omega) * n * np.exp(-r_star * n) * (r_star * n - 2.0)
+        rate = _rate(r_star, n, params)
+    finite = np.isfinite(r_star) & np.isfinite(d2) & np.isfinite(rate)
+    _require(n, finite, lambda v, _: ValidationError(f"stationary damping overflows at n = {v}"))
+    kind = np.where(d2 < 0.0, "maximum", "flat")  # "flat" where d2 underflows to -0.0
+    return StationaryDamping(*map(_scalar_or_array, (r_star, kind, d2, rate)))
 
 
 def recommend_damping(n_reset: float) -> float:
@@ -219,11 +228,12 @@ def recommend_damping(n_reset: float) -> float:
     Raises
     ------
     ValidationError
-        If n_reset is not a number, or is <= 0, NaN or +inf.
+        If n_reset is not a number, or is <= 0, NaN or +inf, or if 1/n_reset
+        overflows (n_reset = 1e-320).
     """
     n_reset = _real("n_reset", n_reset)
     _require(n_reset, n_reset > 0.0, lambda v, _: ValidationError(
         f"recommendation requires n_reset > 0, got {v}"))
     _require(n_reset, n_reset < np.inf, lambda v, _: ValidationError(
         f"recommendation requires finite n_reset, got {v}"))
-    return 1.0 / n_reset
+    return _overflow_checked("n_reset", n_reset, "1/n_reset", lambda v: 1.0 / v)

@@ -27,7 +27,6 @@ import numpy as np
 from .params import (
     ClockParams,
     NumericalError,
-    OutOfRange,
     SystemSpec,
     ValidationError,
     _checked_whole,
@@ -39,7 +38,7 @@ from .params import (
 )
 from .clock import _checked_envelope, _envelope, _envelope_terms, width
 from .evolution import _inner, evolve_exact
-from .timemap import n_from_x_exact, n_from_x_log
+from .timemap import _monotone_floor, n_from_x_exact, n_from_x_log
 
 __all__ = [
     "position_given_n",
@@ -129,28 +128,25 @@ def ideal_limit_concentration(
 
     As the clock narrows (m*omega/hbar large at fixed amplitude) this
     fraction approaches 1 for any fixed window: the posterior collapses onto
-    the recovered time. Readings below the attainable window are located on
-    the decay envelope via the log-form inversion, which can place the
-    window partly or wholly outside the integration range (fraction near 0).
+    the recovered time. A reading in (0, <x>(n_reset)] on a damped clock,
+    at or below the attainable window, is located on the decay envelope via
+    the log-form inversion, which can place the window partly or wholly
+    outside the integration range (fraction near 0); every other reading
+    goes to the exact inversion.
 
     Raises
     ------
     ValidationError
-        If window is not a finite number > 0.
-    OutOfRange
-        If x exceeds the amplitude, or lies below the attainable window for
-        an undamped clock.
+        If window is not a finite number > 0, Omega * n_reset >= pi/2, or x
+        exceeds the amplitude, is NaN or <= 0, or lies at or below the
+        attainable window on an undamped clock.
     """
     window = _real("window", window)
     _require(window, 0.0 < window < np.inf, lambda v, _: ValidationError(
         f"window must be a finite number > 0, got {v}"))
-    try:
-        center = n_from_x_exact(x, params)
-    except OutOfRange:
-        if params.damping > 0.0 and 0.0 < x <= params.amplitude:
-            center = n_from_x_log(x, params)
-        else:
-            raise
+    floor = _monotone_floor(params)
+    on_envelope = params.damping > 0.0 and 0.0 < np.asarray(x, dtype=float) <= floor
+    center = (n_from_x_log if on_envelope else n_from_x_exact)(x, params)
     posterior = posterior_over_n(x, params, grid_size)
     return posterior.mass_within(center - window, center + window)
 

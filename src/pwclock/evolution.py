@@ -140,9 +140,9 @@ def evolve_via_clock(spec: SystemSpec, x, params: ClockParams) -> np.ndarray:
     Raises
     ------
     ValidationError
-        If r = 0 (the rescaled generator is undefined).
-    OutOfRange
-        If any x > A, or is -inf or NaN; names the first.
+        If r = 0 (the rescaled generator is undefined), or if any x > A, or
+        is -inf or NaN, or if the linear time map overflows there (x =
+        -1e308); names the first.
     """
     return evolve_exact(spec, n_from_x_linear(x, params))
 

@@ -20,7 +20,6 @@ __all__ = [
     "SystemSpec",
     "ValidationError",
     "NumericalError",
-    "OutOfRange",
 ]
 
 class ValidationError(ValueError):
@@ -29,10 +28,6 @@ class ValidationError(ValueError):
 
 class NumericalError(RuntimeError):
     """A computation failed or degenerated despite valid inputs."""
-
-
-class OutOfRange(ValidationError):
-    """Position reading outside the interval attained by the clock."""
 
 
 @dataclass(frozen=True)
@@ -301,6 +296,15 @@ def _finite(name: str, values) -> np.ndarray:
     _require(values, np.isfinite(values), lambda v, _: ValidationError(
         f"{name} must be finite, got {v}"))
     return values
+
+
+def _overflow_checked(name: str, values, form: str, formula):
+    """``formula(values)`` as a scalar or array, with no warning; ValidationError names the
+    first of ``values`` at which the result, the closed form ``form``, is not finite."""
+    with np.errstate(all="ignore"):
+        out = np.asarray(formula(values))
+    _require(values, np.isfinite(out), lambda v, _: ValidationError(f"{name} = {v} overflows {form}"))
+    return _scalar_or_array(out)
 
 
 def check_abstract_time(n, params: ClockParams):

@@ -20,9 +20,9 @@ import numpy as np
 
 from .params import (
     ClockParams,
-    OutOfRange,
     ValidationError,
     _checked_whole,
+    _overflow_checked,
     _require,
     _scalar_or_array,
 )
@@ -61,6 +61,17 @@ class TimeMapResult:
     rel_error_linear: float | np.ndarray
 
 
+def _monotone_floor(params: ClockParams) -> float:
+    """<x>(n_reset), the lowest reading, once Omega * n_reset < pi/2 is checked: on that
+    window the mean falls strictly."""
+    if params.damped_frequency * params.n_reset >= pi / 2.0:
+        raise ValidationError(
+            f"Omega * n_reset = {params.damped_frequency * params.n_reset} >= pi/2; "
+            "the position map is not guaranteed invertible on this window"
+        )
+    return position_expectation(params.n_reset, params)
+
+
 def n_from_x_exact(x, params: ClockParams):
     """Unique n in [0, n_reset) with position_expectation(n) = x, per reading.
 
@@ -83,21 +94,14 @@ def n_from_x_exact(x, params: ClockParams):
     Raises
     ------
     ValidationError
-        If Omega * n_reset >= pi/2.
-    OutOfRange
-        If any x > A or x <= <x>(n_reset), or is NaN; names the first.
+        If Omega * n_reset >= pi/2, or if any x > A or x <= <x>(n_reset), or
+        is NaN; names the first.
     """
-    n_reset, amp = params.n_reset, params.amplitude
-    if params.damped_frequency * n_reset >= pi / 2.0:
-        raise ValidationError(
-            f"Omega * n_reset = {params.damped_frequency * n_reset} >= pi/2; "
-            "the position map is not guaranteed invertible on this window"
-        )
-    floor = position_expectation(n_reset, params)
+    n_reset, amp, floor = params.n_reset, params.amplitude, _monotone_floor(params)
     x = np.asarray(x, dtype=float)
     interval = f"the attained interval ({floor}, {amp}]"
     inside = (x > floor) & (x <= amp)
-    _require(x, inside, lambda v, _: OutOfRange(f"reading x = {v} outside {interval}"))
+    _require(x, inside, lambda v, _: ValidationError(f"reading x = {v} outside {interval}"))
 
     readings = x.reshape(-1)
     out = np.zeros(readings.size)  # x == A maps to n = 0
@@ -133,17 +137,16 @@ def n_from_x_log(x, params: ClockParams):
     Raises
     ------
     ValidationError
-        If r = 0.
-    OutOfRange
-        If any x <= 0 or x > A, or is NaN; names the first.
+        If r = 0, or if any x <= 0 or x > A, or is NaN, or if the value
+        overflows (A/x at x = 1e-320); names the first.
     """
     r = params.damping
     if r == 0.0:
         raise ValidationError("log-form inversion undefined for r = 0")
     x = np.asarray(x, dtype=float)
     amp = params.amplitude
-    _require(x, (x > 0.0) & (x <= amp), lambda v, _: OutOfRange(f"reading x = {v} outside (0, {amp}]"))
-    return _scalar_or_array((2.0 / r) * np.log(amp / x))
+    _require(x, (x > 0.0) & (x <= amp), lambda v, _: ValidationError(f"reading x = {v} outside (0, {amp}]"))
+    return _overflow_checked("reading x", x, "(2/r)*ln(A/x)", lambda v: (2.0 / r) * np.log(amp / v))
 
 
 def n_from_x_linear(x, params: ClockParams):
@@ -152,9 +155,9 @@ def n_from_x_linear(x, params: ClockParams):
     Raises
     ------
     ValidationError
-        If r = 0; callers must use n_from_x_exact instead.
-    OutOfRange
-        If any x > A, or is -inf or NaN; names the first.
+        If r = 0 (callers must use n_from_x_exact instead), or if any x > A,
+        or is -inf or NaN, or if the value overflows (x = -1e308); names
+        the first.
     """
     r = params.damping
     if r == 0.0:
@@ -162,8 +165,8 @@ def n_from_x_linear(x, params: ClockParams):
     x = np.asarray(x, dtype=float)
     amp = params.amplitude
     inside = (x > -np.inf) & (x <= amp)
-    _require(x, inside, lambda v, _: OutOfRange(f"reading x = {v} outside (-inf, {amp}]"))
-    return _scalar_or_array(2.0 * (amp - x) / (r * amp))
+    _require(x, inside, lambda v, _: ValidationError(f"reading x = {v} outside (-inf, {amp}]"))
+    return _overflow_checked("reading x", x, "2*(A - x)/(r*A)", lambda v: 2.0 * (amp - v) / (r * amp))
 
 
 def invert_position(x, params: ClockParams) -> TimeMapResult:

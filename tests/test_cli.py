@@ -451,6 +451,8 @@ BAD_CLOCK_MESSAGES = [
      "n_reset = 2.0 exceeds the running-time limit 1/r = 1.1111111111111112"),
     ({"n_reset": "auto", "damping": 0.5, "alpha": [0.0, 0]},
      "amplitude sqrt(2*hbar/(m*omega))*Re(alpha) = 0.0 must be > 0 for the time-map inversion"),
+    # The overflow of 1/n_reset is named, not the damping it would give.
+    ({"damping": "auto", "n_reset": 1e-320}, "n_reset = 1e-320 overflows 1/n_reset"),
 ]
 
 

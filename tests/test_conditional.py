@@ -12,7 +12,6 @@ from pwclock.evolution import _inner
 from pwclock import (
     ClockParams,
     NumericalError,
-    OutOfRange,
     SystemSpec,
     ValidationError,
     build_history_state,
@@ -20,6 +19,7 @@ from pwclock import (
     default_qubit_spec,
     ideal_limit_concentration,
     n_from_x_exact,
+    n_from_x_log,
     position_expectation,
     position_given_n,
     posterior_over_n,
@@ -191,8 +191,57 @@ def test_concentration_support_mismatch():
 
 def test_concentration_rejects_overshoot_reading():
     params = narrow_clock()
-    with pytest.raises(OutOfRange):
-        ideal_limit_concentration(params.amplitude * 1.01, params, 0.05)
+    floor, amp = position_expectation(params.n_reset, params), params.amplitude
+    message = f"reading x = {amp * 1.01} outside the attained interval ({floor}, {amp}]"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ideal_limit_concentration(amp * 1.01, params, 0.05)
+
+
+def caught_route(x, params, window, grid_size):
+    """The concentration as ideal_limit_concentration once found it: the exact inversion,
+    and the log form where that refused the reading and r > 0 and 0 < x <= A."""
+    try:
+        center = n_from_x_exact(x, params)
+    except ValidationError as error:
+        if not (str(error).startswith("reading x = ") and params.damping > 0.0
+                and 0.0 < x <= params.amplitude):
+            raise
+        center = n_from_x_log(x, params)
+    return posterior_over_n(x, params, grid_size).mass_within(center - window, center + window)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ValidationError as error:
+        return type(error), str(error)
+
+
+# A narrow clock, an undamped one, and one past the window Omega * n_reset < pi/2.
+PAST_WINDOW_CLOCK = ClockParams(mass=1e4, damping=0.1, n_reset=6.28, alpha=math.sqrt(5000.0))
+ROUTE_CLOCKS = {
+    "narrow": narrow_clock(),
+    "undamped": ClockParams(damping=0.0, n_reset=1.0, alpha=1.0),
+    "past the window": PAST_WINDOW_CLOCK,
+}
+
+
+@pytest.mark.parametrize("clock", ROUTE_CLOCKS)
+def test_concentration_picks_the_route_the_caught_error_picked(clock):
+    params = ROUTE_CLOCKS[clock]
+    amp, floor = params.amplitude, position_expectation(params.n_reset, params)
+    interior = position_expectation(0.4 * params.n_reset, params)
+    for x in (amp, 1.01 * amp, floor, floor / 2.0, 0.0, -0.3, math.nan, interior):
+        for window in (0.05, 0.5):
+            expected = outcome(caught_route, x, params, window, 512)
+            assert outcome(ideal_limit_concentration, x, params, window, 512) == expected, x
+
+
+def test_concentration_refuses_a_clock_past_the_window_before_any_route():
+    # Taking the log form here would give 0.25249626619928917 at K = 4096.
+    params = PAST_WINDOW_CLOCK
+    with pytest.raises(ValidationError, match=r"^Omega \* n_reset = 6\.272145087607589 >= pi/2; "):
+        ideal_limit_concentration(position_expectation(params.n_reset, params), params, 0.05)
 
 
 @pytest.mark.parametrize("window", [math.nan, -1.0, 0.0, math.inf, -math.inf])

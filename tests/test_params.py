@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 import warnings
@@ -6,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+import pwclock
 from pwclock import (
     ClockParams,
     NumericalError,
-    OutOfRange,
     SystemSpec,
     ValidationError,
     build_history_state,
@@ -19,8 +20,10 @@ from pwclock import (
     decoherence_rate,
     default_qubit_spec,
     evolve_exact,
+    evolve_via_clock,
     fidelity,
     ideal_limit_concentration,
+    invert_position,
     linearization_report,
     n_from_x_exact,
     n_from_x_linear,
@@ -477,7 +480,7 @@ BAD_ARGUMENTS = {
     ),
     "n_from_x_linear(-inf)": (
         lambda: n_from_x_linear(np.array([0.5, -math.inf, math.nan]), SCALAR_CLOCK),
-        OutOfRange,
+        ValidationError,
         r"^reading x = -inf outside \(-inf, ",
     ),
     "fidelity(zero, state)": (
@@ -545,6 +548,52 @@ BAD_ARGUMENTS = {
         ValidationError,
         "^x must be finite, got nan$",
     ),
+    # A finite time far before the window overflows a closed form, and is named.
+    "position_expectation(-3000)": (
+        lambda: position_expectation(-3000.0, SCALAR_CLOCK),
+        ValidationError,
+        r"^n = -3000\.0 overflows A\*exp\(-r\*n/2\)\*cos\(Omega\*n\)$",
+    ),
+    "width(-1e308)": (
+        lambda: width(np.array([0.5, -1e308, -3000.0]), SCALAR_CLOCK),
+        ValidationError,
+        r"^n = -1e\+308 overflows exp\(-r\*n/2\)\*sqrt\(hbar/\(2\*m\*omega\)\)$",
+    ),
+    "decoherence_rate(-3000)": (
+        lambda: decoherence_rate(-3000.0, SCALAR_CLOCK),
+        ValidationError,
+        r"^n = -3000\.0 overflows r\*hbar\*exp\(-r\*n\)/\(m\*omega\)$",
+    ),
+    # Reciprocals that overflow, named after the "> 0" and "finite" checks.
+    "damping_stationary_point(1e-320)": (
+        lambda: damping_stationary_point(np.array([1.0, 1e-320]), SCALAR_CLOCK),
+        ValidationError,
+        r"^stationary damping overflows at n = 1e-320$",
+    ),
+    "recommend_damping(1e-320)": (
+        lambda: recommend_damping(1e-320), ValidationError, r"^n_reset = 1e-320 overflows 1/n_reset$"
+    ),
+    # Readings whose time-map value overflows.
+    "n_from_x_log(1e-320)": (
+        lambda: n_from_x_log(np.array([0.5, 1e-320, 5e-324]), SCALAR_CLOCK),
+        ValidationError,
+        r"^reading x = 1e-320 overflows \(2/r\)\*ln\(A/x\)$",
+    ),
+    "ideal_limit_concentration(1e-320)": (
+        lambda: ideal_limit_concentration(1e-320, SCALAR_CLOCK, 0.05, 64),
+        ValidationError,
+        r"^reading x = 1e-320 overflows \(2/r\)\*ln\(A/x\)$",
+    ),
+    "n_from_x_linear(-1e308)": (
+        lambda: n_from_x_linear(-1e308, SCALAR_CLOCK),
+        ValidationError,
+        r"^reading x = -1e\+308 overflows 2\*\(A - x\)/\(r\*A\)$",
+    ),
+    "evolve_via_clock(-1e308)": (
+        lambda: evolve_via_clock(QUBIT, np.array([0.5, -1e308]), SCALAR_CLOCK),
+        ValidationError,
+        r"^reading x = -1e\+308 overflows 2\*\(A - x\)/\(r\*A\)$",
+    ),
 }
 
 
@@ -553,6 +602,72 @@ def test_library_boundary_names_the_bad_argument(case):
     call, error, message = BAD_ARGUMENTS[case]
     with pytest.raises(error, match=message):
         call()
+
+
+# Every public function with one time, reading, window or state argument set
+# to an extreme value, the others ordinary.
+EXTREMES = (-1e308, -3000.0, -5e-324, 5e-324, 1e-320, 1e308)
+EXTREME_HISTORY = build_history_state(QUBIT, SCALAR_CLOCK, 64)
+ONE_ARGUMENT_CALLS = {
+    "wavefunction(x)": lambda v: wavefunction(v, 0.5, SCALAR_CLOCK),
+    "wavefunction(n)": lambda v: wavefunction(0.5, v, SCALAR_CLOCK),
+    "position_expectation(n)": lambda v: position_expectation(v, SCALAR_CLOCK),
+    "width(n)": lambda v: width(v, SCALAR_CLOCK),
+    "decoherence_rate(n)": lambda v: decoherence_rate(v, SCALAR_CLOCK),
+    "damping_stationary_point(n)": lambda v: damping_stationary_point(v, SCALAR_CLOCK),
+    "recommend_damping(n_reset)": recommend_damping,
+    "n_from_x_exact(x)": lambda v: n_from_x_exact(v, SCALAR_CLOCK),
+    "n_from_x_log(x)": lambda v: n_from_x_log(v, SCALAR_CLOCK),
+    "n_from_x_linear(x)": lambda v: n_from_x_linear(v, SCALAR_CLOCK),
+    "invert_position(x)": lambda v: invert_position(v, SCALAR_CLOCK),
+    "position_given_n(x)": lambda v: position_given_n(v, 0.5, SCALAR_CLOCK),
+    "position_given_n(n)": lambda v: position_given_n(0.5, v, SCALAR_CLOCK),
+    "posterior_over_n(x)": lambda v: posterior_over_n(v, SCALAR_CLOCK, 64),
+    "ideal_limit_concentration(x)": lambda v: ideal_limit_concentration(v, SCALAR_CLOCK, 0.05, 64),
+    "ideal_limit_concentration(window)": lambda v: ideal_limit_concentration(
+        reading(0.5), SCALAR_CLOCK, v, 64
+    ),
+    "conditional_system_probability(x)": lambda v: conditional_system_probability(
+        EXTREME_HISTORY, v, HALF
+    ),
+    "fidelity(a)": lambda v: fidelity(np.full(2, v, dtype=complex), QUBIT.initial_state),
+    "fidelity(b)": lambda v: fidelity(QUBIT.initial_state, np.array([v, 1.0])),
+    "evolve_exact(n)": lambda v: evolve_exact(QUBIT, v),
+    "evolve_via_clock(x)": lambda v: evolve_via_clock(QUBIT, v, SCALAR_CLOCK),
+}
+# Public functions that take none of those: sizes, specs and clocks only.
+NO_EXTREME_ARGUMENT = {
+    "linearization_report", "build_history_state", "compare_evolutions", "default_qubit_spec"
+}
+
+
+def all_finite(result) -> bool:
+    """True if every number in ``result``, each field of a record, is finite."""
+    if dataclasses.is_dataclass(result):
+        return all(all_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+    values = np.asarray(result)
+    return values.dtype.kind in "US" or bool(np.all(np.isfinite(values)))
+
+
+def test_the_extreme_value_table_covers_every_public_function():
+    functions = {
+        name for name, value in vars(pwclock).items()
+        if not name.startswith("_") and inspect.isfunction(value)
+    }
+    assert NO_EXTREME_ARGUMENT <= functions
+    assert {call.partition("(")[0] for call in ONE_ARGUMENT_CALLS} == functions - NO_EXTREME_ARGUMENT
+
+
+@pytest.mark.parametrize("call", ONE_ARGUMENT_CALLS)
+def test_an_extreme_argument_gives_finite_values_or_a_typed_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in EXTREMES:
+            try:
+                result = ONE_ARGUMENT_CALLS[call](value)
+            except (ValidationError, NumericalError):
+                continue
+            assert all_finite(result), (call, value, result)
 
 
 def test_closed_forms_stay_defined_at_finite_times_outside_the_window():

@@ -8,7 +8,6 @@ from scipy.optimize import brentq
 
 from pwclock import (
     ClockParams,
-    OutOfRange,
     ValidationError,
     invert_position,
     linearization_report,
@@ -123,13 +122,11 @@ def test_later_readings_sit_lower():
 
 def test_out_of_range_readings():
     params = narrow_window_clock()
-    with pytest.raises(OutOfRange):
-        n_from_x_exact(params.amplitude * 1.001, params)
     floor = position_expectation(params.n_reset, params)
-    with pytest.raises(OutOfRange):
-        n_from_x_exact(floor, params)
-    with pytest.raises(OutOfRange):
-        n_from_x_exact(floor - 0.01, params)
+    for bad in (params.amplitude * 1.001, floor, floor - 0.01):
+        message = f"reading x = {bad} outside the attained interval ({floor}, {params.amplitude}]"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            n_from_x_exact(bad, params)
 
 
 @settings(max_examples=40)
@@ -155,7 +152,7 @@ def test_exact_inversion_of_arrays(seed, fractions, bad_at, above):
     floor = position_expectation(params.n_reset, params)
     bad = params.amplitude * 1.001 if above else floor
     x = np.insert(x, min(bad_at, x.size), bad)
-    with pytest.raises(OutOfRange, match=re.escape(f"x = {bad} ")):
+    with pytest.raises(ValidationError, match=re.escape(f"x = {bad} ")):
         n_from_x_exact(x, params)
 
 
