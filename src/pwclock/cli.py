@@ -1,7 +1,7 @@
 """Command-line driver: config ingestion, experiments, sweeps, CSV/JSON output.
 
-Configs are single JSON documents; complex numbers are [re, im] pairs and the
-system generator is a row-major flat list of such pairs. Every run writes one
+Configs are single JSON documents; the system's complex entries are [re, im]
+pairs, and its generator is a row-major flat list of them. Every run writes one
 UTF-8 CSV (header row, shortest round-trip float formatting, so identical
 configs reproduce identical bytes) and a ``<name>.meta.json`` sidecar with the
 fully resolved config, derived constants and timing.
@@ -63,7 +63,7 @@ _BASE_CLOCK = {
     "mass": 1.0,
     "omega": 1.0,
     "damping": 0.5,
-    "alpha": [1.0, 0.0],
+    "alpha": 1.0,
     "n_reset": 2.0,
     "phase": 0.0,
 }
@@ -78,7 +78,7 @@ _NARROW_CLOCK = dict(
     _BASE_CLOCK,
     damping=0.1,
     n_reset=1.5,
-    alpha=[np.sqrt(0.5), 0.0],
+    alpha=np.sqrt(0.5),
 )
 
 
@@ -127,8 +127,8 @@ def _clock_from_doc(doc: dict) -> ClockParams:
 
     The CLI does only what the JSON format adds: it resolves "auto"
     (``"damping": "auto"`` becomes ``recommend_damping(n_reset)`` = 1/n_reset,
-    ``"n_reset": "auto"`` 1/damping) and makes alpha's [re, im] pair a complex.
-    ClockParams reads every other field as it stands, and checks every rule.
+    ``"n_reset": "auto"`` 1/damping). ClockParams reads every field as it
+    stands, and checks every rule.
     """
     damping, n_reset = doc["damping"], doc["n_reset"]
     if damping == "auto" and n_reset == "auto":
@@ -139,8 +139,7 @@ def _clock_from_doc(doc: dict) -> ClockParams:
         n_reset = 1 / damping  # not 1.0 /: a huge int gives 0.0, and the clock names it
     if damping == "auto":
         damping = recommend_damping(n_reset)
-    alpha = _complex_from_json("clock.alpha", doc["alpha"])
-    return ClockParams(**dict(doc, damping=damping, n_reset=n_reset, alpha=alpha))
+    return ClockParams(**dict(doc, damping=damping, n_reset=n_reset))
 
 
 def _system_from_doc(doc: dict) -> SystemSpec:
@@ -160,10 +159,6 @@ def _system_to_doc(spec: SystemSpec) -> dict:
         "hamiltonian": [_complex_to_json(z) for z in spec.hamiltonian.reshape(-1)],
         "initial_state": [_complex_to_json(z) for z in spec.initial_state],
     }
-
-
-def _clock_to_doc(params: ClockParams) -> dict:
-    return dict(asdict(params), alpha=_complex_to_json(params.alpha))
 
 
 def _json_object(name: str, value, keys) -> dict:
@@ -373,7 +368,7 @@ _EXPERIMENTS = {
     "evolve-compare": (_run_evolve_compare, _BASE_CLOCK, 128, {}),
     "oracle-check": (
         _run_oracle_check,
-        dict(_NARROW_CLOCK, mass=10000.0, alpha=[np.sqrt(5000.0), 0.0]),
+        dict(_NARROW_CLOCK, mass=10000.0, alpha=np.sqrt(5000.0)),
         2048,
         {"num_readings": 5, "reading_span": [0.25, 0.85]},
     ),
@@ -427,7 +422,7 @@ def run(cfg: ExperimentConfig, computed=None) -> RunResult:
         "duration_seconds": seconds + time.perf_counter() - started,
         "config": dict(
             {key: getattr(cfg, key) for key in _CONFIG_KEYS},
-            clock=_clock_to_doc(cfg.clock),
+            clock=asdict(cfg.clock),
             system=_system_to_doc(cfg.system),
         ),
         "derived": _derived_constants(cfg),

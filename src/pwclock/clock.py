@@ -3,7 +3,7 @@
 The clock keeps time through its position: the wavepacket is a Gaussian
 whose center oscillates on a decaying envelope
 
-    <x>(n) = A * exp(-r*n/2) * cos(Omega*n),      A = sqrt(2*hbar/(m*omega)) * Re(alpha)
+    <x>(n) = A * exp(-r*n/2) * cos(Omega*n),      A = sqrt(2*hbar/(m*omega)) * alpha
 
 and whose probability-density standard deviation shrinks as
 

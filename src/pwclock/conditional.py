@@ -103,10 +103,12 @@ def posterior_over_n(
     Raises
     ------
     ValidationError
-        If grid_size is not a whole number in [2, 2**24], or x is not finite.
+        If x is not one finite number, or grid_size is not a whole number in
+        [2, 2**24].
     NumericalError
         If the unnormalized integral underflows (x unreachable).
     """
+    x = _real("x", x)
     grid_size = _checked_whole("grid_size", grid_size, 2)
     grid = np.linspace(0.0, params.n_reset, grid_size)
     raw = position_given_n(x, grid, params)
@@ -137,15 +139,15 @@ def ideal_limit_concentration(
     Raises
     ------
     ValidationError
-        If window is not a finite number > 0, Omega * n_reset >= pi/2, or x
-        exceeds the amplitude, is NaN or <= 0, or lies at or below the
-        attainable window on an undamped clock.
+        If x is not one number, window is not a finite number > 0, Omega *
+        n_reset >= pi/2, or x exceeds the amplitude, is NaN or <= 0, or lies
+        at or below the attainable window on an undamped clock.
     """
-    window = _real("window", window)
+    x, window = _real("x", x), _real("window", window)
     _require(window, 0.0 < window < np.inf, lambda v, _: ValidationError(
         f"window must be a finite number > 0, got {v}"))
     floor = _monotone_floor(params)
-    on_envelope = params.damping > 0.0 and 0.0 < np.asarray(x, dtype=float) <= floor
+    on_envelope = params.damping > 0.0 and 0.0 < x <= floor
     center = (n_from_x_log if on_envelope else n_from_x_exact)(x, params)
     posterior = posterior_over_n(x, params, grid_size)
     return posterior.mass_within(center - window, center + window)
@@ -287,14 +289,16 @@ def conditional_system_probability(history: HistoryState, x, projector):
         raise ValidationError(f"projector shape {projectors.shape} does not match the system")
     if single:
         projectors = projectors[None]
-    for index, matrix in enumerate(projectors):
-        name = "projector" if single else f"projector {index}"
-        # "not <=" so that a NaN deviation, from a non-finite entry, fails too.
-        with np.errstate(invalid="ignore"):
-            if not np.max(np.abs(matrix - matrix.conj().T)) <= 1e-10:
-                raise ValidationError(f"{name} is not Hermitian within 1e-10")
-            if not np.max(np.abs(matrix @ matrix - matrix)) <= 1e-10:
-                raise ValidationError(f"{name} is not idempotent within 1e-10")
+    # Per projector, its Hermitian then its idempotent deviation; "<=" so that
+    # a NaN deviation, from a non-finite entry, fails too.
+    with np.errstate(invalid="ignore", over="ignore"):
+        deviations = np.stack([
+            np.abs(projectors - projectors.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
+            np.abs(projectors @ projectors - projectors).max(axis=(1, 2)),
+        ], axis=1)
+    names = ["projector"] if single else [f"projector {i}" for i in range(len(projectors))]
+    _require(deviations, deviations <= 1e-10, lambda _, i: ValidationError(
+        f"{names[i // 2]} is not {('Hermitian', 'idempotent')[i % 2]} within 1e-10"))
     grid, params = history.grid, history.clock_params
     x = _finite("x", x)
     readings = x.reshape(-1)

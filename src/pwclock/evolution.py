@@ -23,6 +23,7 @@ from .params import (
     ValidationError,
     _checked_whole,
     _finite,
+    _overflow_checked,
     _require,
     _scalar_or_array,
 )
@@ -118,10 +119,12 @@ def evolve_exact(spec: SystemSpec, n) -> np.ndarray:
     Raises
     ------
     ValidationError
-        If any n is not finite; names the first.
+        If any n is not finite, or E*n overflows there for an energy E of
+        the generator; names the first.
     """
     n = _finite("n", n)
     energies, modes = _eigensystem(spec)
+    _overflow_checked("n", n, "E*n", lambda v: np.max(np.abs(energies)) * v)  # the largest |E*n|
     coeffs = modes.conj().T @ spec.initial_state
     phased = np.exp(1j * energies * n[..., None]) * coeffs
     states = np.matmul(modes, phased[..., None])[..., 0]

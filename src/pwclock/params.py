@@ -35,9 +35,9 @@ class ClockParams:
     """Physical constants and damping/reset configuration of the clock.
 
     ``validate_clock_params`` checks every clock when it is made, so a
-    ClockParams outside the domain rules cannot exist. Each real field is
-    stored as a float and alpha as a complex; a value of another type (a
-    bool, a string, a list) raises ValidationError naming the field.
+    ClockParams outside the domain rules cannot exist. Each field is stored
+    as a float; a value of another type (a bool, a string, a list, a
+    complex) raises ValidationError naming the field.
 
     Parameters
     ----------
@@ -49,9 +49,9 @@ class ClockParams:
         Undamped angular frequency in rad per abstract-time unit, > 0.
     damping : float
         Damping coefficient r >= 0, in inverse abstract time.
-    alpha : complex
-        Coherent-state parameter. Only Re(alpha) enters the position
-        expectation; Im(alpha) is stored but affects no shipped quantity.
+    alpha : float
+        Coherent-state parameter, real: the clock starts at the turning
+        point <x>(0) = A, which every closed form assumes.
     n_reset : float
         Reset horizon: the clock is rewound after this span of abstract
         time. Must satisfy 0 < n_reset <= 1/r when r > 0.
@@ -65,13 +65,13 @@ class ClockParams:
     mass: float = 1.0
     omega: float = 1.0
     damping: float = 0.0
-    alpha: complex = 1.0 + 0.0j
+    alpha: float = 1.0
     n_reset: float = 1.0
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value in _read_fields(vars(self)).items():
-            object.__setattr__(self, name, value)
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, _real(name, value))
         validate_clock_params(self)
 
     @property
@@ -81,29 +81,24 @@ class ClockParams:
 
     @property
     def amplitude(self) -> float:
-        """Undamped oscillation amplitude A = sqrt(2*hbar/(m*omega)) * Re(alpha)."""
-        return _amplitude_unit(self.hbar, self.mass, self.omega) * self.alpha.real
+        """Undamped oscillation amplitude A = sqrt(2*hbar/(m*omega)) * alpha."""
+        return _amplitude_unit(self.hbar, self.mass, self.omega) * self.alpha
 
     def with_amplitude(self, amplitude: float, **changes) -> "ClockParams":
-        """Copy of these params with the field ``changes`` made and Re(alpha) set so that A
+        """Copy of these params with the field ``changes`` made and alpha set so that A
         equals `amplitude`, which must be > 0. The copy is built, and checked, once."""
-        merged, amplitude = _read_fields(dict(vars(self), **changes)), _real("amplitude", amplitude)
-        _finite("amplitude", amplitude)  # named here, before it becomes Re(alpha)
+        merged = {name: _real(name, value) for name, value in dict(vars(self), **changes).items()}
+        amplitude = _real("amplitude", amplitude)
+        _finite("amplitude", amplitude)  # named here, before it becomes alpha
         try:
-            re = amplitude / _amplitude_unit(merged["hbar"], merged["mass"], merged["omega"])
+            alpha = amplitude / _amplitude_unit(merged["hbar"], merged["mass"], merged["omega"])
         except (ZeroDivisionError, ValueError):  # scales that a rule refuses, in the copy too
-            re = 0.0
-        return replace(self, **changes, alpha=complex(re, merged["alpha"].imag))
-
-
-def _read_fields(values: dict) -> dict:
-    """A clock's field ``values`` as stored: alpha a complex, every other a float."""
-    return {name: _complex(name, value) if name == "alpha" else _real(name, value)
-            for name, value in values.items()}
+            alpha = 0.0
+        return replace(self, **changes, alpha=alpha)
 
 
 def _amplitude_unit(hbar: float, mass: float, omega: float) -> float:
-    """sqrt(2*hbar/(m*omega)), the amplitude A per unit Re(alpha)."""
+    """sqrt(2*hbar/(m*omega)), the amplitude A per unit alpha."""
     return sqrt(2.0 * hbar / (mass * omega))
 
 
@@ -159,8 +154,7 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
         raise ValidationError(f"n_reset must be a positive finite number, got {n_reset}")
     if not 0.0 <= r < inf:  # NaN fails
         raise ValidationError(f"damping must be a finite number >= 0, got {r}")
-    alpha = params.alpha
-    if not (isfinite(alpha.real) and isfinite(alpha.imag) and isfinite(params.phase)):
+    if not (isfinite(params.alpha) and isfinite(params.phase)):
         raise ValidationError(
             f"alpha and phase must be finite, got alpha = {params.alpha}, phase = {params.phase}"
         )
@@ -245,16 +239,6 @@ def _real(name: str, value) -> float:
         return float(value)
     except OverflowError:
         raise ValidationError(f"{name} must be a finite number, got {_shown(value)}") from None
-
-
-def _complex(name: str, value) -> complex:
-    """``value`` as a complex; a bool, a non-number or a too large int raises ValidationError."""
-    if not isinstance(value, numbers.Complex) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be a complex number, got {_shown(value)}")
-    try:
-        return complex(value)
-    except OverflowError:
-        raise ValidationError(f"{name} must be a finite complex number, got {_shown(value)}") from None
 
 
 _MAX_SIZE = 2**24  # largest grid size or reading count; a larger one fails by name

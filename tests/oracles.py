@@ -131,7 +131,8 @@ def random_clock_params(rng: np.random.Generator) -> ClockParams:
         mass=rng.uniform(0.5, 2.0),
         omega=omega,
         damping=damping,
-        alpha=complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0)),
+        # The second draw, once Im(alpha), keeps the stream of every later draw.
+        alpha=(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))[0],
         n_reset=n_reset,
     )
 

@@ -9,7 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -143,7 +143,7 @@ def test_meta_sidecar_contents(tmp_path):
     assert derived["damped_frequency"] == pytest.approx(math.sqrt(omega**2 - r**2 / 4.0))
     assert derived["amplitude"] > 0.0
     assert derived["rescaled_generator_norm"] > 0.0
-    assert clock["alpha"] == [1.0, 0.0]
+    assert clock["alpha"] == 1.0
     assert len(meta["config"]["system"]["hamiltonian"]) == 4
 
 
@@ -159,7 +159,7 @@ def test_rescaled_generator_norm_matches_an_independent_svd(tmp_path, dim):
         "hamiltonian": [[z.real, z.imag] for z in hamiltonian.reshape(-1)],
         "initial_state": [[1.0, 0.0]] + [[0.0, 0.0]] * (dim - 1),
     }
-    for clock in ({}, {"damping": 0.1, "n_reset": 1.5, "mass": 7.0, "alpha": [0.3, 0.0]}):
+    for clock in ({}, {"damping": 0.1, "n_reset": 1.5, "mass": 7.0, "alpha": 0.3}):
         cfg = resolve_config("clock-profile", {"system": system, "clock": clock}, str(tmp_path), 16)
         norm = json.loads(run(cfg).meta_path.read_text())["derived"]["rescaled_generator_norm"]
         scale = cfg.clock.damping * cfg.clock.amplitude
@@ -322,7 +322,7 @@ def test_sweep_resolves_each_value_as_resolve_config_does(tmp_path, capsys, tie,
             continue
         assert entry["status"] == "ok"
         config = json.loads(Path(entry["meta"]).read_text())["config"]
-        assert config["clock"] == cli._clock_to_doc(expected.clock)
+        assert config["clock"] == asdict(expected.clock)
         assert config["grid_size"] == expected.grid_size
     assert code == (0 if all(entry["status"] == "ok" for entry in entries) else 1)
 
@@ -443,13 +443,13 @@ BAD_CLOCK_MESSAGES = [
      "under-damping requires r/2 < omega, got r/2 = 5.0 >= omega = 1.0"),
     ({"damping": "auto", "mass": -1.0},
      "hbar, mass, omega must be positive finite numbers, got (1.0, -1.0, 1.0)"),
-    ({"damping": -1.0, "alpha": [math.nan, 0]}, "damping must be a finite number >= 0, got -1.0"),
-    ({"damping": 5.0, "alpha": [-1.0, 0]},
+    ({"damping": -1.0, "alpha": math.nan}, "damping must be a finite number >= 0, got -1.0"),
+    ({"damping": 5.0, "alpha": -1.0},
      "under-damping requires r/2 < omega, got r/2 = 2.5 >= omega = 1.0"),
-    ({"damping": "abc", "alpha": [-1.0, 0]}, "damping must be a number, got 'abc'"),
-    ({"damping": 0.9, "n_reset": 2.0, "alpha": [-1.0, 0]},
+    ({"damping": "abc", "alpha": -1.0}, "damping must be a number, got 'abc'"),
+    ({"damping": 0.9, "n_reset": 2.0, "alpha": -1.0},
      "n_reset = 2.0 exceeds the running-time limit 1/r = 1.1111111111111112"),
-    ({"n_reset": "auto", "damping": 0.5, "alpha": [0.0, 0]},
+    ({"n_reset": "auto", "damping": 0.5, "alpha": 0.0},
      "amplitude sqrt(2*hbar/(m*omega))*Re(alpha) = 0.0 must be > 0 for the time-map inversion"),
     # The overflow of 1/n_reset is named, not the damping it would give.
     ({"damping": "auto", "n_reset": 1e-320}, "n_reset = 1e-320 overflows 1/n_reset"),
@@ -563,10 +563,10 @@ def test_ideal_limit_fractions_monotone(tmp_path):
 
 
 def test_ideal_limit_builds_each_scaled_clock_in_one_step():
-    # At Re(alpha) = 1e-300 a clock with only its mass scaled to 1e60 has an
+    # At alpha = 1e-300 a clock with only its mass scaled to 1e60 has an
     # amplitude that underflows to 0; the scaled clock, amplitude kept, is valid.
     cfg = resolve_config(
-        "ideal-limit", {"clock": {"alpha": [1e-300, 0]}, "options": {"scales": [1e60]}}, None, 64
+        "ideal-limit", {"clock": {"alpha": 1e-300}, "options": {"scales": [1e60]}}, None, 64
     )
     table, extras, _ = cli._compute(cfg)
     assert table["mass_omega"] == [1e60]
@@ -679,13 +679,13 @@ def test_a_huge_config_value_is_shown_by_its_digit_count(name):
             resolve_config("posterior", {"options": {"x": 10**400}})
 
 
-REAL_CLOCK_FIELDS = ("hbar", "mass", "omega", "damping", "n_reset", "phase")
+REAL_CLOCK_FIELDS = ("hbar", "mass", "omega", "damping", "alpha", "n_reset", "phase")
 
 
 @pytest.mark.parametrize("clock", [{}, {"mass": 2, "phase": 0.5}, {"n_reset": "auto"}])
 def test_the_cli_reads_no_clock_field_the_clock_reads(monkeypatch, clock):
-    # The CLI resolves "auto" and alpha's [re, im] pair; ClockParams alone
-    # reads the type of each real field, so each is read once.
+    # The CLI resolves only "auto"; ClockParams alone reads the type of each
+    # field, so each is read once.
     reads, read = [], params._real
     def counted(name, value):
         reads.append(name.removeprefix("clock."))
@@ -709,7 +709,7 @@ def clock_docs(draw):
         "mass": draw(st.floats(0.5, 2.0)),
         "omega": omega,
         "damping": damping,
-        "alpha": [draw(st.floats(0.3, 2.0)), draw(st.floats(-1.0, 1.0))],
+        "alpha": draw(st.floats(0.3, 2.0)),
         "n_reset": draw(st.floats(0.3, 1.0)) * horizon,
         "phase": draw(st.floats(-3.0, 3.0)),
     }
@@ -737,11 +737,10 @@ def test_config_survives_the_meta_round_trip(experiment, clock, grid, seed):
 
 def invalid_docs():
     non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
-    fields = st.sampled_from(["hbar", "mass", "omega", "damping", "n_reset", "phase"])
+    fields = st.sampled_from(["hbar", "mass", "omega", "damping", "alpha", "n_reset", "phase"])
     scales = st.sampled_from(["hbar", "mass", "omega", "n_reset"])
     return st.one_of(
         st.builds(lambda name, value: {"clock": {name: value}}, fields, non_finite),
-        st.builds(lambda value: {"clock": {"alpha": [value, 0.0]}}, non_finite),
         st.builds(
             lambda name, value: {"clock": {name: value}},
             scales,
@@ -870,8 +869,7 @@ def malformed_docs():
         ("clock", "hbar"): non_numbers, ("clock", "mass"): non_numbers,
         ("clock", "omega"): non_numbers, ("clock", "damping"): non_numbers,
         ("clock", "n_reset"): non_numbers, ("clock", "phase"): non_numbers,
-        ("clock", "alpha"): non_numbers.filter(
-            lambda v: not (isinstance(v, list) and len(v) == 2 and all(map(is_number, v)))),
+        ("clock", "alpha"): non_numbers,
         ("system", "dim"): non_numbers, ("system", "hamiltonian"): non_lists,
         ("system", "initial_state"): non_lists,
         ("grid_size",): non_numbers, ("seed",): non_numbers,
@@ -1210,15 +1208,21 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def run_child(args, **kwargs):
-    """A fresh Python process on the pwclock this test imported, with a minimal environment."""
+    """A fresh Python process on the pwclock this test imported, with a minimal environment.
+
+    numpy's CPU feature mask is passed on, so the child runs the SIMD loops this process runs.
+    """
     package_root = Path(pwclock.__file__).resolve().parent.parent
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(package_root),
+           "OPENBLAS_NUM_THREADS": "1"}
+    if "NPY_DISABLE_CPU_FEATURES" in os.environ:
+        env["NPY_DISABLE_CPU_FEATURES"] = os.environ["NPY_DISABLE_CPU_FEATURES"]
     return subprocess.run(
         [sys.executable, "-B", *args],
         capture_output=True,
         text=True,
         stdin=subprocess.DEVNULL,
-        env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(package_root),
-             "OPENBLAS_NUM_THREADS": "1"},
+        env=env,
         **kwargs,
     )
 

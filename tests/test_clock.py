@@ -225,13 +225,9 @@ def test_global_phase_never_affects_densities():
     )
 
 
-def test_imaginary_alpha_part_affects_no_shipped_quantity():
-    real_only = ClockParams(damping=0.5, alpha=1.0, n_reset=2.0)
-    with_imag = ClockParams(damping=0.5, alpha=1.0 + 0.7j, n_reset=2.0)
-    assert with_imag.amplitude == real_only.amplitude
-    xs = np.linspace(-3.0, 3.0, 101)
-    np.testing.assert_array_equal(
-        wavefunction(xs, 0.7, real_only), wavefunction(xs, 0.7, with_imag)
-    )
-    assert position_expectation(0.7, real_only) == position_expectation(0.7, with_imag)
+def test_a_complex_alpha_is_refused():
+    # Every closed form starts the clock at its turning point <x>(0) = A, which
+    # holds for a real alpha only.
+    with pytest.raises(ValidationError, match=f"^{re.escape('alpha must be a number, got (1+0.7j)')}$"):
+        ClockParams(damping=0.5, alpha=1.0 + 0.7j, n_reset=2.0)
 

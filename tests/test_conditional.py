@@ -400,6 +400,24 @@ def test_conditional_probability_rejects_bad_projectors(history, monkeypatch):
                 conditional_system_probability(history, readings, wrong_shape)
 
 
+def test_the_first_failing_projector_test_is_named_in_order(history):
+    # Projector i's Hermitian test comes before its idempotent test, and both
+    # before projector i+1's; entries whose square overflows fail by name.
+    x = position_expectation(0.5, history.clock_params)
+    neither = np.array([[0.0, 1.0], [0.0, 0.0]])
+    cases = [
+        (np.stack([0.5 * np.eye(2), neither]), "projector 0 is not idempotent"),
+        (np.stack([PROJECTOR_PLUS, neither]), "projector 1 is not Hermitian"),
+        (np.array([[1.0, 1.0], [0.0, 0.0]]), "projector is not Hermitian"),
+        (np.full((2, 2), math.nan), "projector is not Hermitian"),
+        (np.diag([1e200, 0.0]), "projector is not idempotent"),
+        (np.stack([PROJECTOR_MINUS, np.diag([1.0, 1e200])]), "projector 1 is not idempotent"),
+    ]
+    for projector, message in cases:  # pyproject turns an overflow warning into a failure
+        with pytest.raises(ValidationError, match=f"^{message} within 1e-10$"):
+            conditional_system_probability(history, x, projector)
+
+
 def test_conditional_probability_unreachable_reading(history):
     unreachable = "^reading x = {} is unreachable: conditioning weight "
     with pytest.raises(NumericalError, match=unreachable.format(r"80\.0") + r"0\.0$"):
