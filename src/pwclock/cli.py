@@ -65,7 +65,6 @@ _BASE_CLOCK = {
     "damping": 0.5,
     "alpha": 1.0,
     "n_reset": 2.0,
-    "phase": 0.0,
 }
 
 # Time-map experiments additionally need the monotone inversion window

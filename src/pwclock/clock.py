@@ -110,11 +110,11 @@ def _value_and_slope(n, params: ClockParams):
 def wavefunction(x, n, params: ClockParams):
     """Coherent-state amplitude of the damped clock at position x, time n.
 
-    Returns ``(2*pi*delta^2)**(-1/4) * exp(-(x - <x>)^2 / (4*delta^2) + i*phi)``
+    Returns the real ``(2*pi*delta^2)**(-1/4) * exp(-(x - <x>)^2 / (4*delta^2))``
     with ``delta = width(n, params)`` and ``<x> = position_expectation(n, params)``,
-    so that the squared magnitude integrates to 1 over x at every n. An x so
-    far from <x> that (x - <x>)^2 overflows gives exactly 0, the Gaussian's
-    value there.
+    so that its square integrates to 1 over x at every n: a float, or a float
+    array of the broadcast shape of x and n. An x so far from <x> that
+    (x - <x>)^2 overflows gives exactly 0, the Gaussian's value there.
 
     Parameters
     ----------
@@ -131,16 +131,11 @@ def wavefunction(x, n, params: ClockParams):
         If any n lies outside [0, n_reset], or any x is not finite; names
         the first.
     """
-    return _scalar_or_array(_checked_envelope(x, n, params) * np.exp(1j * params.phase))
-
-
-def _checked_envelope(x, n, params: ClockParams) -> np.ndarray:
-    """``_envelope`` at x and n once n's window and x's finiteness are checked; never warns."""
     check_abstract_time(n, params)
     x = _finite("x", x)
     terms = _envelope_terms(n, params)
     with np.errstate(over="ignore"):  # an overflowing (x - <x>)^2 gives exp(-inf) = 0
-        return _envelope(x, terms)
+        return _scalar_or_array(_envelope(x, terms))
 
 
 def _envelope_terms(n, params: ClockParams):
@@ -154,7 +149,7 @@ def _envelope_terms(n, params: ClockParams):
 
 
 def _envelope(x, terms, out=None) -> np.ndarray:
-    """Real Gaussian magnitude of ``wavefunction``, without the global phase.
+    """The Gaussian of ``wavefunction``, unchecked.
 
     ``(2*pi*delta^2)**(-1/4) * exp((x - <x>)^2 / (-4*delta^2))`` from the
     ``terms`` of ``_envelope_terms``, as a float64 array of the broadcast

@@ -13,9 +13,7 @@ as the discretized entanglement coefficients of the history state.
 The history state is stored unnormalized and built in O(K*d); conditioning
 normalizes each reading on its own and, where the clock's mean position is
 monotone along the grid, costs O(band) per reading rather than O(K). The
-clock's global phase multiplies every amplitude and cancels from every
-probability, so densities and conditioning use the real Gaussian envelope
-of the amplitude and never multiply the phase in.
+clock's amplitude is real.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .params import (
     _scalar_or_array,
     check_abstract_time,
 )
-from .clock import _checked_envelope, _envelope, _envelope_terms, width
+from .clock import _envelope, _envelope_terms, wavefunction, width
 from .evolution import _inner, evolve_exact
 from .timemap import _monotone_floor, n_from_x_exact, n_from_x_log
 
@@ -56,12 +54,11 @@ def position_given_n(x, n, params: ClockParams):
     """Probability density |<x|clock(n)>|^2 of reading x at abstract time n.
 
     A density in x: integrates to 1 over x at every fixed n. It is the
-    squared real envelope of the amplitude, so the clock's global phase
-    never enters it. An n outside [0, n_reset], or a non-finite x, raises
-    ValidationError naming the first. An x so far from <x> that
+    square of the real amplitude. An n outside [0, n_reset], or a non-finite
+    x, raises ValidationError naming the first. An x so far from <x> that
     (x - <x>)^2 overflows gives exactly 0.
     """
-    return _checked_envelope(x, n, params) ** 2
+    return wavefunction(x, n, params) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,11 +236,7 @@ def conditional_system_probability(history: HistoryState, x, projector):
     For one matrix, an array of readings gives an array of the same shape
     and a scalar a float; a stack gives an array of shape (p, *x.shape),
     row j for projector j. Each v is built once and serves every projector.
-
-    The clock's global phase e^{i*phi} multiplies every term of v, so it
-    cancels from the ratio; it is never multiplied in, and v is summed from
-    the real Gaussian envelopes of the clock amplitudes. Every value is
-    therefore exactly independent of the phase.
+    The clock's amplitudes are real.
 
     Each reading sums only its band: the contiguous run of grid points k
     with |x - mu_k| <= rho*g + reach, where mu_k is the clock's mean at n_k,

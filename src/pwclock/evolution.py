@@ -102,7 +102,8 @@ def _eigensystem(spec: SystemSpec):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(modes))):
-        raise NumericalError("eigendecomposition produced non-finite output; malformed generator")
+        raise NumericalError(f"eigenvalues of the generator overflow; its largest |entry| is "
+                             f"{np.abs(spec.hamiltonian).max()}")
     return energies, modes
 
 

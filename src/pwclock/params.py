@@ -11,7 +11,7 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
-from math import inf, isfinite, log10, sqrt
+from math import inf, log10, sqrt
 
 import numpy as np
 
@@ -55,10 +55,6 @@ class ClockParams:
     n_reset : float
         Reset horizon: the clock is rewound after this span of abstract
         time. Must satisfy 0 < n_reset <= 1/r when r > 0.
-    phase : float
-        Global phase of the wavefunction. It cancels from every probability
-        and density exactly, not only to rounding: they are computed from the
-        real envelope of the amplitude and never multiply it in.
     """
 
     hbar: float = 1.0
@@ -67,7 +63,6 @@ class ClockParams:
     damping: float = 0.0
     alpha: float = 1.0
     n_reset: float = 1.0
-    phase: float = 0.0
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
@@ -140,9 +135,9 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
     Raises
     ------
     ValidationError
-        If a scale or n_reset is not > 0, r < 0, alpha or phase is not
-        finite, r/2 >= omega (over-damped), n_reset > 1/r, m*omega
-        underflows to 0, A <= 0, or omega**2 overflows.
+        If a scale or n_reset is not > 0, r < 0, r/2 >= omega (over-damped),
+        n_reset > 1/r, m*omega underflows to 0, A is not a finite number
+        > 0 (a non-finite alpha included), or omega**2 overflows.
     """
     hbar, mass, omega = params.hbar, params.mass, params.omega
     if not (0.0 < hbar < inf and 0.0 < mass < inf and 0.0 < omega < inf):  # NaN fails
@@ -154,10 +149,6 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
         raise ValidationError(f"n_reset must be a positive finite number, got {n_reset}")
     if not 0.0 <= r < inf:  # NaN fails
         raise ValidationError(f"damping must be a finite number >= 0, got {r}")
-    if not (isfinite(params.alpha) and isfinite(params.phase)):
-        raise ValidationError(
-            f"alpha and phase must be finite, got alpha = {params.alpha}, phase = {params.phase}"
-        )
     if not r / 2.0 < omega:
         raise ValidationError(
             f"under-damping requires r/2 < omega, got r/2 = {r / 2.0} >= omega = {omega}"
@@ -169,10 +160,10 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
     if not mass * omega > 0.0:
         raise ValidationError(f"m*omega underflows to 0, got mass = {mass}, omega = {omega}")
     amplitude = params.amplitude
-    if not np.isfinite(amplitude) or amplitude <= 0.0:
+    if not 0.0 < amplitude < inf:  # NaN fails
         raise ValidationError(
-            f"amplitude sqrt(2*hbar/(m*omega))*Re(alpha) = {amplitude} "
-            "must be > 0 for the time-map inversion"
+            f"amplitude sqrt(2*hbar/(m*omega))*alpha = {amplitude} "
+            "must be a finite number > 0 for the time-map inversion"
         )
     if not omega * omega < inf:
         raise ValidationError(f"omega**2 overflows, got omega = {omega}")

@@ -54,8 +54,8 @@ def quadrature_overlap(params: ClockParams, n_a: float, n_b: float) -> complex:
 def coherent_overlap(n_a, n_b, params: ClockParams):
     """Closed-form overlap <clock(n_a)|clock(n_b)> of two clock states.
 
-    Both states are Gaussians with real profile (the constant global phase
-    cancels), so the overlap is the standard two-Gaussian integral
+    Both states are real Gaussians, so the overlap is the standard
+    two-Gaussian integral
 
         sqrt(2*d_a*d_b / (d_a^2 + d_b^2)) * exp(-(mu_a - mu_b)^2 / (4*(d_a^2 + d_b^2)))
 

@@ -219,10 +219,9 @@ def test_each_clock_rule_is_written_once():
         "hbar, mass, omega must be positive finite numbers",
         "n_reset must be a positive finite number",
         "damping must be a finite number >= 0",
-        "alpha and phase must be finite",
         "under-damping requires r/2 < omega",
         "exceeds the running-time limit 1/r",
-        "must be > 0 for the time-map inversion",
+        "must be a finite number > 0 for the time-map inversion",
         "m*omega underflows to 0, got",
         "omega**2 overflows, got",
     ):

@@ -419,11 +419,14 @@ def test_config_parts_must_be_json_objects(tmp_path, capsys, doc, name):
 
 
 def test_unknown_option_is_named(tmp_path, capsys):
-    argv = ["oracle-check", "--out", str(tmp_path / "out"),
-            "--config", write_config(tmp_path, {"options": {"num_reading": 0}})]
-    assert main(argv) == 1
-    assert "['num_reading']" in json.loads(capsys.readouterr().err)["error"]["message"]
-    assert not list(tmp_path.rglob("*.csv"))
+    # The clock has no global phase: a config that sets one is refused, not ignored.
+    for doc, named in [({"options": {"num_reading": 0}}, "['num_reading']"),
+                       ({"clock": {"phase": 0.0}}, "unknown clock key(s) ['phase']")]:
+        argv = ["oracle-check", "--out", str(tmp_path / "out"),
+                "--config", write_config(tmp_path, doc)]
+        assert main(argv) == 1
+        assert named in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_resolve_config_guards():
@@ -450,7 +453,8 @@ BAD_CLOCK_MESSAGES = [
     ({"damping": 0.9, "n_reset": 2.0, "alpha": -1.0},
      "n_reset = 2.0 exceeds the running-time limit 1/r = 1.1111111111111112"),
     ({"n_reset": "auto", "damping": 0.5, "alpha": 0.0},
-     "amplitude sqrt(2*hbar/(m*omega))*Re(alpha) = 0.0 must be > 0 for the time-map inversion"),
+     "amplitude sqrt(2*hbar/(m*omega))*alpha = 0.0 must be a finite number > 0 for the time-map"
+     " inversion"),
     # The overflow of 1/n_reset is named, not the damping it would give.
     ({"damping": "auto", "n_reset": 1e-320}, "n_reset = 1e-320 overflows 1/n_reset"),
 ]
@@ -679,10 +683,10 @@ def test_a_huge_config_value_is_shown_by_its_digit_count(name):
             resolve_config("posterior", {"options": {"x": 10**400}})
 
 
-REAL_CLOCK_FIELDS = ("hbar", "mass", "omega", "damping", "alpha", "n_reset", "phase")
+REAL_CLOCK_FIELDS = ("hbar", "mass", "omega", "damping", "alpha", "n_reset")
 
 
-@pytest.mark.parametrize("clock", [{}, {"mass": 2, "phase": 0.5}, {"n_reset": "auto"}])
+@pytest.mark.parametrize("clock", [{}, {"mass": 2, "alpha": 0.5}, {"n_reset": "auto"}])
 def test_the_cli_reads_no_clock_field_the_clock_reads(monkeypatch, clock):
     # The CLI resolves only "auto"; ClockParams alone reads the type of each
     # field, so each is read once.
@@ -711,7 +715,6 @@ def clock_docs(draw):
         "damping": damping,
         "alpha": draw(st.floats(0.3, 2.0)),
         "n_reset": draw(st.floats(0.3, 1.0)) * horizon,
-        "phase": draw(st.floats(-3.0, 3.0)),
     }
 
 
@@ -737,7 +740,7 @@ def test_config_survives_the_meta_round_trip(experiment, clock, grid, seed):
 
 def invalid_docs():
     non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
-    fields = st.sampled_from(["hbar", "mass", "omega", "damping", "alpha", "n_reset", "phase"])
+    fields = st.sampled_from(["hbar", "mass", "omega", "damping", "alpha", "n_reset"])
     scales = st.sampled_from(["hbar", "mass", "omega", "n_reset"])
     return st.one_of(
         st.builds(lambda name, value: {"clock": {name: value}}, fields, non_finite),
@@ -868,8 +871,7 @@ def malformed_docs():
     slots = {  # slot path: values that cannot be read there
         ("clock", "hbar"): non_numbers, ("clock", "mass"): non_numbers,
         ("clock", "omega"): non_numbers, ("clock", "damping"): non_numbers,
-        ("clock", "n_reset"): non_numbers, ("clock", "phase"): non_numbers,
-        ("clock", "alpha"): non_numbers,
+        ("clock", "n_reset"): non_numbers, ("clock", "alpha"): non_numbers,
         ("system", "dim"): non_numbers, ("system", "hamiltonian"): non_lists,
         ("system", "initial_state"): non_lists,
         ("grid_size",): non_numbers, ("seed",): non_numbers,
@@ -891,7 +893,7 @@ def malformed_docs():
     known = {  # each level's known keys, and the document holding that level
         None: (("clock", "system", "experiment", "grid_size", "output_path", "seed", "options"),
                lambda part: part),
-        "clock": (("hbar", "mass", "omega", "damping", "alpha", "n_reset", "phase"),
+        "clock": (("hbar", "mass", "omega", "damping", "alpha", "n_reset"),
                   lambda part: {"clock": part}),
         "system": (tuple(VALID_SYSTEM), lambda part: {"system": dict(VALID_SYSTEM, **part)}),
         "options": (("window", "scales", "probe_time", "reading_span", "x", "num_readings"),

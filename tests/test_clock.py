@@ -214,17 +214,6 @@ def test_recommend_damping():
         recommend_damping(math.nan)
 
 
-def test_global_phase_never_affects_densities():
-    base = ClockParams(damping=0.5, alpha=1.0, n_reset=2.0, phase=0.0)
-    shifted = ClockParams(damping=0.5, alpha=1.0, n_reset=2.0, phase=1.3)
-    xs = np.linspace(-3.0, 3.0, 101)
-    np.testing.assert_allclose(
-        np.abs(wavefunction(xs, 0.7, base)) ** 2,
-        np.abs(wavefunction(xs, 0.7, shifted)) ** 2,
-        rtol=1e-14,
-    )
-
-
 def test_a_complex_alpha_is_refused():
     # Every closed form starts the clock at its turning point <x>(0) = A, which
     # holds for a real alpha only.

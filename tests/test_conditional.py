@@ -626,41 +626,6 @@ def test_full_bands_condition_on_the_whole_grid(monkeypatch, clock):
     assert calls == [(x, 2048) for x in xs.tolist()] * 2
 
 
-@pytest.mark.parametrize("clock", list(FULL_BAND_CLOCKS.values()), ids=list(FULL_BAND_CLOCKS))
-def test_full_bands_at_a_phase_agree_with_the_complex_oracle(clock):
-    # The oracle multiplies e^{1.3i} into every complex amplitude, where it
-    # rounds; conditioning never multiplies it in. They agree to rounding.
-    clock = dataclasses.replace(clock, phase=1.3)
-    hist = build_history_state(default_qubit_spec(), clock, 2048)
-    xs = position_expectation(np.linspace(0.05, 0.95, 300) * clock.n_reset, clock)
-    for projector in (PROJECTOR_PLUS, PROJECTOR_MINUS):
-        got = conditional_system_probability(hist, xs, projector)
-        assert np.max(np.abs(got - full_range_conditional(hist, xs, projector))) <= 1e-14
-
-
-@settings(max_examples=30)
-@given(
-    phase=st.floats(-math.pi, math.pi),
-    clock=st.sampled_from([narrow_clock(), *FULL_BAND_CLOCKS.values()]),
-)
-def test_global_phase_cancels_exactly(phase, clock):
-    # The phase multiplies every term of v and every amplitude, so it cancels
-    # from <v|P|v> / <v|v> and from |amplitude|^2; neither ever forms it.
-    shifted = dataclasses.replace(clock, phase=phase)
-    at_zero = build_history_state(default_qubit_spec(), clock, 512)
-    at_phase = build_history_state(default_qubit_spec(), shifted, 512)
-    xs = position_expectation(np.linspace(0.05, 0.95, 9) * clock.n_reset, clock)
-    for projector in (PROJECTOR_PLUS, np.stack([PROJECTOR_PLUS, PROJECTOR_MINUS])):
-        assert np.array_equal(
-            conditional_system_probability(at_phase, xs, projector),
-            conditional_system_probability(at_zero, xs, projector),
-        )
-    assert np.array_equal(
-        position_given_n(xs[:, None], at_zero.grid, shifted),
-        position_given_n(xs[:, None], at_zero.grid, clock),
-    )
-
-
 OUTSIDE_WINDOW = r"^n = \S+ outside the running window \[0, \S+\]$"
 
 

@@ -113,14 +113,14 @@ def test_comparison_decomposes_the_generator_at_most_twice(monkeypatch):
 
 def test_eigen_failure_on_malformed_matrix():
     # A valid spec, finite and Hermitian, whose eigenvalues +-1.7e308*sqrt(2)
-    # overflow: eigh returns +-inf for them.
+    # overflow: eigh returns +-inf for them, and the message names the scale.
     bad = SystemSpec(
         dim=2,
         hamiltonian=np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]], dtype=complex),
         initial_state=np.array([1.0, 0.0], dtype=complex),
     )
     with pytest.raises(NumericalError, match=(
-        "^eigendecomposition produced non-finite output; malformed generator$"
+        r"^eigenvalues of the generator overflow; its largest \|entry\| is 1\.7e\+308$"
     )):
         evolve_exact(bad, 1.0)
 

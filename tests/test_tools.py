@@ -17,7 +17,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 def test_csv_digests_repeat_at_small_grids():
     # The byte-check set at small grids, in two fresh processes: the same
     # CSVs (one per experiment of the bundle, 3 seeds, 4 sweep values, 1
-    # large grid, 6 per-row experiments, 2 at phase 1.3) with the same digests.
+    # large grid, 6 per-row experiments) with the same digests.
     command = [sys.executable, str(TOOLS / "csv_digests.py"),
                "--grid", "256", "--readings", "8", "--large-grid", "1024", "--tables-grid", "64"]
     outputs = [
@@ -25,13 +25,9 @@ def test_csv_digests_repeat_at_small_grids():
         for _ in range(2)
     ]
     assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == len(EXPERIMENTS) + 16
+    assert len(outputs[0]) == len(EXPERIMENTS) + 14
     assert sum(name.startswith("all/") for name in outputs[0]) == len(EXPERIMENTS)
     assert sum(name.startswith("tables-grid64/") for name in outputs[0]) == 6
-    # The global phase cancels exactly: its files equal their phase-0 twins byte for byte.
-    digests = outputs[0]
-    assert digests["phase1.3/oracle-check.csv"] == digests["oracle-check-grid256-seed5/oracle-check.csv"]
-    assert digests["phase1.3/posterior.csv"] == digests["tables-grid64/posterior.csv"]
     assert all(len(digest) == 64 for digest in outputs[0].values())
 
 
@@ -74,7 +70,7 @@ def test_csv_digests_do_not_depend_on_blas_threads_at_the_benchmark_grid():
         result = subprocess.run(command, capture_output=True, text=True, check=True, env=env)
         outputs.append(json.loads(result.stdout))
     assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == len(EXPERIMENTS) + 15  # the large grid is the seed-5 case
+    assert len(outputs[0]) == len(EXPERIMENTS) + 13  # the large grid is the seed-5 case
 
 
 def load_tool(name):
@@ -90,11 +86,10 @@ def test_csv_digests_runs_write_no_csv_twice(tmp_path, large_grid):
     # no two runs of one experiment may share an --out directory. When the
     # large grid equals the grid, its run is the seed-5 case and is skipped.
     csv_digests = load_tool("csv_digests")
-    runs = csv_digests.byte_check_runs(tmp_path, tmp_path / "c.json", tmp_path / "p.json",
-                                       256, large_grid, 64)
+    runs = csv_digests.byte_check_runs(tmp_path, tmp_path / "c.json", 256, large_grid, 64)
     targets = [(run[0], run[run.index("--out") + 1]) for run in runs]
     assert len(set(targets)) == len(targets)
-    assert len(runs) == (14 if large_grid != 256 else 13)
+    assert len(runs) == (12 if large_grid != 256 else 11)
 
 
 def test_repr_check_finds_no_mismatch_in_its_mix():

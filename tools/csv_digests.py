@@ -11,10 +11,7 @@ directory (or under ``--keep DIR``) and prints one JSON object that maps each CS
   ``--large-grid`` equals ``--grid`` this is the seed-5 case, run once);
 - the six per-row experiments of the benchmark's ``tables`` workload
   (``clock-profile``, ``damping-opt``, ``timemap``, ``evolve-compare``,
-  ``posterior`` at its default x, ``ideal-limit``) at grid 8192;
-- at the clock's global phase 1.3 (every other case runs at phase 0),
-  ``oracle-check`` at grid 8192 with 256 readings, seed 5, and ``posterior``
-  at grid 8192: the phase must cancel from both.
+  ``posterior`` at its default x, ``ideal-limit``) at grid 8192.
 
 Run it once per checkout and compare the two outputs, e.g.
 
@@ -54,17 +51,15 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 SEEDS = (5, 7, 211)
 SWEEP = "r=0.1,0.2,0.3,0.6"
 LARGE_SEED = 5
-PHASE = 1.3
-PHASE_SEED = 5
 TABLES = ("clock-profile", "damping-opt", "timemap", "evolve-compare", "posterior", "ideal-limit")
 
 
 def byte_check_runs(
-    root: Path, config: Path, phase_config: Path, grid: int, large_grid: int, tables_grid: int
+    root: Path, config: Path, grid: int, large_grid: int, tables_grid: int
 ) -> list[list[str]]:
     """The pwclock argument lists of the byte-check set, writing under ``root``.
 
-    ``config`` sets the readings; ``phase_config`` sets them and the phase.
+    ``config`` sets the readings.
     """
     oracle = ["oracle-check", "--config", str(config)]
     runs = [["all", "--out", str(root / "all")]]
@@ -79,11 +74,6 @@ def byte_check_runs(
                               "--out", str(out)])
     out = root / f"tables-grid{tables_grid}"
     runs += [[name, "--grid", str(tables_grid), "--out", str(out)] for name in TABLES]
-    out = root / f"phase{PHASE}"
-    runs.append(["oracle-check", "--config", str(phase_config), "--grid", str(grid),
-                 "--seed", str(PHASE_SEED), "--out", str(out)])
-    runs.append(["posterior", "--config", str(phase_config), "--grid", str(tables_grid),
-                 "--out", str(out)])
     return runs
 
 
@@ -152,12 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         root = Path(tmp)
         root.mkdir(parents=True, exist_ok=True)
         config = root / "readings.json"
-        options = {"num_readings": args.readings}
-        config.write_text(json.dumps({"options": options}), encoding="utf-8")
-        phase_config = root / "phase.json"
-        phase_config.write_text(json.dumps({"clock": {"phase": PHASE}, "options": options}),
-                                encoding="utf-8")
-        runs = byte_check_runs(root, config, phase_config, args.grid, args.large_grid, args.tables_grid)
+        config.write_text(json.dumps({"options": {"num_readings": args.readings}}), encoding="utf-8")
+        runs = byte_check_runs(root, config, args.grid, args.large_grid, args.tables_grid)
         for run in runs:
             code = pwclock(run)
             if code != 0:
