@@ -1,10 +1,11 @@
 """Command-line driver: config ingestion, experiments, sweeps, CSV/JSON output.
 
 Configs are single JSON documents; the system's complex entries are [re, im]
-pairs, and its generator is a row-major flat list of them. Every run writes one
-UTF-8 CSV (header row, shortest round-trip float formatting, so identical
-configs reproduce identical bytes) and a ``<name>.meta.json`` sidecar with the
-fully resolved config, derived constants and timing.
+pairs, its dimension d is its initial state's length, and its generator is a
+row-major flat list of d*d of them. Every run writes one UTF-8 CSV (header row,
+shortest round-trip float formatting, so identical configs reproduce identical
+bytes) and a ``<name>.meta.json`` sidecar with the fully resolved config,
+derived constants and timing.
 """
 
 from __future__ import annotations
@@ -142,19 +143,16 @@ def _clock_from_doc(doc: dict) -> ClockParams:
 
 
 def _system_from_doc(doc: dict) -> SystemSpec:
-    dim = _checked_whole("system.dim", doc.get("dim"), 2, None)
     flat = _complex_array("system.hamiltonian", doc.get("hamiltonian"))
-    if len(flat) != dim * dim:
-        raise ValidationError(
-            f"system.hamiltonian must be a row-major list of {dim * dim} [re, im] pairs"
-        )
     psi = _complex_array("system.initial_state", doc.get("initial_state"))
-    return SystemSpec(dim=dim, hamiltonian=flat.reshape(dim, dim), initial_state=psi)
+    d = len(psi)
+    if len(flat) != d * d:
+        raise ValidationError(f"system.hamiltonian must be a row-major list of {d * d} [re, im] pairs")
+    return SystemSpec(hamiltonian=flat.reshape(d, d), initial_state=psi)
 
 
 def _system_to_doc(spec: SystemSpec) -> dict:
     return {
-        "dim": spec.dim,
         "hamiltonian": [_complex_to_json(z) for z in spec.hamiltonian.reshape(-1)],
         "initial_state": [_complex_to_json(z) for z in spec.initial_state],
     }
@@ -325,10 +323,10 @@ def _run_evolve_compare(cfg: ExperimentConfig):
 
 def _run_oracle_check(cfg: ExperimentConfig):
     history = build_history_state(cfg.system, cfg.clock, cfg.grid_size)
-    dim = cfg.system.dim
-    probe = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
+    d = cfg.system.initial_state.size
+    probe = np.full(d, 1.0 / np.sqrt(d), dtype=np.complex128)
     proj_a = np.outer(probe, probe.conj())
-    projectors = np.stack([proj_a, np.eye(dim, dtype=np.complex128) - proj_a])
+    projectors = np.stack([proj_a, np.eye(d, dtype=np.complex128) - proj_a])
 
     lo, hi = cfg.options["reading_span"]
     times = np.sort(uniform(cfg.seed, lo, hi, cfg.options["num_readings"])) * cfg.clock.n_reset
@@ -377,23 +375,26 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def _derived_constants(cfg: ExperimentConfig) -> dict:
-    """Omega, A and the rescaled generator's norm 2*max|E|/(r*A) (None at r = 0)."""
-    clock = cfg.clock
-    norm = None
+    """Omega, A and the rescaled generator's norm 2*max|E|/(r*A): None where that is not a
+    finite float, as at r = 0 or where r*A underflows to 0."""
+    clock, norm = cfg.clock, math.nan
     if clock.damping > 0.0:
         energies = _eigensystem(cfg.system)[0]
-        norm = 2.0 * float(np.max(np.abs(energies))) / (clock.damping * clock.amplitude)
+        with np.errstate(all="ignore"):  # inf or nan where it overflows or r*A is 0
+            norm = float(2.0 * np.max(np.abs(energies)) / (clock.damping * clock.amplitude))
     return {
         "damped_frequency": clock.damped_frequency,
         "amplitude": clock.amplitude,
-        "rescaled_generator_norm": norm,
+        "rescaled_generator_norm": norm if math.isfinite(norm) else None,
     }
 
 
 def _compute(cfg: ExperimentConfig):
-    """One experiment's (table, extras) and the seconds it took."""
+    """One experiment's table, its meta.json fields after the config (the derived constants,
+    then the runner's extras) and the seconds it took."""
     started = time.perf_counter()
     table, extras = _EXPERIMENTS[cfg.experiment][0](cfg)
+    extras = {"derived": _derived_constants(cfg), **extras}
     return table, extras, time.perf_counter() - started
 
 
@@ -424,9 +425,8 @@ def run(cfg: ExperimentConfig, computed=None) -> RunResult:
             clock=asdict(cfg.clock),
             system=_system_to_doc(cfg.system),
         ),
-        "derived": _derived_constants(cfg),
+        **extras,
     }
-    meta.update(extras)
     _write_json(meta_path, meta)
     return RunResult(csv_path=csv_path, meta_path=meta_path)
 

@@ -181,4 +181,4 @@ def default_qubit_spec() -> SystemSpec:
     """Demo system: a qubit with energies +/- 1/2, started in (1,1)/sqrt(2)."""
     hamiltonian = np.diag([0.5, -0.5]).astype(np.complex128)
     initial = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
-    return SystemSpec(dim=2, hamiltonian=hamiltonian, initial_state=initial)
+    return SystemSpec(hamiltonian=hamiltonian, initial_state=initial)

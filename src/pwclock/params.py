@@ -102,20 +102,17 @@ class SystemSpec:
     """Finite-dimensional Hermitian generator and initial state of the system.
 
     The generator plays the role of the system Hamiltonian (energy units,
-    natural units); the initial state is a unit vector of matching dimension.
-    ``dim`` is read as a whole number >= 2 and stored as an int (2.0 gives
-    2). Arrays are stored read-only, and ``validate_system_spec`` checks every
-    spec when it is made, by ``dataclasses.replace`` too, so a spec is valid
-    and safe to share. A spec compares and hashes by identity, as its array
-    fields have no truth value.
+    natural units); the initial state is a unit vector whose length is the
+    dimension d >= 2. Arrays are stored read-only, and ``validate_system_spec``
+    checks every spec when it is made, by ``dataclasses.replace`` too, so a
+    spec is valid and safe to share. A spec compares and hashes by identity,
+    as its array fields have no truth value.
     """
 
-    dim: int
     hamiltonian: np.ndarray = field(repr=False)
     initial_state: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", _checked_whole("system dimension", self.dim, 2, None))
         h = np.array(self.hamiltonian, dtype=np.complex128)
         psi = np.array(self.initial_state, dtype=np.complex128).reshape(-1)
         h.setflags(write=False)
@@ -173,25 +170,26 @@ def validate_clock_params(params: ClockParams) -> ClockParams:
 def validate_system_spec(spec: SystemSpec) -> SystemSpec:
     """Check finiteness, Hermiticity, normalization and shapes; return spec unchanged.
 
-    ``SystemSpec`` calls it when it is made, after it reads ``dim`` as a whole
-    number >= 2, so no invalid spec exists.
+    ``SystemSpec`` calls it when it is made, so no invalid spec exists. The
+    dimension d is the length of the initial state.
 
     Raises
     ------
     ValidationError
-        If the generator or the state has the wrong shape, a non-finite
-        entry, or is not Hermitian or not normalized within 1e-12.
+        If d < 2, the generator is not d x d, or the generator or the state
+        has a non-finite entry, or is not Hermitian or not normalized within
+        1e-12.
     """
-    h = spec.hamiltonian
-    if h.shape != (spec.dim, spec.dim):
-        raise ValidationError(f"generator must be {spec.dim}x{spec.dim}, got shape {h.shape}")
+    h, psi = spec.hamiltonian, spec.initial_state
+    d = psi.size
+    if d < 2:
+        raise ValidationError(f"system dimension must be >= 2, got {d}")
+    if h.shape != (d, d):
+        raise ValidationError(f"generator must be {d}x{d}, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValidationError("generator has non-finite entries")
     if not np.all(np.abs(h - h.conj().T) <= 1e-12):
         raise ValidationError("generator is not Hermitian within 1e-12 entrywise")
-    psi = spec.initial_state
-    if psi.shape != (spec.dim,):
-        raise ValidationError(f"initial state must have length {spec.dim}, got {psi.shape}")
     if not np.all(np.isfinite(psi)):
         raise ValidationError("initial state has non-finite entries")
     norm = sqrt(psi.real @ psi.real + psi.imag @ psi.imag)

@@ -189,7 +189,6 @@ def test_criterion_7_evolution_transfer():
     origin_exact = table.fidelity[0] == 1.0
 
     trivial = SystemSpec(
-        dim=2,
         hamiltonian=np.zeros((2, 2), dtype=complex),
         initial_state=np.array([1.0, 0.0], dtype=complex),
     )

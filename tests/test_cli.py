@@ -78,7 +78,6 @@ def test_timemap_schema(tmp_path):
 def test_evolve_compare_trivial_generator(tmp_path):
     doc = {
         "system": {
-            "dim": 2,
             "hamiltonian": [[0.0, 0.0]] * 4,
             "initial_state": [[1.0, 0.0], [0.0, 0.0]],
         }
@@ -137,6 +136,9 @@ def test_meta_sidecar_contents(tmp_path):
     assert meta["csv_header"] == ["n", "x", "y", "fidelity"]
     assert meta["library_version"]
     assert meta["duration_seconds"] >= 0.0
+    assert set(meta) == {"schema_version", "experiment", "csv_header", "csv_file",
+                         "library_version", "duration_seconds", "config", "derived",
+                         "worst_row_fidelity"}
     derived = meta["derived"]
     clock = meta["config"]["clock"]
     omega, r = clock["omega"], clock["damping"]
@@ -150,12 +152,11 @@ def test_meta_sidecar_contents(tmp_path):
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_rescaled_generator_norm_matches_an_independent_svd(tmp_path, dim):
     # meta.json's norm is 2*max|E|/(r*A) from the eigenvalues; the SVD of
-    # 2*H/(r*A) is its independent oracle.
+    # 2*H/(r*A) is its independent oracle. The state's length sets the dimension.
     rng = np.random.default_rng(dim)
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     hamiltonian = (raw + raw.conj().T) / 2.0
     system = {
-        "dim": dim,
         "hamiltonian": [[z.real, z.imag] for z in hamiltonian.reshape(-1)],
         "initial_state": [[1.0, 0.0]] + [[0.0, 0.0]] * (dim - 1),
     }
@@ -165,6 +166,38 @@ def test_rescaled_generator_norm_matches_an_independent_svd(tmp_path, dim):
         scale = cfg.clock.damping * cfg.clock.amplitude
         svd = np.linalg.norm(2.0 * cfg.system.hamiltonian / scale, 2)
         assert abs(norm - svd) <= 4 * math.ulp(svd)
+
+
+# Configs whose norm 2*max|E|/(r*A) is not a finite float: r*A underflows to 0, or the
+# quotient overflows. The norm is written as null, as at r = 0.
+UNBOUNDED_NORMS = {
+    "r*A-underflows": {"clock": {"damping": 5e-324, "alpha": 0.28284271247461906}},
+    "norm-overflows": {
+        "clock": {"damping": 1e-300, "n_reset": 1.5},
+        "system": {"hamiltonian": [1e300, 0.0, 0.0, -1e300], "initial_state": [1.0, 0.0]},
+    },
+}
+
+
+@pytest.mark.parametrize("name", UNBOUNDED_NORMS)
+def test_an_unbounded_rescaled_generator_norm_is_null(tmp_path, name):
+    out = tmp_path / "out"
+    argv = ["clock-profile", "--out", str(out), "--config", write_config(tmp_path, UNBOUNDED_NORMS[name])]
+    assert main(argv) == 0
+    derived = json.loads((out / "clock-profile.meta.json").read_text())["derived"]
+    assert derived["rescaled_generator_norm"] is None and derived["amplitude"] > 0.0
+
+
+def test_a_failing_derived_constant_writes_no_file(tmp_path, capsys):
+    # The derived constants are computed with the table, before any file is written: here
+    # the generator's eigenvalues overflow, which clock-profile's table does not read.
+    system = {"hamiltonian": [1.7e308, 1.7e308, 1.7e308, -1.7e308], "initial_state": [1.0, 0.0]}
+    out = tmp_path / "out"
+    argv = ["clock-profile", "--out", str(out), "--config", write_config(tmp_path, {"system": system})]
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"]["type"] == "NumericalError"
+    assert not out.exists()
 
 
 def test_sweep_with_tied_reset_horizon(tmp_path):
@@ -419,9 +452,13 @@ def test_config_parts_must_be_json_objects(tmp_path, capsys, doc, name):
 
 
 def test_unknown_option_is_named(tmp_path, capsys):
-    # The clock has no global phase: a config that sets one is refused, not ignored.
+    # The clock has no global phase, and a system's dimension is its state's length: a config
+    # that sets either is refused, not ignored.
+    system = {"dim": 2, "hamiltonian": [0.5, 0.0, 0.0, -0.5], "initial_state": [1.0, 0.0]}
     for doc, named in [({"options": {"num_reading": 0}}, "['num_reading']"),
-                       ({"clock": {"phase": 0.0}}, "unknown clock key(s) ['phase']")]:
+                       ({"clock": {"phase": 0.0}}, "unknown clock key(s) ['phase']"),
+                       ({"system": system}, "unknown system key(s) ['dim']"),
+                       ({"system": dict(system, dim=10**3000)}, "unknown system key(s) ['dim']")]:
         argv = ["oracle-check", "--out", str(tmp_path / "out"),
                 "--config", write_config(tmp_path, doc)]
         assert main(argv) == 1
@@ -590,7 +627,6 @@ def test_system_config_round_trip(tmp_path):
     c = 1.0 / math.sqrt(2.0)
     doc = {
         "system": {
-            "dim": 2,
             "hamiltonian": [[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, 0.0]],
             "initial_state": [[c, 0.0], [0.0, c]],
         },
@@ -604,8 +640,7 @@ def test_system_config_round_trip(tmp_path):
 
 
 def test_a_generator_of_the_wrong_length_is_named():
-    system = {"dim": 2, "hamiltonian": [[0.5, 0.0], [0.0, 0.0], [-0.5, 0.0]],
-              "initial_state": [1.0, 0.0]}
+    system = {"hamiltonian": [[0.5, 0.0], [0.0, 0.0], [-0.5, 0.0]], "initial_state": [1.0, 0.0]}
     with pytest.raises(ValidationError, match=(
         r"^system\.hamiltonian must be a row-major list of 4 \[re, im\] pairs$"
     )):
@@ -663,7 +698,7 @@ HUGE_VALUES = {
         {"output_path": [10**5000]}, "output_path must be a string, got [an int of 5001"
     ),
     "hamiltonian": (
-        {"system": {"dim": 2, "hamiltonian": {"a": 10**5000}, "initial_state": [1.0, 0.0]}},
+        {"system": {"hamiltonian": {"a": 10**5000}, "initial_state": [1.0, 0.0]}},
         "system.hamiltonian must be a list of numbers or [re, im] pairs, got {'a': an int of 5001",
     ),
     "experiment": ({"experiment": 10**5000}, "experiment must be one of"),
@@ -732,7 +767,7 @@ def test_config_survives_the_meta_round_trip(experiment, clock, grid, seed):
         meta = json.loads(run(first).meta_path.read_text(encoding="utf-8"))
     again = resolve_config(experiment, meta["config"])
     assert again.clock == first.clock
-    assert again.system.dim == first.system.dim
+    assert list(meta["config"]["system"]) == ["hamiltonian", "initial_state"]
     assert np.array_equal(again.system.hamiltonian, first.system.hamiltonian)
     assert np.array_equal(again.system.initial_state, first.system.initial_state)
     assert (again.grid_size, again.options, again.seed) == (first.grid_size, first.options, first.seed)
@@ -846,7 +881,6 @@ def test_invalid_config_raises_and_writes_no_csv(experiment, doc):
 
 
 VALID_SYSTEM = {
-    "dim": 2,
     "hamiltonian": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.5, 0.0]],
     "initial_state": [[1.0, 0.0], [0.0, 0.0]],
 }
@@ -872,8 +906,7 @@ def malformed_docs():
         ("clock", "hbar"): non_numbers, ("clock", "mass"): non_numbers,
         ("clock", "omega"): non_numbers, ("clock", "damping"): non_numbers,
         ("clock", "n_reset"): non_numbers, ("clock", "alpha"): non_numbers,
-        ("system", "dim"): non_numbers, ("system", "hamiltonian"): non_lists,
-        ("system", "initial_state"): non_lists,
+        ("system", "hamiltonian"): non_lists, ("system", "initial_state"): non_lists,
         ("grid_size",): non_numbers, ("seed",): non_numbers,
         ("output_path",): json_values.filter(lambda v: not isinstance(v, str)),
         ("experiment",): json_values.filter(lambda v: v not in EXPERIMENTS),
@@ -928,9 +961,9 @@ def in_directory(path):
 @given(doc=malformed_docs(), sweep=st.none(), overrides=st.just({}))
 @example(doc={"clock": {"dampng": 0.3}}, sweep=None, overrides={})
 @example(doc={"grid": 100}, sweep=None, overrides={})
-@example(doc={"system": {k: v for k, v in VALID_SYSTEM.items() if k != "dim"}}, sweep=None, overrides={})
 @example(doc={"system": dict(VALID_SYSTEM, hamiltonian=5)}, sweep=None, overrides={})
-@example(doc={"system": dict(VALID_SYSTEM, dim=2.5)}, sweep=None, overrides={})
+# The dimension is the state's length: a "dim" key is unknown, however large.
+@example(doc={"system": dict(VALID_SYSTEM, dim=10**3000)}, sweep=None, overrides={})
 @example(doc={"clock": {"mass": "big"}}, sweep=None, overrides={})
 @example(doc={}, sweep="r=abc", overrides={})
 @example(doc={"clock": {"alpha": True}}, sweep=None, overrides={})

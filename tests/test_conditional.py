@@ -268,7 +268,6 @@ def test_coherent_overlap_against_quadrature():
 def test_history_state_trivial_generator():
     dim = 3
     spec = SystemSpec(
-        dim=dim,
         hamiltonian=np.zeros((dim, dim), dtype=complex),
         initial_state=np.array([1.0, 0.0, 0.0], dtype=complex),
     )

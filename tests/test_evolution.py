@@ -45,7 +45,7 @@ def test_qubit_closed_form_at_pi():
 def test_unitarity_random_four_level():
     rng = np.random.default_rng(31)
     spec = SystemSpec(
-        dim=4, hamiltonian=random_hermitian(rng, 4), initial_state=random_state(rng, 4)
+        hamiltonian=random_hermitian(rng, 4), initial_state=random_state(rng, 4)
     )
     for n in (0.1, 1.0, 10.0):
         state = evolve_exact(spec, n)
@@ -55,7 +55,7 @@ def test_unitarity_random_four_level():
 def test_matches_expm_oracle():
     rng = np.random.default_rng(37)
     spec = SystemSpec(
-        dim=5, hamiltonian=random_hermitian(rng, 5), initial_state=random_state(rng, 5)
+        hamiltonian=random_hermitian(rng, 5), initial_state=random_state(rng, 5)
     )
     for n in (0.3, 2.2):
         np.testing.assert_allclose(evolve_exact(spec, n), expm_state(spec, n), atol=1e-12)
@@ -65,9 +65,9 @@ def test_evolution_composes():
     rng = np.random.default_rng(41)
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)
-    spec = SystemSpec(dim=4, hamiltonian=h, initial_state=psi)
+    spec = SystemSpec(hamiltonian=h, initial_state=psi)
     once = evolve_exact(spec, 0.9 + 1.3)
-    midway = SystemSpec(dim=4, hamiltonian=h, initial_state=evolve_exact(spec, 0.9))
+    midway = SystemSpec(hamiltonian=h, initial_state=evolve_exact(spec, 0.9))
     np.testing.assert_allclose(evolve_exact(midway, 1.3), once, atol=1e-10)
 
 
@@ -83,7 +83,7 @@ def test_evolve_many_matches_single(dim, seed, times):
     # is exactly the initial state.
     rng = np.random.default_rng(seed)
     spec = SystemSpec(
-        dim=dim, hamiltonian=random_hermitian(rng, dim), initial_state=random_state(rng, dim)
+        hamiltonian=random_hermitian(rng, dim), initial_state=random_state(rng, dim)
     )
     ns = np.array(times + [0.0])
     many = evolve_exact(spec, ns)
@@ -115,7 +115,6 @@ def test_eigen_failure_on_malformed_matrix():
     # A valid spec, finite and Hermitian, whose eigenvalues +-1.7e308*sqrt(2)
     # overflow: eigh returns +-inf for them, and the message names the scale.
     bad = SystemSpec(
-        dim=2,
         hamiltonian=np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]], dtype=complex),
         initial_state=np.array([1.0, 0.0], dtype=complex),
     )
@@ -212,7 +211,6 @@ def test_fidelity_loss_bound_fixed_clock():
 
 def test_comparison_table_trivial_generator():
     spec = SystemSpec(
-        dim=2,
         hamiltonian=np.zeros((2, 2), dtype=complex),
         initial_state=np.array([1.0, 0.0], dtype=complex),
     )

@@ -45,7 +45,6 @@ from pwclock.params import (
 
 def pauli_z_spec():
     return SystemSpec(
-        dim=2,
         hamiltonian=np.diag([0.5, -0.5]).astype(complex),
         initial_state=np.array([1.0, 0.0], dtype=complex),
     )
@@ -224,13 +223,12 @@ def test_valid_system_spec_pass_through():
 def test_not_hermitian_rejected():
     h = np.array([[0.5, 0.1], [0.3, -0.5]], dtype=complex)
     with pytest.raises(ValidationError, match="^generator is not Hermitian within 1e-12 entrywise$"):
-        SystemSpec(dim=2, hamiltonian=h, initial_state=np.array([1.0, 0.0]))
+        SystemSpec(hamiltonian=h, initial_state=np.array([1.0, 0.0]))
 
 
 def test_not_normalized_rejected():
     with pytest.raises(ValidationError, match=r"^initial state norm \S+ is not 1 within 1e-12$"):
         SystemSpec(
-            dim=2,
             hamiltonian=np.diag([0.5, -0.5]).astype(complex),
             initial_state=np.array([1.0, 1.0]),
         )
@@ -248,12 +246,19 @@ def test_not_normalized_rejected():
 )
 def test_non_finite_system_spec_rejected(hamiltonian, initial_state, message):
     with pytest.raises(ValidationError, match=f"^{message} has non-finite entries$"):
-        SystemSpec(dim=2, hamiltonian=hamiltonian, initial_state=np.array(initial_state))
+        SystemSpec(hamiltonian=hamiltonian, initial_state=np.array(initial_state))
+
+
+def test_a_system_is_its_generator_and_its_state():
+    # The dimension is the state's length; no third field can disagree with it.
+    assert [f.name for f in dataclasses.fields(SystemSpec)] == ["hamiltonian", "initial_state"]
+    with pytest.raises(TypeError):
+        SystemSpec(dim=2, hamiltonian=np.eye(2), initial_state=np.array([1.0, 0.0]))
 
 
 def test_dimension_too_small_rejected():
     with pytest.raises(ValidationError, match="^system dimension must be >= 2, got 1$"):
-        SystemSpec(dim=1, hamiltonian=np.array([[1.0]]), initial_state=np.array([1.0]))
+        SystemSpec(hamiltonian=np.array([[1.0]]), initial_state=np.array([1.0]))
 
 
 # A SystemSpec is checked when it is made, as a ClockParams is: the spec
@@ -264,23 +269,23 @@ def test_dimension_too_small_rejected():
     [
         ({"hamiltonian": np.array([[0.5, 1.0], [0.0, -0.5]])},
          "generator is not Hermitian within 1e-12 entrywise"),
-        ({"dim": 3}, "generator must be 3x3, got shape (2, 2)"),
+        ({"hamiltonian": np.eye(3)}, "generator must be 2x2, got shape (3, 3)"),
         ({"initial_state": np.array([3.0, 0.0])}, "initial state norm 3.0 is not 1 within 1e-12"),
         ({"hamiltonian": np.diag([math.nan, -0.5])}, "generator has non-finite entries"),
-        ({"initial_state": np.array([1.0, 0.0, 0.0])}, "initial state must have length 2, got (3,)"),
+        ({"initial_state": np.array([1.0, 0.0, 0.0])}, "generator must be 3x3, got shape (2, 2)"),
     ],
-    ids=["non-hermitian", "dim-3-for-2x2", "norm-3", "nan-generator", "state-length-3"],
+    ids=["non-hermitian", "3x3-for-dim-2", "norm-3", "nan-generator", "state-length-3"],
 )
 def test_invalid_system_cannot_be_built(fields, message):
     valid = pauli_z_spec()
-    made = dict(dim=2, hamiltonian=valid.hamiltonian, initial_state=valid.initial_state)
+    made = dict(hamiltonian=valid.hamiltonian, initial_state=valid.initial_state)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         SystemSpec(**dict(made, **fields))
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(valid, **fields)
 
 
-# A clock or system field of the wrong type is refused when the object is made,
+# A clock field of the wrong type is refused when the clock is made,
 # with a ValidationError that names the field: no bare TypeError or
 # OverflowError, and no string parsed or bool read as a number.
 WRONG_TYPES = {
@@ -299,12 +304,6 @@ WRONG_TYPES = {
         {"alpha": 10**5000}, "alpha must be a finite number, got an int of 5001 digits"
     ),
     "damping=True": ({"damping": True}, "damping must be a number, got True"),
-    'dim="2"': ({"dim": "2"}, "system dimension must be a whole number, got '2'"),
-    "dim=2.5": ({"dim": 2.5}, "system dimension must be a whole number, got 2.5"),
-    "dim=True": ({"dim": True}, "system dimension must be a whole number, got True"),
-    "dim=-10**5000": (
-        {"dim": -10**5000}, "system dimension must be >= 2, got a negative int of 5001 digits"
-    ),
 }
 
 
@@ -312,11 +311,6 @@ WRONG_TYPES = {
 def test_a_field_of_the_wrong_type_is_refused_by_name(case):
     fields, message = WRONG_TYPES[case]
     match = f"^{re.escape(message)}$"
-    if "dim" in fields:
-        qubit = pauli_z_spec()
-        with pytest.raises(ValidationError, match=match):
-            SystemSpec(hamiltonian=qubit.hamiltonian, initial_state=qubit.initial_state, **fields)
-        return
     assert_refused_when_built(fields, message)
     with pytest.raises(ValidationError, match=match):  # the same reading for a changed field
         VALID_CLOCK.with_amplitude(1.0, **fields)
@@ -325,9 +319,6 @@ def test_a_field_of_the_wrong_type_is_refused_by_name(case):
 def test_fields_are_stored_as_the_type_they_are_read_as():
     clock = ClockParams(hbar=np.int64(1), mass=2, damping=np.float32(0.5), alpha=1, n_reset=1)
     assert [type(value) for value in vars(clock).values()] == [float] * 6
-    qubit = pauli_z_spec()
-    spec = SystemSpec(dim=2.0, hamiltonian=qubit.hamiltonian, initial_state=qubit.initial_state)
-    assert type(spec.dim) is int and spec.dim == 2
 
 
 def test_system_arrays_read_only():

@@ -8,8 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pwclock
 from pwclock._csv import _write_csv
 from pwclock.cli import EXPERIMENTS
+
+from calibration import (
+    FIDELITY_LOSS_PREFACTOR,
+    IDEAL_LIMIT_CROSSING_SCALE,
+    LINEAR_REL_ERR_AT_RN_0_1,
+    LINEAR_REL_ERR_PER_RN,
+    WORST_ROW_FIDELITY_FLOOR,
+)
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -53,7 +62,7 @@ def test_csv_digests_keep_and_against(tmp_path):
     second = subprocess.run(command + ["--against", str(kept)], capture_output=True, text=True,
                             check=True)
     assert json.loads(second.stdout) == digests
-    assert second.stderr.splitlines() == [
+    assert second.stderr.splitlines()[1:] == [  # after the SIMD line
         "tables-grid64/timemap.csv: n_exact: largest |difference| 0.5 in 1 moved cells"
     ]
 
@@ -71,6 +80,44 @@ def test_csv_digests_do_not_depend_on_blas_threads_at_the_benchmark_grid():
         outputs.append(json.loads(result.stdout))
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) == len(EXPERIMENTS) + 13  # the large grid is the seed-5 case
+
+
+def test_csv_digests_name_their_simd_level_on_stderr():
+    # The first stderr line names numpy's version, its SIMD baseline and the dispatched
+    # targets enabled, which NPY_DISABLE_CPU_FEATURES narrows; stdout keeps its keys.
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    inherited = os.environ.get("NPY_DISABLE_CPU_FEATURES", "")
+    command = [sys.executable, str(TOOLS / "csv_digests.py"),
+               "--grid", "256", "--readings", "8", "--large-grid", "256", "--tables-grid", "64"]
+    keys = []
+    for disabled, left in ((inherited, enabled), (" ".join([inherited, *enabled[1:]]), enabled[:1])):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled.strip())
+        result = subprocess.run(command, capture_output=True, text=True, check=True, env=env)
+        assert result.stderr.splitlines()[0] == (
+            f"numpy {np.__version__}; SIMD baseline: {' '.join(umath.__cpu_baseline__) or 'none'}; "
+            f"dispatched: {' '.join(left) or 'none'}")
+        keys.append(sorted(json.loads(result.stdout)))
+    assert keys[0] == keys[1] and len(keys[0]) == len(EXPERIMENTS) + 13
+
+
+def test_calibrate_reproduces_the_frozen_constants():
+    # tools/calibrate.py measures what tests/calibration.py freezes: each frozen bound lies
+    # on its stated side of the value the tool prints now.
+    env = dict(os.environ, PYTHONPATH=str(Path(pwclock.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, str(TOOLS / "calibrate.py")], capture_output=True,
+                            text=True, check=True, env=env)
+    measured = {}
+    for line in result.stdout.splitlines():
+        label, _, value = line.rpartition(":")
+        if value.strip():
+            measured[" ".join(label.split())] = float(value.split()[-1])
+    assert measured["max rel_err / rn"] <= LINEAR_REL_ERR_PER_RN
+    assert measured["rel_err at rn = 0.1"] <= LINEAR_REL_ERR_AT_RN_0_1
+    assert measured[f"m*omega = {IDEAL_LIMIT_CROSSING_SCALE:.0f}"] >= 0.99  # its mass fraction
+    assert measured["worst-row fidelity (default comparison)"] >= WORST_ROW_FIDELITY_FLOOR
+    assert measured["fidelity-loss prefactor (fixed clock)"] <= FIDELITY_LOSS_PREFACTOR
 
 
 def load_tool(name):

@@ -33,6 +33,11 @@ largest absolute difference and its count of moved cells:
 
     python3 tools/csv_digests.py --src ../parent/src --keep parent-csvs > parent.json
     python3 tools/csv_digests.py --against parent-csvs > change.json
+
+The bytes hold for one numpy build, SIMD level and BLAS thread count, so
+the first stderr line names the first two: numpy's version, its compiled
+SIMD baseline and the dispatched targets this process enabled, which
+``NPY_DISABLE_CPU_FEATURES`` can narrow. stdout holds the digests only.
 """
 
 from __future__ import annotations
@@ -120,6 +125,16 @@ def report_moves(old_root: Path, new_root: Path) -> list[str]:
     return lines
 
 
+def simd_fingerprint() -> str:
+    """numpy's version, SIMD baseline and the dispatched SIMD targets enabled in this process."""
+    import numpy
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    return (f"numpy {numpy.__version__}; SIMD baseline: {' '.join(umath.__cpu_baseline__) or 'none'}; "
+            f"dispatched: {' '.join(enabled) or 'none'}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
@@ -137,6 +152,8 @@ def main(argv: list[str] | None = None) -> int:
         os.environ.setdefault(name, "1")
     sys.path.insert(0, str(Path(args.src).resolve()))
     from pwclock.cli import main as pwclock
+
+    print(simd_fingerprint(), file=sys.stderr)
 
     with nullcontext(args.keep) if args.keep else tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
