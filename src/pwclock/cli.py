@@ -10,10 +10,9 @@ derived constants and timing.
 
 from __future__ import annotations
 
-import atexit
+import gc
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -146,6 +145,8 @@ def _system_from_doc(doc: dict) -> SystemSpec:
     flat = _complex_array("system.hamiltonian", doc.get("hamiltonian"))
     psi = _complex_array("system.initial_state", doc.get("initial_state"))
     d = len(psi)
+    if d < 2:  # SystemSpec names the dimension, whatever the generator's length
+        return SystemSpec(hamiltonian=flat, initial_state=psi)
     if len(flat) != d * d:
         raise ValidationError(f"system.hamiltonian must be a row-major list of {d * d} [re, im] pairs")
     return SystemSpec(hamiltonian=flat.reshape(d, d), initial_state=psi)
@@ -566,43 +567,13 @@ def main(argv: list[str] | None = None) -> int:
 def script() -> None:
     """Entry of ``python -m pwclock.cli`` and of the ``pwclock`` console script.
 
-    Runs ``main`` and ends the process with its exit code. Every CSV and meta
-    file is closed by then, so the entry does what shutdown would do first,
-    in shutdown's order: it runs the atexit handlers, then flushes stdout
-    and stderr. It then leaves by ``os._exit``, skipping the interpreter's
-    teardown (module cleanup and the cyclic collector's final passes). It
-    exits the normal way, through ``sys.exit``, wherever skipping teardown
-    could be seen: if ``main`` raised (argparse's exit 2 too), inspect mode
-    is on (``-i``, ``PYTHONINSPECT``), another thread is alive, a tracer,
-    profiler or ``sys.monitoring`` tool is attached (coverage, cProfile, a
-    debugger), or a flush failed.
+    Runs ``main`` and exits with its code. ``gc.freeze()`` first moves every
+    live object into the collector's permanent generation, so shutdown's final
+    collections skip them.
     """
     code = main()
-    if _teardown_observable():
-        sys.exit(code)
-    atexit._run_exitfuncs()  # runs each handler once; a normal exit runs none again
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-    except Exception:  # the normal exit reports it
-        sys.exit(code)
-    os._exit(code)
-
-
-def _teardown_observable() -> bool:
-    """True where a process that skips teardown could differ from one that does not."""
-    threading = sys.modules.get("threading")
-    monitoring = getattr(sys, "monitoring", None)  # Python >= 3.12
-    return bool(
-        sys.flags.inspect
-        or os.environ.get("PYTHONINSPECT")
-        or (threading is not None and threading.active_count() > 1)
-        or sys.gettrace() is not None
-        or sys.getprofile() is not None
-        or (monitoring is not None
-            and any(monitoring.get_tool(tool) is not None for tool in range(6)))
-    )
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

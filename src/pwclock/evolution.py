@@ -83,7 +83,8 @@ def fidelity(a: np.ndarray, b: np.ndarray):
         out = overlap / product
     values = np.array(np.broadcast_arrays(norm_a, norm_b, product, overlap))
     tiny = np.finfo(float).tiny
-    if not (np.min(values) >= tiny and np.max(values) < np.inf):  # NaN fails both
+    # NaN fails both tests; an empty stack passes both and returns an empty array.
+    if not (np.min(values, initial=np.inf) >= tiny and np.max(values, initial=0.0) < np.inf):
         exponents = []
         for name, state, norm in (("a", a, norm_a), ("b", b, norm_b)):
             part = np.maximum(np.abs(state.real), np.abs(state.imag)).max(axis=-1)

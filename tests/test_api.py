@@ -151,15 +151,15 @@ def test_no_library_module_catches_a_pwclock_error():
 
 def test_only_the_script_entry_ends_the_process():
     # Library code and ``main`` return; the script entry alone leaves, by
-    # ``os._exit`` or, where teardown could be seen, by ``sys.exit``. A call
-    # through any name ending in ``exit`` or ``_exit`` counts, aliases too.
+    # ``sys.exit``. A call through any name ending in ``exit`` or ``_exit``
+    # counts, aliases too.
     found = {
         (module, function, called(node))
         for path in SOURCES
         for module, function, node in nodes(path)
         if isinstance(node, ast.Call) and called(node).rpartition(".")[2] in ("exit", "_exit")
     }
-    assert found == {("cli", "script", "os._exit"), ("cli", "script", "sys.exit")}
+    assert found == {("cli", "script", "sys.exit")}
 
 
 def test_records_of_arrays_compare_and_hash_by_identity():

@@ -640,11 +640,15 @@ def test_system_config_round_trip(tmp_path):
 
 
 def test_a_generator_of_the_wrong_length_is_named():
-    system = {"hamiltonian": [[0.5, 0.0], [0.0, 0.0], [-0.5, 0.0]], "initial_state": [1.0, 0.0]}
-    with pytest.raises(ValidationError, match=(
-        r"^system\.hamiltonian must be a row-major list of 4 \[re, im\] pairs$"
-    )):
-        resolve_config("evolve-compare", {"system": system})
+    # Below dimension 2 the dimension is what is wrong, whatever the generator's length.
+    for system, message in [
+        ({"hamiltonian": [[0.5, 0.0], [0.0, 0.0], [-0.5, 0.0]], "initial_state": [1.0, 0.0]},
+         r"^system\.hamiltonian must be a row-major list of 4 \[re, im\] pairs$"),
+        ({"hamiltonian": [0.5, 0, 0, -0.5], "initial_state": [1]},
+         r"^system dimension must be >= 2, got 1$"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            resolve_config("evolve-compare", {"system": system})
 
 
 def test_each_config_builds_each_object_once(monkeypatch):
@@ -1263,7 +1267,10 @@ def run_child(args, **kwargs):
 
 
 def test_script_writes_the_bytes_main_writes(tmp_path):
-    proc = run_child(["-m", "pwclock.cli", "clock-profile", "--out", str(tmp_path / "script")])
+    # Dev mode turns on every warning and -W error makes each one fatal, so a
+    # warning raised while the process shuts down would show on stderr.
+    proc = run_child(["-X", "dev", "-W", "error", "-m", "pwclock.cli", "clock-profile",
+                      "--out", str(tmp_path / "script")])
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
     assert main(["clock-profile", "--out", str(tmp_path / "main")]) == 0
     written = [(tmp_path / tag / "clock-profile.csv").read_bytes() for tag in ("script", "main")]
@@ -1304,14 +1311,15 @@ except SystemExit as exc:
 def test_script_runs_the_atexit_handlers(tmp_path):
     setup = "atexit.register(print, 'handler ran')"
     proc = run_child(["-c", _AS_MAIN.format(setup=setup), str(tmp_path)])
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "handler ran\n", "")
+    # The handler runs once, after the entry's normal exit.
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "SystemExit 0\nhandler ran\n", "")
     assert (tmp_path / "clock-profile.csv").is_file()
 
 
-# Where skipping teardown could be seen, the entry exits the normal way. The
-# tracer stands in for coverage and the profile hook for cProfile. The thread
-# outlives the main thread's code: shutdown joins it once the main thread
-# stops, and ``os._exit`` would cut it short.
+# Whatever watches the process, the entry exits the normal way. The tracer
+# stands in for coverage and the profile hook for cProfile. The thread outlives
+# the main thread's code: shutdown joins it once the main thread stops, so it
+# finishes before the process ends.
 OBSERVERS = {
     "tracer": "sys.settrace(lambda *args: None)",
     "profiler": "sys.setprofile(lambda *args: None)",

@@ -143,6 +143,9 @@ def test_fidelity_keeps_its_rounding_for_ordinary_states():
     a, b = evolve_exact(spec, np.linspace(0.0, 3.0, 64)), spec.initial_state
     expected = np.abs(_inner(a, b)) ** 2 / (_inner(a, a).real * _inner(b, b).real)
     np.testing.assert_array_equal(fidelity(a, b), expected)
+    # An empty stack gives an empty array, as evolve_exact does for no times.
+    empty = fidelity(np.empty((0, 2), complex), np.empty((0, 2), complex))
+    assert (empty.shape, empty.dtype) == ((0,), np.float64)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import pwclock
 from pwclock._csv import _write_csv
 from pwclock.cli import EXPERIMENTS
 
@@ -104,8 +103,9 @@ def test_csv_digests_name_their_simd_level_on_stderr():
 
 def test_calibrate_reproduces_the_frozen_constants():
     # tools/calibrate.py measures what tests/calibration.py freezes: each frozen bound lies
-    # on its stated side of the value the tool prints now.
-    env = dict(os.environ, PYTHONPATH=str(Path(pwclock.__file__).resolve().parent.parent))
+    # on its stated side of the value the tool prints now. It runs as README runs it, with
+    # no PYTHONPATH: the tool finds src/ itself.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     result = subprocess.run([sys.executable, str(TOOLS / "calibrate.py")], capture_output=True,
                             text=True, check=True, env=env)
     measured = {}

@@ -10,8 +10,12 @@ and copy any changed values into tests/calibration.py by hand.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import pwclock as pw
 
 
