@@ -169,7 +169,7 @@ def _json_object(name: str, value, keys) -> dict:
     return dict(value)
 
 
-def _options_from_doc(doc, defaults: dict, clock: ClockParams) -> dict:
+def _options_from_doc(doc, defaults: dict) -> dict:
     """The experiment's default options updated by ``doc``, checked, each stored as read: a
     float, a list of floats or num_readings' int, so no runner converts one.
 
@@ -178,18 +178,9 @@ def _options_from_doc(doc, defaults: dict, clock: ClockParams) -> dict:
     so a bad value or a misspelt key fails before any run writes a file.
     """
     rules = {  # option: (test of its values as a float array, the rule it states)
-        "window": (lambda v: v.ndim == 0 and v > 0.0, "a finite number > 0"),
         "scales": (
             lambda v: v.ndim == 1 and v.size > 0 and np.all(v > 0.0),
             "a non-empty list of finite numbers > 0",
-        ),
-        "probe_time": (
-            lambda v: v.ndim == 0 and 0.0 <= v <= clock.n_reset,
-            f"a finite number in [0, n_reset = {clock.n_reset}]",
-        ),
-        "reading_span": (
-            lambda v: v.shape == (2,) and 0.0 <= v[0] < v[1] <= 1.0,
-            "two finite numbers [lo, hi] with 0 <= lo < hi <= 1",
         ),
         "x": (lambda v: v.ndim == 0, "a finite number"),
     }
@@ -258,7 +249,7 @@ def resolve_config(
         grid_size=grid_size,
         output_path=output_path,
         seed=doc_seed if seed is None else _checked_whole("seed", seed, 0, None),
-        options=_options_from_doc(doc.get("options", {}), default_options, clock),
+        options=_options_from_doc(doc.get("options", {}), default_options),
     )
 
 
@@ -302,8 +293,8 @@ def _run_posterior(cfg: ExperimentConfig):
 
 
 def _run_ideal_limit(cfg: ExperimentConfig):
-    scales, window = cfg.options["scales"], cfg.options["window"]
-    probe_time = cfg.options.get("probe_time", cfg.clock.n_reset / 3.0)
+    # Each clock is read at n_reset/3, and its posterior mass taken within 0.05 of that time.
+    scales, window, probe_time = cfg.options["scales"], 0.05, cfg.clock.n_reset / 3.0
     target_amplitude = cfg.clock.amplitude
     readings, fractions = [], []
     for scale in scales:  # one clock per scale
@@ -329,8 +320,7 @@ def _run_oracle_check(cfg: ExperimentConfig):
     proj_a = np.outer(probe, probe.conj())
     projectors = np.stack([proj_a, np.eye(d, dtype=np.complex128) - proj_a])
 
-    lo, hi = cfg.options["reading_span"]
-    times = np.sort(uniform(cfg.seed, lo, hi, cfg.options["num_readings"])) * cfg.clock.n_reset
+    times = np.sort(uniform(cfg.seed, 0.25, 0.85, cfg.options["num_readings"])) * cfg.clock.n_reset
 
     readings = position_expectation(times, cfg.clock)
     cond_a, cond_b = conditional_system_probability(history, readings, projectors)
@@ -357,18 +347,13 @@ _EXPERIMENTS = {
     "damping-opt": (_run_damping_opt, _BASE_CLOCK, 64, {}),
     "timemap": (_run_timemap, _TIMEMAP_CLOCK, 128, {}),
     "posterior": (_run_posterior, _BASE_CLOCK, 2048, {}),
-    "ideal-limit": (
-        _run_ideal_limit,
-        _NARROW_CLOCK,
-        4096,
-        {"scales": [10.0, 100.0, 1000.0, 10000.0], "window": 0.05},
-    ),
+    "ideal-limit": (_run_ideal_limit, _NARROW_CLOCK, 4096, {"scales": [10.0, 100.0, 1000.0, 10000.0]}),
     "evolve-compare": (_run_evolve_compare, _BASE_CLOCK, 128, {}),
     "oracle-check": (
         _run_oracle_check,
         dict(_NARROW_CLOCK, mass=10000.0, alpha=np.sqrt(5000.0)),
         2048,
-        {"num_readings": 5, "reading_span": [0.25, 0.85]},
+        {"num_readings": 5},
     ),
 }
 
@@ -509,15 +494,8 @@ def _parse_sweep_flag(text: str) -> tuple[str, list]:
     return name, [_real("--sweep", v) for v in values]
 
 
-def __getattr__(name: str):
-    # Unused: sweeps run serially. The benchmark's tracer (perfbench/tracing.py)
-    # swaps ``cli.ThreadPoolExecutor`` for a span-recording pool, so the name
-    # stays, imported only when asked for (PEP 562).
-    if name == "ThreadPoolExecutor":
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Unused, as sweeps run serially: the benchmark's tracer saves and rebinds the name.
+ThreadPoolExecutor = None
 
 
 def main(argv: list[str] | None = None) -> int:

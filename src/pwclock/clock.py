@@ -25,6 +25,7 @@ from .params import (
     ClockParams,
     ValidationError,
     _finite,
+    _floats,
     _overflow_checked,
     _real,
     _require,
@@ -200,7 +201,7 @@ def damping_stationary_point(n, params: ClockParams) -> StationaryDamping:
         If any n <= 0, is NaN or is +inf, or if a field overflows there
         (1/n at n = 1e-320); names the first.
     """
-    n = np.asarray(n, dtype=float)
+    n = _floats("n", n)
     _require(n, n > 0.0, lambda v, _: ValidationError(f"stationary damping requires n > 0, got {v}"))
     _require(n, n < np.inf, lambda v, _: ValidationError(
         f"stationary damping requires finite n, got {v}"))

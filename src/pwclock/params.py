@@ -65,8 +65,8 @@ class ClockParams:
     n_reset: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            object.__setattr__(self, name, _real(name, value))
+        for name, value in vars(self).items():  # + 0.0 stores a -0.0 as 0.0
+            object.__setattr__(self, name, _real(name, value) + 0.0)
         validate_clock_params(self)
 
     @property
@@ -263,9 +263,18 @@ def _require(values, inside, error) -> None:
         raise error(float(np.asarray(values, dtype=float).reshape(-1)[index]), index)
 
 
+def _floats(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array, itself if it is one; ValidationError names ``name``
+    unless its dtype is an integer or float one (a bool, complex, str or object is not)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be real numbers, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
+
+
 def _finite(name: str, values) -> np.ndarray:
     """``values`` as a float array; ValidationError names the first non-finite one."""
-    values = np.asarray(values, dtype=float)
+    values = _floats(name, values)
     _require(values, np.isfinite(values), lambda v, _: ValidationError(
         f"{name} must be finite, got {v}"))
     return values
@@ -286,7 +295,7 @@ def check_abstract_time(n, params: ClockParams):
     The reset point itself is admitted so quadrature grids can close the
     running window. NaN is rejected.
     """
-    times, n_reset = np.asarray(n, dtype=float), params.n_reset
+    times, n_reset = _floats("n", n), params.n_reset
     window = f"the running window [0, {n_reset}]"
     inside = (times >= 0.0) & (times <= n_reset)
     _require(times, inside, lambda v, _: ValidationError(f"n = {v} outside {window}"))

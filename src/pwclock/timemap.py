@@ -22,6 +22,7 @@ from .params import (
     ClockParams,
     ValidationError,
     _checked_whole,
+    _floats,
     _overflow_checked,
     _require,
     _scalar_or_array,
@@ -98,7 +99,7 @@ def n_from_x_exact(x, params: ClockParams):
         is NaN; names the first.
     """
     n_reset, amp, floor = params.n_reset, params.amplitude, _monotone_floor(params)
-    x = np.asarray(x, dtype=float)
+    x = _floats("x", x)
     interval = f"the attained interval ({floor}, {amp}]"
     inside = (x > floor) & (x <= amp)
     _require(x, inside, lambda v, _: ValidationError(f"reading x = {v} outside {interval}"))
@@ -143,7 +144,7 @@ def n_from_x_log(x, params: ClockParams):
     r = params.damping
     if r == 0.0:
         raise ValidationError("log-form inversion undefined for r = 0")
-    x = np.asarray(x, dtype=float)
+    x = _floats("x", x)
     amp = params.amplitude
     _require(x, (x > 0.0) & (x <= amp), lambda v, _: ValidationError(f"reading x = {v} outside (0, {amp}]"))
     return _overflow_checked("reading x", x, "(2/r)*ln(A/x)", lambda v: (2.0 / r) * np.log(amp / v))
@@ -162,7 +163,7 @@ def n_from_x_linear(x, params: ClockParams):
     r = params.damping
     if r == 0.0:
         raise ValidationError("linear inversion undefined for r = 0")
-    x = np.asarray(x, dtype=float)
+    x = _floats("x", x)
     amp = params.amplitude
     inside = (x > -np.inf) & (x <= amp)
     _require(x, inside, lambda v, _: ValidationError(f"reading x = {v} outside (-inf, {amp}]"))
@@ -175,7 +176,7 @@ def invert_position(x, params: ClockParams) -> TimeMapResult:
     n_log = n_from_x_log(x, params)
     n_lin = n_from_x_linear(x, params)
     rel = np.abs(np.subtract(n_lin, n_exact)) / np.maximum(n_exact, _EPS_FLOOR)
-    x = np.asarray(x, dtype=float)
+    x = _floats("x", x)
     fields = x, params.amplitude - x, n_exact, n_log, n_lin, rel
     return TimeMapResult(*(_scalar_or_array(np.asarray(field)) for field in fields))
 

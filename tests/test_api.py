@@ -74,14 +74,12 @@ def test_exported_exception_classes_are_exactly_two():
     assert classes == ERRORS
 
 
-# Raises of other classes that stay: the CSV writer's own column checks, and
-# the module attribute lookup, where Python expects AttributeError. ``error``
-# is the factory ``_require`` is handed; each factory is checked where it is
-# written, at the ``_require`` call.
+# Raises of other classes that stay: the CSV writer's own column checks.
+# ``error`` is the factory ``_require`` is handed; each factory is checked
+# where it is written, at the ``_require`` call.
 INTERNAL_RAISES = {
     ("_csv", "_write_csv", "TypeError"),
     ("_csv", "_write_csv", "ValueError"),
-    ("cli", "__getattr__", "AttributeError"),
     ("params", "_require", "error"),
 }
 

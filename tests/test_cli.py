@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tomllib
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -301,6 +302,25 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_negative_zero_damping_runs_as_zero(tmp_path):
+    # ClockParams(damping=-0.0) equals ClockParams(damping=0.0): the rates are written
+    # positive, and meta.json records 0.0, from a config and from a sweep alike.
+    outputs = {}
+    for value in ("0.0", "-0.0"):
+        config = write_config(tmp_path, {"clock": {"damping": float(value)}}, f"{value}.json")
+        assert main(["clock-profile", "--grid", "16", "--out", str(tmp_path / value),
+                     "--config", config]) == 0
+        assert main(["clock-profile", "--grid", "16", "--out", str(tmp_path / "sw"),
+                     "--sweep", f"r={value}"]) == 0
+        outputs[value] = [tmp_path / value, tmp_path / "sw" / f"r={value}"]
+    for plain, negative in zip(outputs["0.0"], outputs["-0.0"], strict=True):
+        csv = (plain / "clock-profile.csv").read_bytes()
+        assert (negative / "clock-profile.csv").read_bytes() == csv
+        assert all(row.endswith(",0.0") for row in csv.decode().splitlines()[1:])  # the rate
+        meta = (negative / "clock-profile.meta.json").read_text(encoding="utf-8")
+        assert '"damping": 0.0,' in meta
+
+
 def test_sweep_reset_horizon_rederives_recommended_damping(tmp_path):
     doc = {"clock": {"damping": "auto", "n_reset": 2.0}}
     assert resolve_config("clock-profile", doc).clock.damping == pytest.approx(0.5)
@@ -331,8 +351,7 @@ SWEPT_VALUES = {
 @pytest.mark.parametrize("tie", TIED_CLOCKS)
 @pytest.mark.parametrize("parameter", SWEPT_VALUES)
 def test_sweep_resolves_each_value_as_resolve_config_does(tmp_path, capsys, tie, parameter):
-    # probe_time is checked against each swept horizon, whichever experiment runs.
-    doc = {"clock": TIED_CLOCKS[tie], "grid_size": 16, "options": {"probe_time": 0.9}}
+    doc = {"clock": TIED_CLOCKS[tie], "grid_size": 16}
     values = SWEPT_VALUES[parameter]
     out = tmp_path / "sw"
     argv = ["clock-profile", "--config", write_config(tmp_path, doc), "--out", str(out),
@@ -408,9 +427,9 @@ def test_sweep_to_zero_damping_under_a_tied_horizon_is_rejected(tmp_path):
     "extra, doc",
     [
         (["--seed", "-1"], None),
-        # Valid for the first experiments' clock (n_reset = 2), not for the
-        # time-map clock (n_reset = 1.5), so the bundle fails part way through.
-        ([], {"options": {"probe_time": 1.8}}),
+        # Valid for the first experiments' clock (r = 0.5), not for the time-map
+        # clock (r = 1/1.5), so the bundle fails part way through.
+        ([], {"clock": {"n_reset": 1.8}}),
     ],
 )
 def test_all_bundle_resolves_every_config_before_running(tmp_path, capsys, extra, doc):
@@ -464,6 +483,23 @@ def test_unknown_option_is_named(tmp_path, capsys):
         assert main(argv) == 1
         assert named in json.loads(capsys.readouterr().err)["error"]["message"]
         assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("ideal-limit", "window", 0.05),
+    ("ideal-limit", "probe_time", 0.5),
+    ("oracle-check", "reading_span", [0.25, 0.85]),
+])
+def test_a_fixed_setting_is_not_an_option(tmp_path, capsys, experiment, key, value):
+    # The window 0.05, the probe time n_reset/3 and the reading span [0.25, 0.85) are fixed.
+    argv = [experiment, "--out", str(tmp_path / "out"),
+            "--config", write_config(tmp_path, {"options": {key: value}})]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "ValidationError",
+        "message": f"unknown options key(s) ['{key}']; expected any of ['num_readings', 'scales', 'x']",
+    }}
+    assert not (tmp_path / "out").exists()
 
 
 def test_resolve_config_guards():
@@ -661,15 +697,12 @@ def test_each_config_builds_each_object_once(monkeypatch):
     # Configs without "system" share one demo-qubit spec.
     assert resolve_config("oracle-check").system is resolve_config("evolve-compare").system
     # Options hold the values their rules read, so no runner converts one.
-    doc = {"options": {"window": 1, "scales": [10, 100.0], "probe_time": 0,
-                       "reading_span": [0, 1], "x": -1, "num_readings": 8.0}}
+    doc = {"options": {"scales": [10, 100.0], "x": -1, "num_readings": 8.0}}
     options = resolve_config("oracle-check", doc).options
     types = {name: [type(v) for v in value] if isinstance(value, list) else type(value)
              for name, value in options.items()}
-    assert types == {"window": float, "scales": [float, float], "probe_time": float,
-                     "reading_span": [float, float], "x": float, "num_readings": int}
-    assert options == {"window": 1.0, "scales": [10.0, 100.0], "probe_time": 0.0,
-                       "reading_span": [0.0, 1.0], "x": -1.0, "num_readings": 8}
+    assert types == {"scales": [float, float], "x": float, "num_readings": int}
+    assert options == {"scales": [10.0, 100.0], "x": -1.0, "num_readings": 8}
 
 
 def test_the_cli_has_one_resolver(tmp_path, monkeypatch):
@@ -813,23 +846,11 @@ def invalid_docs():
 def invalid_options(non_finite):
     """Options outside the ranges the runners need, each alone in a document."""
     not_positive = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
-    below_zero = st.floats(max_value=-1e-9)
     fractional = st.floats(0.0, 1e4).filter(lambda v: not v.is_integer())
     return st.one_of(
-        st.builds(lambda v: {"window": v}, st.one_of(non_finite, not_positive)),
         st.builds(lambda v: {"scales": v}, st.just([])),
         st.builds(lambda v: {"scales": [10.0, v]}, st.one_of(non_finite, not_positive)),
-        st.builds(lambda v: {"probe_time": v}, st.one_of(non_finite, below_zero)),
-        st.builds(lambda v: {"probe_time": v}, st.floats(min_value=2.01, allow_infinity=False)),
         st.builds(lambda v: {"num_readings": v}, st.one_of(st.integers(max_value=0), fractional)),
-        st.builds(
-            lambda lo, hi: {"reading_span": [lo, hi]},
-            st.floats(0.0, 1.0),
-            st.floats(0.0, 1.0),
-        ).filter(lambda o: o["reading_span"][0] >= o["reading_span"][1]),
-        st.builds(lambda v: {"reading_span": [v, 0.5]}, st.one_of(non_finite, below_zero)),
-        st.builds(lambda v: {"reading_span": [0.5, v]}, st.one_of(non_finite, st.floats(1.01))),
-        st.builds(lambda v: {"reading_span": v}, st.sampled_from([[0.25], [0.1, 0.5, 0.9], 0.5])),
         st.builds(lambda v: {"x": v}, st.one_of(non_finite, st.just("mid"))),
     )
 
@@ -840,18 +861,11 @@ BAD_DOCS = [
     {"seed": -1},
     {"seed": 1.5},
     {"seed": "7"},
-    {"options": {"window": math.nan}},
-    {"options": {"window": -1.0}},
     {"options": {"scales": []}},
     {"options": {"scales": [10.0, math.inf]}},
     {"options": {"scales": [10.0, 0.0]}},
-    {"options": {"probe_time": -0.1}},
-    {"options": {"probe_time": 2.5}},
     {"options": {"num_readings": 0}},
     {"options": {"num_readings": 2.5}},
-    {"options": {"reading_span": [0.85, 0.25]}},
-    {"options": {"reading_span": [-0.1, 0.5]}},
-    {"options": {"reading_span": [0.25, math.nan]}},
     {"options": {"x": math.nan}},
     # Misspelt or unknown keys, which no runner reads.
     {"options": {"num_reading": 0}},
@@ -914,9 +928,8 @@ def malformed_docs():
         ("grid_size",): non_numbers, ("seed",): non_numbers,
         ("output_path",): json_values.filter(lambda v: not isinstance(v, str)),
         ("experiment",): json_values.filter(lambda v: v not in EXPERIMENTS),
-        ("options", "window"): non_numbers, ("options", "probe_time"): non_numbers,
         ("options", "x"): non_numbers, ("options", "num_readings"): non_numbers,
-        ("options", "scales"): non_lists, ("options", "reading_span"): non_lists,
+        ("options", "scales"): non_lists,
         ("clock",): json_values.filter(lambda v: not isinstance(v, dict)),
         ("system",): json_values.filter(lambda v: not isinstance(v, dict)),
         ("options",): json_values.filter(lambda v: not isinstance(v, dict)),
@@ -933,7 +946,7 @@ def malformed_docs():
         "clock": (("hbar", "mass", "omega", "damping", "alpha", "n_reset"),
                   lambda part: {"clock": part}),
         "system": (tuple(VALID_SYSTEM), lambda part: {"system": dict(VALID_SYSTEM, **part)}),
-        "options": (("window", "scales", "probe_time", "reading_span", "x", "num_readings"),
+        "options": (("scales", "x", "num_readings"),
                     lambda part: {"options": part}),
     }
 
@@ -1217,8 +1230,7 @@ codes = [cli.main(["all", "--out", out + "/all"]),
          cli.main(["oracle-check", "--sweep", "r=0.2,0.4", "--out", out + "/sweep"])]
 names = ("numpy.random", "secrets", "hashlib", "concurrent.futures")
 loaded = [name for name in names if name in sys.modules]
-import concurrent.futures
-pool = cli.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor
+pool = cli.ThreadPoolExecutor is None
 try:
     cli.NoSuchName
     missing = None
@@ -1230,8 +1242,8 @@ print(json.dumps([argparse_on_import, codes, loaded, pool, missing]))
 
 def test_cli_process_loads_no_rng_hash_or_pool_module(tmp_path):
     # A fresh process that runs the bundle and an oracle-check sweep draws its
-    # readings from pwclock._rng, imports argparse only inside main, and
-    # imports concurrent.futures only when cli.ThreadPoolExecutor is read.
+    # readings from pwclock._rng, imports argparse only inside main, and never
+    # imports concurrent.futures: cli.ThreadPoolExecutor is a placeholder.
     proc = run_child(["-c", _COLD_START, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     argparse_on_import, codes, loaded, pool, missing = json.loads(proc.stdout)
@@ -1350,7 +1362,6 @@ def test_script_exits_normally_when_a_flush_fails(tmp_path):
 
 
 def test_console_script_and_module_share_one_entry():
-    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     with open(PYPROJECT, "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["pwclock"]
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))

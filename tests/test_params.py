@@ -423,6 +423,46 @@ def test_scalar_input_gives_a_python_scalar(name):
     assert type(call(np.array([0.4, 0.5]))) is np.ndarray
 
 
+# Each call that reads time(s) n or reading(s) x as a float array, the argument's name, and
+# values that are not real numbers, with the dtype numpy gives them: a complex, a string, an
+# int beyond every integer dtype and a bool. Warnings are errors, so each must be refused by
+# name, not read as its real part (with a warning), met by a numpy error or read as 1.0.
+ARRAY_READERS = {
+    "position_expectation": (lambda v: position_expectation(v, SCALAR_CLOCK), "n"),
+    "width": (lambda v: width(v, SCALAR_CLOCK), "n"),
+    "decoherence_rate": (lambda v: decoherence_rate(v, SCALAR_CLOCK), "n"),
+    "damping_stationary_point": (lambda v: damping_stationary_point(v, SCALAR_CLOCK), "n"),
+    "wavefunction(n)": (lambda v: wavefunction(0.5, v, SCALAR_CLOCK), "n"),
+    "wavefunction(x)": (lambda v: wavefunction(v, 0.5, SCALAR_CLOCK), "x"),
+    "check_abstract_time": (lambda v: check_abstract_time(v, SCALAR_CLOCK), "n"),
+    "evolve_exact": (lambda v: evolve_exact(QUBIT, v), "n"),
+    "n_from_x_exact": (lambda v: n_from_x_exact(v, SCALAR_CLOCK), "x"),
+    "n_from_x_log": (lambda v: n_from_x_log(v, SCALAR_CLOCK), "x"),
+    "n_from_x_linear": (lambda v: n_from_x_linear(v, SCALAR_CLOCK), "x"),
+    "invert_position": (lambda v: invert_position(v, SCALAR_CLOCK), "x"),
+    "conditional_system_probability": (
+        lambda v: conditional_system_probability(
+            build_history_state(QUBIT, SCALAR_CLOCK, 64), v, HALF
+        ),
+        "x",
+    ),
+}
+NON_REAL = {
+    "complex": (np.array([0.5 + 1j]), "complex128"),
+    "str": ("a", "<U1"),
+    "huge int": (10**400, "object"),
+    "bool": (True, "bool"),
+}
+
+
+@pytest.mark.parametrize("value", NON_REAL)
+@pytest.mark.parametrize("name", ARRAY_READERS)
+def test_a_non_real_time_or_reading_is_named(name, value):
+    (call, argument), (bad, dtype) = ARRAY_READERS[name], NON_REAL[value]
+    with pytest.raises(ValidationError, match=rf"^{argument} must be real numbers, got dtype {dtype}$"):
+        call(bad)
+
+
 def test_stationary_damping_fields_are_python_scalars_for_one_time():
     def field_types(n):
         point = damping_stationary_point(n, SCALAR_CLOCK)
