@@ -150,8 +150,7 @@ def _shortest(a, ok):
 # each followed by a decimal-point slot; "e", sign and 3 exponent digits;
 # the separator; padding. Digit k sits at byte 6 + 2k, so digit 0 is the
 # last digit slot of word 0 and words 1..4 hold four digits each. Unused
-# slots hold _PAD, which _write_csv deletes: the byte 0xFF never occurs in
-# UTF-8, so no byte of a str cell is lost with it.
+# slots hold _PAD, which _write_csv deletes: no cell's text holds the byte 0xFF.
 _CELL = 48
 _SEP = 44  # the separator's byte in a float cell
 _EXP = 39  # the first byte of the "e+XX" slots
@@ -222,32 +221,9 @@ def _format_floats(values):
     words[:, 0] |= np.take(_QUADS, digits)  # digit 0, at byte 6
     cells[:, 0] = np.where(values < 0, ord("-"), _PAD[0])
     rest = np.flatnonzero(~ok)
-    cells[rest, :_SEP] = _padded([repr(x).encode() for x in values[rest].tolist()], _SEP)
+    texts = b"".join(repr(x).encode().ljust(_SEP, _PAD) for x in values[rest].tolist())
+    cells[rest, :_SEP] = np.frombuffer(texts, np.uint8).reshape(rest.size, _SEP)
     return cells
-
-
-def _padded(texts: list[bytes], width: int) -> np.ndarray:
-    """(len(texts), width) uint8: each text padded with _PAD."""
-    return np.frombuffer(b"".join(text.ljust(width, _PAD) for text in texts), np.uint8).reshape(
-        len(texts), width
-    )
-
-
-def _encoded(column: np.ndarray) -> np.ndarray:
-    """(len(column), width) uint8: each str cell's UTF-8 bytes, padded with _PAD.
-
-    numpy holds str cells as UCS-4 code points, zero-filled after each
-    cell's last nonzero one, so an ASCII column is those code points as
-    bytes. Any other column is encoded cell by cell.
-    """
-    chars = column.dtype.itemsize // 4
-    points = np.ascontiguousarray(column, dtype=f"U{chars}").view(np.uint32)
-    points = points.reshape(len(column), chars)
-    if points.size and points.max() >= 0x80:
-        texts = [cell.encode("utf-8") for cell in column.tolist()]
-        return _padded(texts, max(map(len, texts)))
-    inside = np.logical_or.accumulate(points[:, ::-1] != 0, axis=1)[:, ::-1]
-    return np.where(inside, points, _PAD[0]).astype(np.uint8)
 
 
 @contextmanager
@@ -265,40 +241,18 @@ def _rewritten(path: Path):
             fh.truncate()
 
 
-def _block(columns: list[np.ndarray], kinds: list[str]) -> np.ndarray:
-    """(rows, columns, width) uint8: CSV rows of equal-length "f" and "U" columns, with _PAD."""
-    floats = [i for i, kind in enumerate(kinds) if kind == "f"]
-    if floats:
-        values = np.stack([columns[i] for i in floats], 1, dtype=float)
-        cells = _format_floats(values.ravel()).reshape(len(values), len(floats), _CELL)
-    if len(floats) == len(columns):
-        block = cells  # each float cell carries its separator
-    else:
-        texts = {i: _encoded(column) for i, column in enumerate(columns) if kinds[i] == "U"}
-        width = max([_CELL] + [text.shape[1] + 1 for text in texts.values()])
-        block = np.full((len(columns[0]), len(columns), width), _PAD[0], np.uint8)
-        if floats:
-            block[:, floats, :_CELL] = cells
-        for i, text in texts.items():
-            block[:, i, :text.shape[1]] = text
-            block[:, i, -1] = ord(",")
-    block[:, -1, _SEP if kinds[-1] == "f" else -1] = ord("\n")
-    return block
-
-
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length float or str columns as CSV rows, one block at a time.
+    """Write equal-length float columns as CSV rows, one block at a time.
 
-    A float cell is exactly repr(float(value)); a str cell is written as is.
-    A column of any other dtype raises TypeError, and columns of unequal
-    length raise ValueError, before the file opens. An existing file is
-    rewritten in place and truncated where this write stops, also when it
-    fails part way, so no byte of the earlier file remains.
+    Each cell is exactly repr(float(value)). A column of any other dtype, str
+    included, raises TypeError, and columns of unequal length raise
+    ValueError, before the file opens. An existing file is rewritten in place
+    and truncated where this write stops, also when it fails part way, so no
+    byte of the earlier file remains.
     """
     columns = [np.asarray(column) for column in columns]
-    kinds = [column.dtype.kind for column in columns]
-    if any(kind not in "fU" for kind in kinds):
-        raise TypeError(f"unsupported CSV column dtypes {[str(c.dtype) for c in columns]}")
+    if any(column.dtype.kind != "f" for column in columns):
+        raise TypeError(f"CSV columns must be float, got dtypes {[str(c.dtype) for c in columns]}")
     rows = len(columns[0]) if columns else 0
     if any(len(column) != rows for column in columns):
         raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
@@ -306,9 +260,10 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     with _rewritten(path) as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, rows, step):
-            part = [column[start:start + step] for column in columns]
-            # Unnamed, the block is freed before translate allocates its output.
-            fh.write(_block(part, kinds).tobytes().translate(None, _PAD))
+            values = np.stack([column[start:start + step] for column in columns], 1, dtype=float)
+            cells = _format_floats(values.ravel()).reshape(*values.shape, _CELL)
+            cells[:, -1, _SEP] = ord("\n")  # each cell carries its separator; the row's last ends it
+            fh.write(cells.tobytes().translate(None, _PAD))
 
 
 def _write_json(path: Path, doc: dict) -> None:

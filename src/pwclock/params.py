@@ -265,8 +265,12 @@ def _require(values, inside, error) -> None:
 
 def _floats(name: str, values) -> np.ndarray:
     """``values`` as a float64 array, itself if it is one; ValidationError names ``name``
-    unless its dtype is an integer or float one (a bool, complex, str or object is not)."""
-    values = np.asarray(values)
+    unless its dtype is an integer or float one (a bool, complex, str or object is not),
+    and where it is ragged, a nested sequence numpy cannot make one array of."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValidationError(f"{name} must be real numbers, got a ragged sequence") from None
     if values.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must be real numbers, got dtype {values.dtype}")
     return values.astype(float, copy=False)

@@ -57,10 +57,12 @@ def test_damping_opt_schema(tmp_path):
     out = tmp_path / "out"
     assert main(["damping-opt", "--out", str(out)]) == 0
     header, rows = read_csv(out / "damping-opt.csv")
-    assert header == ["n", "r_star", "rate_at_r_star", "classification"]
+    assert header == ["n", "r_star", "rate_at_r_star"]
     for row in rows:
         assert float(row[0]) * float(row[1]) == pytest.approx(1.0, rel=1e-12)
-        assert row[3] == "maximum"
+    # Every row is a maximum, so meta.json records the classification once.
+    meta = json.loads((out / "damping-opt.meta.json").read_text(encoding="utf-8"))
+    assert meta["classification"] == ["maximum"]
 
 
 def test_timemap_schema(tmp_path):
@@ -1011,15 +1013,14 @@ def test_main_never_escapes_the_boundary(experiment, doc, sweep, overrides):
 
 
 # ---------------------------------------------------------------------------
-# The CSV writer: every float cell is exactly repr(float), text as is.
+# The CSV writer: every cell is exactly repr(float), and only floats are written.
 # ---------------------------------------------------------------------------
 
 
 def repr_csv(header, columns):
     """The bytes the writer must produce, cell by cell through repr."""
     rows = zip(*[np.asarray(column).tolist() for column in columns])
-    cells = ("".join(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n")
-             for row in rows)
+    cells = ("".join(",".join(map(repr, row)) + "\n") for row in rows)
     return (",".join(header) + "\n" + "".join(cells)).encode("utf-8")
 
 
@@ -1039,28 +1040,20 @@ def from_bits(bits):
         ([np.array([0.5, 1.5]), np.array([1, 2])], TypeError),
         ([np.array([0.5, 1.5]), np.array([1 + 2j, 3j])], TypeError),
         ([np.array([0.5, 1.5]), np.array([0.5])], ValueError),
-        ([np.array(["a", "b"]), np.array([0.5, 1.5, 2.5])], ValueError),
+        ([np.array([0.5, 1.5, 2.5], dtype=np.float32), np.array([0.5, 1.5])], ValueError),
+        ([np.array(["a", "b"]), np.array([0.5, 1.5])], TypeError),
+        # The dtypes are checked before the lengths.
+        ([np.array([0.5, 1.5]), np.array(["a", "b", "c"])], TypeError),
     ],
 )
 def test_bad_column_raises_before_the_csv_opens(tmp_path, columns, error):
     path = tmp_path / "bad.csv"
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         _csv._write_csv(path, ["a", "b"], columns)
+    if error is TypeError:
+        dtypes = [str(column.dtype) for column in columns]
+        assert str(raised.value) == f"CSV columns must be float, got dtypes {dtypes}"
     assert not path.exists()
-
-
-def test_text_cells_are_written_as_is(tmp_path, monkeypatch):
-    # NUL and multi-byte characters included: the writer's padding byte,
-    # 0xFF, never occurs in UTF-8.
-    words = np.array(["a\0b", "\u00e9,x", "", "\U0001d70f"])
-    assert_writes_repr(tmp_path / "text.csv", [np.linspace(0.0, 1.0, 4), words])
-    # A categorical column over many blocks: the first blocks are ASCII
-    # (empty and NUL-containing cells included), later ones mix in
-    # multi-byte characters.
-    monkeypatch.setattr(_csv, "_CSV_BLOCK_CELLS", 64)
-    ascii_words = ["maximum", "minimum", "flat", "a\0b", "\0", ""]
-    words = np.array(ascii_words * 20 + (ascii_words + ["\u00e9t\u00e9", "\U0001d70f\0x"]) * 10)
-    assert_writes_repr(tmp_path / "categories.csv", [np.arange(words.size, dtype=float), words])
 
 
 def test_rerun_into_a_used_directory_writes_what_a_fresh_one_gets(tmp_path, monkeypatch):
@@ -1107,22 +1100,19 @@ def test_failed_rewrite_leaves_no_earlier_bytes(tmp_path, monkeypatch):
 
 def test_zero_row_csv_writes_only_the_header(tmp_path):
     path = tmp_path / "empty.csv"
-    _csv._write_csv(path, ["a", "b"], [np.array([]), np.array([], dtype=str)])
+    _csv._write_csv(path, ["a", "b"], [np.array([]), np.array([])])
     assert path.read_bytes() == b"a,b\n"
 
 
 # Every float64 bit pattern: NaN, +-inf, +-0 and subnormals included.
 bit_patterns = st.integers(0, 2**64 - 1)
-texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 
 
 @settings(max_examples=200)
 @given(data=st.data(), rows=st.integers(0, 40), width=st.integers(1, 4))
 def test_float_cells_are_repr_for_any_bit_pattern(data, rows, width):
-    floats = [from_bits(data.draw(st.lists(bit_patterns, min_size=rows, max_size=rows)))
-              for _ in range(width)]
-    words = np.array(data.draw(st.lists(texts, min_size=rows, max_size=rows)), dtype=str)
-    columns = floats[:1] + [words] + floats[1:]
+    columns = [from_bits(data.draw(st.lists(bit_patterns, min_size=rows, max_size=rows)))
+               for _ in range(width)]
     with tempfile.TemporaryDirectory() as tmp:
         assert_writes_repr(Path(tmp) / "t.csv", columns)
 
@@ -1181,25 +1171,29 @@ def test_digit_kernel_settles_typical_values():
 
 @pytest.mark.parametrize("last", ["float", "str", "float only"])
 def test_separators_and_newlines_under_any_block_budget(tmp_path, monkeypatch, last):
-    # Each float cell carries its separator; the last column's becomes the
-    # newline, wherever a block starts or ends, also on repr-fallback cells.
+    # Each cell carries its separator; the last column's becomes the newline,
+    # wherever a block starts or ends, also on repr-fallback cells. A str
+    # column is refused before the file opens, whatever the budget.
     rng = np.random.default_rng(23)
     rows = 1000
     fallbacks = [-0.0, math.nan, 1e-300, 2.0**-3, 2.0**40, -math.inf, 5e-324]
     edgy = np.resize(np.concatenate([fallbacks, rng.standard_normal(5)]), rows)
-    words = np.resize(np.array(["maximum", "", "flat", "a\0b", "été"]), rows)
     columns = {
-        "float": [rng.random(rows), words, edgy],
-        "str": [edgy, rng.standard_normal(rows) * 1e8, words],
+        "float": [rng.random(rows), rng.standard_normal(rows) * 1e8, edgy],
+        "str": [edgy, rng.standard_normal(rows) * 1e8, np.resize(np.array(["maximum", ""]), rows)],
         "float only": [rng.random(rows) * 1e-7, edgy],
     }[last]
     header = [f"c{i}" for i in range(len(columns))]
-    expected = repr_csv(header, columns)
     for budget in (1, 100, _csv._CSV_BLOCK_CELLS, 2**16):
         monkeypatch.setattr(_csv, "_CSV_BLOCK_CELLS", budget)
         path = tmp_path / f"{budget}.csv"
-        _csv._write_csv(path, header, columns)
-        assert path.read_bytes() == expected, budget
+        if last == "str":
+            with pytest.raises(TypeError):
+                _csv._write_csv(path, header, columns)
+            assert not path.exists()
+        else:
+            _csv._write_csv(path, header, columns)
+            assert path.read_bytes() == repr_csv(header, columns), budget
 
 
 def test_tables_experiments_send_the_same_cells_to_repr(tmp_path, monkeypatch):
@@ -1258,16 +1252,18 @@ def test_cli_process_loads_no_rng_hash_or_pool_module(tmp_path):
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
-def run_child(args, **kwargs):
+def run_child(args, disable=(), **kwargs):
     """A fresh Python process on the pwclock this test imported, with a minimal environment.
 
-    numpy's CPU feature mask is passed on, so the child runs the SIMD loops this process runs.
+    numpy's CPU feature mask is passed on, so the child runs the SIMD loops this process
+    runs, less the dispatched targets named in ``disable``.
     """
     package_root = Path(pwclock.__file__).resolve().parent.parent
     env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(package_root),
            "OPENBLAS_NUM_THREADS": "1"}
-    if "NPY_DISABLE_CPU_FEATURES" in os.environ:
-        env["NPY_DISABLE_CPU_FEATURES"] = os.environ["NPY_DISABLE_CPU_FEATURES"]
+    disabled = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *disable]).strip()
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
     return subprocess.run(
         [sys.executable, "-B", *args],
         capture_output=True,
@@ -1276,6 +1272,45 @@ def run_child(args, **kwargs):
         env=env,
         **kwargs,
     )
+
+
+# How far a cell of the default bundle may move between the host's SIMD loops and
+# numpy's baseline ones. Measured with numpy 2.4.6 on an AVX-512 host, down to its
+# X86_V2 baseline: at most 4.65e-15, in timemap.csv's rel_error_linear, and at most
+# 8.9e-16 elsewhere; no cell exceeds 32 in magnitude, where 1e-14 is 5 ulps.
+SIMD_TOLERANCE = 1e-14
+
+_SIMD_RUN = """
+import json, sys
+from numpy._core import _multiarray_umath as umath
+from pwclock import cli
+print(json.dumps([t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]))
+sys.exit(cli.main(["all", "--out", sys.argv[1]]))
+"""
+
+
+def test_bundle_agrees_across_simd_levels(tmp_path):
+    # One child runs the bundle on the host's loops, the other with every dispatched
+    # SIMD target this process enabled switched off. The byte contract holds per SIMD
+    # level only (README), so last digits may differ; headers, row counts and values
+    # within SIMD_TOLERANCE may not.
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not enabled:
+        pytest.skip("numpy enables no dispatched SIMD target on this host")
+    bundles = []
+    for tag, disable, left in (("host", (), enabled), ("baseline", enabled, [])):
+        proc = run_child(["-c", _SIMD_RUN, str(tmp_path / tag)], disable=disable)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == left
+        bundles.append({name: read_csv(tmp_path / tag / f"{name}.csv") for name in EXPERIMENTS})
+    for name in EXPERIMENTS:
+        (header, rows), (baseline_header, baseline_rows) = bundles[0][name], bundles[1][name]
+        assert header == baseline_header, name
+        assert len(rows) == len(baseline_rows), name
+        moves = np.abs(np.array(rows, dtype=float) - np.array(baseline_rows, dtype=float))
+        assert moves.max() <= SIMD_TOLERANCE, (name, moves.max())
 
 
 def test_script_writes_the_bytes_main_writes(tmp_path):

@@ -448,18 +448,19 @@ ARRAY_READERS = {
     ),
 }
 NON_REAL = {
-    "complex": (np.array([0.5 + 1j]), "complex128"),
-    "str": ("a", "<U1"),
-    "huge int": (10**400, "object"),
-    "bool": (True, "bool"),
+    "complex": (np.array([0.5 + 1j]), "dtype complex128"),
+    "str": ("a", "dtype <U1"),
+    "huge int": (10**400, "dtype object"),
+    "bool": (True, "dtype bool"),
+    "ragged": ([[0.1], [0.1, 0.2]], "a ragged sequence"),
 }
 
 
 @pytest.mark.parametrize("value", NON_REAL)
 @pytest.mark.parametrize("name", ARRAY_READERS)
 def test_a_non_real_time_or_reading_is_named(name, value):
-    (call, argument), (bad, dtype) = ARRAY_READERS[name], NON_REAL[value]
-    with pytest.raises(ValidationError, match=rf"^{argument} must be real numbers, got dtype {dtype}$"):
+    (call, argument), (bad, got) = ARRAY_READERS[name], NON_REAL[value]
+    with pytest.raises(ValidationError, match=rf"^{argument} must be real numbers, got {got}$"):
         call(bad)
 
 

@@ -42,7 +42,10 @@ def test_csv_digests_repeat_at_small_grids():
 def test_csv_digests_keep_and_against(tmp_path):
     # --keep leaves the CSVs in place; --against lists, per CSV that differs
     # from a kept run, each moved column with its largest difference and its
-    # count of moved cells. Here one n_exact cell of a kept CSV is moved by 0.5.
+    # count of moved cells, and each column only the kept run has. Here one
+    # n_exact cell of a kept CSV is moved by 0.5, another kept CSV gains a
+    # column, and a third has two columns swapped: its bytes differ, but no
+    # column's name or cells do.
     kept = tmp_path / "kept"
     command = [sys.executable, str(TOOLS / "csv_digests.py"),
                "--grid", "256", "--readings", "8", "--large-grid", "1024", "--tables-grid", "64"]
@@ -57,12 +60,21 @@ def test_csv_digests_keep_and_against(tmp_path):
     cells[column] = repr(float(cells[column]) + 0.5)
     lines[5] = ",".join(cells)
     timemap.write_text("".join(lines), encoding="utf-8")
+    profile = kept / "tables-grid64" / "clock-profile.csv"
+    lines = profile.read_text(encoding="utf-8").splitlines()
+    profile.write_text("".join(f"{line},{'extra' if i == 0 else i}\n" for i, line in enumerate(lines)),
+                       encoding="utf-8")
+    damping = kept / "all" / "damping-opt.csv"
+    rows = [line.split(",") for line in damping.read_text(encoding="utf-8").splitlines()]
+    damping.write_text("".join(f"{b},{a},{c}\n" for a, b, c in rows), encoding="utf-8")
 
     second = subprocess.run(command + ["--against", str(kept)], capture_output=True, text=True,
                             check=True)
     assert json.loads(second.stdout) == digests
     assert second.stderr.splitlines()[1:] == [  # after the SIMD line
-        "tables-grid64/timemap.csv: n_exact: largest |difference| 0.5 in 1 moved cells"
+        "all/damping-opt.csv: its bytes differ, but no column's name or cells do",
+        "tables-grid64/clock-profile.csv: extra: dropped (64 cells)",
+        "tables-grid64/timemap.csv: n_exact: largest |difference| 0.5 in 1 moved cells",
     ]
 
 

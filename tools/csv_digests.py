@@ -28,8 +28,9 @@ probabilities.
 
 ``--keep DIR`` writes the CSVs under DIR, best a new one, and keeps them.
 ``--against DIR`` compares this run's CSVs with those another run kept in
-DIR and prints to stderr, for each CSV that changed, each moved column's
-largest absolute difference and its count of moved cells:
+DIR and prints to stderr, for each CSV that changed, each column that only
+one run has and each moved column's largest absolute difference and its
+count of moved cells:
 
     python3 tools/csv_digests.py --src ../parent/src --keep parent-csvs > parent.json
     python3 tools/csv_digests.py --against parent-csvs > change.json
@@ -89,30 +90,41 @@ def read_columns(path: Path) -> dict[str, list[str]]:
     return {name: [row[j] for row in rows] for j, name in enumerate(lines[0].split(","))}
 
 
-def column_moves(old: Path, new: Path) -> dict[str, tuple[float, int]]:
-    """Each column of ``new`` whose cells differ from ``old``'s: (largest |difference|, moved cells).
+def column_moves(old: Path, new: Path) -> dict[str, str]:
+    """What changed in each column that differs between ``old`` and ``new``: ``new``'s
+    columns first, in order, then those that only ``old`` has.
 
-    The difference is NaN for a text column, and for a column that is new
-    or changed length, all of whose cells count as moved.
+    A column that only one file has is "added" or "dropped". A moved column
+    gives its largest absolute difference, NaN for a text column or one that
+    changed length (all of whose cells count as moved), and its count of
+    moved cells.
     """
     before, after = read_columns(old), read_columns(new)
     moves = {}
     for name, cells in after.items():
-        if len(before.get(name, ())) != len(cells):
-            moves[name] = (math.nan, len(cells))
+        if name not in before:
+            moves[name] = f"added ({len(cells)} cells)"
             continue
-        moved = [(a, b) for a, b in zip(before[name], cells) if a != b]
-        if moved:
+        if len(before[name]) != len(cells):
+            largest, count = math.nan, len(cells)
+        else:
+            moved = [(a, b) for a, b in zip(before[name], cells) if a != b]
+            if not moved:
+                continue
             try:
                 largest = max(abs(float(b) - float(a)) for a, b in moved)
             except ValueError:
                 largest = math.nan
-            moves[name] = (largest, len(moved))
+            count = len(moved)
+        moves[name] = f"largest |difference| {largest:.3g} in {count} moved cells"
+    moves.update((name, f"dropped ({len(cells)} cells)") for name, cells in before.items()
+                 if name not in after)
     return moves
 
 
 def report_moves(old_root: Path, new_root: Path) -> list[str]:
-    """One line per moved column of each CSV that differs between two kept runs."""
+    """One line per changed column of each CSV that differs between two kept runs, or one
+    line for the CSV where its bytes differ but no column's name or cells do."""
     old = {str(csv.relative_to(old_root)) for csv in old_root.rglob("*.csv")}
     new = {str(csv.relative_to(new_root)) for csv in new_root.rglob("*.csv")}
     lines = [f"{name}: only in {old_root}" for name in sorted(old - new)]
@@ -120,8 +132,8 @@ def report_moves(old_root: Path, new_root: Path) -> list[str]:
     for name in sorted(old & new):
         if (old_root / name).read_bytes() != (new_root / name).read_bytes():
             moves = column_moves(old_root / name, new_root / name)
-            lines += [f"{name}: {column}: largest |difference| {largest:.3g} in {count} moved cells"
-                      for column, (largest, count) in moves.items()]
+            lines += [f"{name}: {column}: {move}" for column, move in moves.items()] or [
+                f"{name}: its bytes differ, but no column's name or cells do"]
     return lines
 
 
@@ -145,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tables-grid", type=int, default=8192, help="per-row experiments' grid")
     parser.add_argument("--keep", metavar="DIR", help="write the CSVs under DIR and keep them")
     parser.add_argument("--against", metavar="DIR",
-                        help="print to stderr the moved columns of each CSV that differs from DIR's")
+                        help="print to stderr the changed columns of each CSV that differs from DIR's")
     args = parser.parse_args(argv)
 
     for name in BLAS_THREAD_VARIABLES:
