@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import random
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -22,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from ._csv import _write_csv, _write_json
-from ._rng import uniform
 from .params import (
     ClockParams,
     NumericalError,
@@ -322,7 +322,9 @@ def _run_oracle_check(cfg: ExperimentConfig):
     proj_a = np.outer(probe, probe.conj())
     projectors = np.stack([proj_a, np.eye(d, dtype=np.complex128) - proj_a])
 
-    times = np.sort(uniform(cfg.seed, 0.25, 0.85, cfg.options["num_readings"])) * cfg.clock.n_reset
+    draws = random.Random(cfg.seed)  # Python keeps random()'s stream for a seed in every version
+    times = np.sort([0.25 + 0.6 * draws.random() for _ in range(cfg.options["num_readings"])])
+    times *= cfg.clock.n_reset
 
     readings = position_expectation(times, cfg.clock)
     cond_a, cond_b = conditional_system_probability(history, readings, projectors)
@@ -427,13 +429,17 @@ def sweep(experiment: str, doc: dict | None, parameter: str, values: list,
     document raises before any run; then each value's: it replaces its key (``r``: damping) in
     the document's "clock", "auto" entries kept, or is the grid override. Each run writes into
     ``<output_path>/<parameter>=<value>/``; the index file mapping values to outputs is written
-    last. A failing value is recorded in its index entry (status "error", type and message)
-    and the other values still run; ``main`` exits 1 when any entry failed.
+    last. A value equal to an earlier one raises ValidationError before any run. A failing
+    value is recorded in its index entry (status "error", type and message) and the other
+    values still run; ``main`` exits 1 when any entry failed.
     """
     if parameter not in SWEEPABLE:
         raise ValidationError(f"parameter {parameter!r} is not sweepable; expected one of {SWEEPABLE}")
     if not values:
         raise ValidationError("sweep requires at least one value")
+    for i, value in enumerate(values):  # a repeat would run one config twice
+        if value in values[:i]:
+            raise ValidationError(f"sweep value {_shown(value)} repeats an earlier value")
     out_dir = Path(resolve_config(experiment, doc, out, grid, seed).output_path)
     doc = {} if doc is None else doc
     key = "damping" if parameter == "r" else parameter

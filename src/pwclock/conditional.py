@@ -29,6 +29,7 @@ from .params import (
     ValidationError,
     _checked_whole,
     _finite,
+    _floats,
     _real,
     _require,
     _scalar_or_array,
@@ -276,7 +277,7 @@ def conditional_system_probability(history: HistoryState, x, projector):
         names the first offending reading in reading order.
     """
     dim = history.sys_states.shape[1]
-    projectors = np.asarray(projector, dtype=np.complex128)
+    projectors = np.asarray(_floats("projector", projector, complex_ok=True), dtype=complex)
     single = projectors.ndim == 2
     if projectors.ndim not in (2, 3) or projectors.shape[-2:] != (dim, dim):
         raise ValidationError(f"projector shape {projectors.shape} does not match the system")

@@ -23,6 +23,7 @@ from .params import (
     ValidationError,
     _checked_whole,
     _finite,
+    _floats,
     _overflow_checked,
     _require,
     _scalar_or_array,
@@ -76,7 +77,7 @@ def fidelity(a: np.ndarray, b: np.ndarray):
         If a state of a or b is zero or has a non-finite entry; names the
         first, with its squared norm.
     """
-    a, b = np.asarray(a), np.asarray(b)
+    a, b = _floats("a", a, complex_ok=True), _floats("b", b, complex_ok=True)
     with np.errstate(all="ignore"):
         norm_a, norm_b = _inner(a, a).real, _inner(b, b).real
         overlap, product = np.abs(_inner(a, b)) ** 2, norm_a * norm_b

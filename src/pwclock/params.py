@@ -113,8 +113,9 @@ class SystemSpec:
     initial_state: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        h = np.array(self.hamiltonian, dtype=np.complex128)
-        psi = np.array(self.initial_state, dtype=np.complex128).reshape(-1)
+        h = np.array(_floats("hamiltonian", self.hamiltonian, complex_ok=True), dtype=complex)
+        psi = np.array(_floats("initial_state", self.initial_state, complex_ok=True),
+                       dtype=complex).reshape(-1)
         h.setflags(write=False)
         psi.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
@@ -263,17 +264,19 @@ def _require(values, inside, error) -> None:
         raise error(float(np.asarray(values, dtype=float).reshape(-1)[index]), index)
 
 
-def _floats(name: str, values) -> np.ndarray:
-    """``values`` as a float64 array, itself if it is one; ValidationError names ``name``
-    unless its dtype is an integer or float one (a bool, complex, str or object is not),
-    and where it is ragged, a nested sequence numpy cannot make one array of."""
+def _floats(name: str, values, complex_ok: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, or where ``complex_ok`` a complex128 one for complex
+    values, itself if it is one; ValidationError names ``name`` unless its dtype is an integer
+    or float one, or a complex one where ``complex_ok`` (a bool, str or object is not), and
+    where it is ragged, a nested sequence numpy cannot make one array of."""
+    kinds, numbers = ("iufc", "numbers") if complex_ok else ("iuf", "real numbers")
     try:
         values = np.asarray(values)
     except ValueError:  # numpy's "inhomogeneous shape"
-        raise ValidationError(f"{name} must be real numbers, got a ragged sequence") from None
-    if values.dtype.kind not in "iuf":
-        raise ValidationError(f"{name} must be real numbers, got dtype {values.dtype}")
-    return values.astype(float, copy=False)
+        raise ValidationError(f"{name} must be {numbers}, got a ragged sequence") from None
+    if values.dtype.kind not in kinds:
+        raise ValidationError(f"{name} must be {numbers}, got dtype {values.dtype}")
+    return values.astype(complex if values.dtype.kind == "c" else float, copy=False)
 
 
 def _finite(name: str, values) -> np.ndarray:

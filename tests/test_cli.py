@@ -257,6 +257,30 @@ def test_grid_size_sweep_flag_rejects_what_grid_rejects(tmp_path, capsys, value)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, shown", [("r=0.1,0.1", "0.1"), ("r=1,1.0", "1.0"),
+                                         ("grid_size=16,16.0", "16")])
+def test_a_repeated_sweep_flag_value_exits_one(tmp_path, capsys, flag, shown):
+    # Each value is compared as the flag reads it, so 1 and 1.0 are one value.
+    out = tmp_path / "o"
+    assert main(["clock-profile", "--out", str(out), "--sweep", flag]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "ValidationError", "message": f"sweep value {shown} repeats an earlier value"}}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("parameter, values, shown", [
+    ("r", [0.2, 0.1, 0.1], "0.1"),
+    ("r", [1, 1.0], "1.0"),
+    ("grid_size", [16, 32, 16], "16"),
+    ("damping", ["auto", 0.5, "auto"], "'auto'"),
+])
+def test_sweep_refuses_a_repeated_value_before_any_run(tmp_path, parameter, values, shown):
+    out = tmp_path / "sw"
+    with pytest.raises(ValidationError, match=f"^sweep value {shown} repeats an earlier value$"):
+        sweep("clock-profile", None, parameter, values, out=str(out))
+    assert not out.exists()
+
+
 def test_sweep_index_is_strict_json(tmp_path):
     with pytest.raises(ValueError):
         sweep("clock-profile", None, "r", [math.nan], out=str(tmp_path / "sw"))  # the run fails, and NaN has no JSON spelling
@@ -1215,6 +1239,27 @@ def test_tables_experiments_send_the_same_cells_to_repr(tmp_path, monkeypatch):
     assert [sum(column) for column in zip(*cells)] == [54, 155_664]
 
 
+# oracle-check's n column at its defaults (5 readings, n_reset = 1.5): the times 0.25 + 0.6*u,
+# sorted and scaled by n_reset, with u drawn by random.Random(seed).random(). Python keeps
+# that stream for a seed in every version, so these reprs hold on each interpreter CI runs.
+READING_TIMES = {
+    0: ["0.6080250752636669", "0.7535144227477604", "0.8351472492317478",
+        "1.0571589626462723", "1.1349796663725433"],
+    5: ["0.9356115254007317", "1.0409087172659377", "1.0426082903346565",
+        "1.090674209009127", "1.2232052553993453"],
+    2**100 + 7: ["0.6690884842088751", "0.7494374519152216", "0.7841507317033295",
+                 "0.8760035344604711", "1.0293211056477984"],
+}
+
+
+@pytest.mark.parametrize("seed", READING_TIMES)
+def test_oracle_check_reading_times_are_pinned(tmp_path, seed):
+    assert main(["oracle-check", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "oracle-check.csv")
+    assert header[0] == "n"
+    assert [row[0] for row in rows] == READING_TIMES[seed]
+
+
 _COLD_START = """
 import json, sys
 from pwclock import cli
@@ -1236,8 +1281,9 @@ print(json.dumps([argparse_on_import, codes, loaded, pool, missing]))
 
 def test_cli_process_loads_no_rng_hash_or_pool_module(tmp_path):
     # A fresh process that runs the bundle and an oracle-check sweep draws its
-    # readings from pwclock._rng, imports argparse only inside main, and never
-    # imports concurrent.futures: cli.ThreadPoolExecutor is a placeholder.
+    # readings from the standard library's random.Random, which loads neither
+    # secrets nor hashlib, imports argparse only inside main, and never imports
+    # concurrent.futures: cli.ThreadPoolExecutor is a placeholder.
     proc = run_child(["-c", _COLD_START, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     argparse_on_import, codes, loaded, pool, missing = json.loads(proc.stdout)

@@ -464,6 +464,39 @@ def test_a_non_real_time_or_reading_is_named(name, value):
         call(bad)
 
 
+# Each call that reads a state, a generator or a projector as a complex array, the argument's
+# name, and values that are not numbers. Each is refused by name, not met by numpy's ragged
+# ValueError or a malformed complex(), nor read as 1 and 0 (a bool) or as NaN (a None).
+COMPLEX_READERS = {
+    "SystemSpec(hamiltonian)": (
+        lambda v: SystemSpec(hamiltonian=v, initial_state=[1, 0]), "hamiltonian"),
+    "SystemSpec(initial_state)": (
+        lambda v: SystemSpec(hamiltonian=np.eye(2), initial_state=v), "initial_state"),
+    "fidelity(a)": (lambda v: fidelity(v, [1, 0]), "a"),
+    "fidelity(b)": (lambda v: fidelity([1, 0], v), "b"),
+    "conditional_system_probability(projector)": (
+        lambda v: conditional_system_probability(
+            build_history_state(QUBIT, SCALAR_CLOCK, 64), 0.5, v
+        ),
+        "projector",
+    ),
+}
+NON_NUMBER = {
+    "ragged": ([[1, 0], [0]], "a ragged sequence"),
+    "str": (["1", "0"], "dtype <U1"),
+    "bool": ([True, False], "dtype bool"),
+    "object": ([1, None], "dtype object"),
+}
+
+
+@pytest.mark.parametrize("value", NON_NUMBER)
+@pytest.mark.parametrize("name", COMPLEX_READERS)
+def test_a_non_number_state_generator_or_projector_is_named(name, value):
+    (call, argument), (bad, got) = COMPLEX_READERS[name], NON_NUMBER[value]
+    with pytest.raises(ValidationError, match=rf"^{argument} must be numbers, got {got}$"):
+        call(bad)
+
+
 def test_stationary_damping_fields_are_python_scalars_for_one_time():
     def field_types(n):
         point = damping_stationary_point(n, SCALAR_CLOCK)
