@@ -367,11 +367,9 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 def _derived_constants(cfg: ExperimentConfig) -> dict:
     """Omega, A and the rescaled generator's norm 2*max|E|/(r*A): None where that is not a
     finite float, as at r = 0 or where r*A underflows to 0."""
-    clock, norm = cfg.clock, math.nan
-    if clock.damping > 0.0:
-        energies = _eigensystem(cfg.system)[0]
-        with np.errstate(all="ignore"):  # inf or nan where it overflows or r*A is 0
-            norm = float(2.0 * np.max(np.abs(energies)) / (clock.damping * clock.amplitude))
+    clock, energies = cfg.clock, _eigensystem(cfg.system)[0]
+    with np.errstate(all="ignore"):  # inf or nan where it overflows or r*A is 0
+        norm = float(2.0 * np.max(np.abs(energies)) / (clock.damping * clock.amplitude))
     return {
         "damped_frequency": clock.damped_frequency,
         "amplitude": clock.amplitude,
@@ -429,14 +427,16 @@ def sweep(experiment: str, doc: dict | None, parameter: str, values: list,
     document raises before any run; then each value's: it replaces its key (``r``: damping) in
     the document's "clock", "auto" entries kept, or is the grid override. Each run writes into
     ``<output_path>/<parameter>=<value>/``; the index file mapping values to outputs is written
-    last. A value equal to an earlier one raises ValidationError before any run. A failing
-    value is recorded in its index entry (status "error", type and message) and the other
-    values still run; ``main`` exits 1 when any entry failed.
+    last. A value equal to an earlier one, or a ``grid`` with a ``grid_size`` sweep, raises
+    ValidationError before any run. A failing value is recorded in its index entry (status
+    "error", type and message) and the other values still run; ``main`` exits 1 if any failed.
     """
     if parameter not in SWEEPABLE:
         raise ValidationError(f"parameter {parameter!r} is not sweepable; expected one of {SWEEPABLE}")
     if not values:
         raise ValidationError("sweep requires at least one value")
+    if parameter == "grid_size" and grid is not None:  # each value is the grid override
+        raise ValidationError(f"a grid_size sweep takes no grid override, got grid = {_shown(grid)}")
     for i, value in enumerate(values):  # a repeat would run one config twice
         if value in values[:i]:
             raise ValidationError(f"sweep value {_shown(value)} repeats an earlier value")
@@ -527,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
         doc = None
         if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = _json_object("config", json.load(fh), _CONFIG_KEYS)
 
         if args.sweep is not None:
             if args.experiment == "all":

@@ -30,6 +30,7 @@ from .params import (
     _real,
     _require,
     _scalar_or_array,
+    _shapes_fit,
     check_abstract_time,
 )
 
@@ -129,11 +130,12 @@ def wavefunction(x, n, params: ClockParams):
     Raises
     ------
     ValidationError
-        If any n lies outside [0, n_reset], or any x is not finite; names
-        the first.
+        If any n lies outside [0, n_reset], or any x is not finite (names
+        the first), or x and n do not broadcast.
     """
     check_abstract_time(n, params)
     x = _finite("x", x)
+    _shapes_fit("x and n", x, n)
     terms = _envelope_terms(n, params)
     with np.errstate(over="ignore"):  # an overflowing (x - <x>)^2 gives exp(-inf) = 0
         return _scalar_or_array(_envelope(x, terms))

@@ -37,10 +37,9 @@ from .params import (
 )
 from .clock import _envelope, _envelope_terms, wavefunction, width
 from .evolution import _inner, evolve_exact
-from .timemap import _monotone_floor, n_from_x_exact, n_from_x_log
+from .timemap import n_from_x_exact
 
 __all__ = [
-    "position_given_n",
     "posterior_over_n",
     "ideal_limit_concentration",
     "build_history_state",
@@ -49,17 +48,6 @@ __all__ = [
 
 # Below this, an unnormalized integral is treated as an unreachable reading.
 _SUPPORT_FLOOR = 1e-300
-
-
-def position_given_n(x, n, params: ClockParams):
-    """Probability density |<x|clock(n)>|^2 of reading x at abstract time n.
-
-    A density in x: integrates to 1 over x at every fixed n. It is the
-    square of the real amplitude. An n outside [0, n_reset], or a non-finite
-    x, raises ValidationError naming the first. An x so far from <x> that
-    (x - <x>)^2 overflows gives exactly 0.
-    """
-    return wavefunction(x, n, params) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +97,7 @@ def posterior_over_n(
     x = _real("x", x)
     grid_size = _checked_whole("grid_size", grid_size, 2)
     grid = np.linspace(0.0, params.n_reset, grid_size)
-    raw = position_given_n(x, grid, params)
+    raw = wavefunction(x, grid, params) ** 2
     norm_raw = float(np.trapezoid(raw, grid))
     if not np.isfinite(norm_raw) or norm_raw < _SUPPORT_FLOOR:
         raise NumericalError(
@@ -128,25 +116,19 @@ def ideal_limit_concentration(
 
     As the clock narrows (m*omega/hbar large at fixed amplitude) this
     fraction approaches 1 for any fixed window: the posterior collapses onto
-    the recovered time. A reading in (0, <x>(n_reset)] on a damped clock,
-    at or below the attainable window, is located on the decay envelope via
-    the log-form inversion, which can place the window partly or wholly
-    outside the integration range (fraction near 0); every other reading
-    goes to the exact inversion.
+    the recovered time, which is ``n_from_x_exact(x)``.
 
     Raises
     ------
     ValidationError
         If x is not one number, window is not a finite number > 0, Omega *
-        n_reset >= pi/2, or x exceeds the amplitude, is NaN or <= 0, or lies
-        at or below the attainable window on an undamped clock.
+        n_reset >= pi/2, or x lies outside the attained interval
+        (<x>(n_reset), A] or is NaN.
     """
     x, window = _real("x", x), _real("window", window)
     _require(window, 0.0 < window < np.inf, lambda v, _: ValidationError(
         f"window must be a finite number > 0, got {v}"))
-    floor = _monotone_floor(params)
-    on_envelope = params.damping > 0.0 and 0.0 < x <= floor
-    center = (n_from_x_log if on_envelope else n_from_x_exact)(x, params)
+    center = n_from_x_exact(x, params)
     posterior = posterior_over_n(x, params, grid_size)
     return posterior.mass_within(center - window, center + window)
 

@@ -27,6 +27,7 @@ from .params import (
     _overflow_checked,
     _require,
     _scalar_or_array,
+    _shapes_fit,
 )
 from .clock import position_expectation
 from .timemap import n_from_x_linear
@@ -74,10 +75,12 @@ def fidelity(a: np.ndarray, b: np.ndarray):
     Raises
     ------
     ValidationError
-        If a state of a or b is zero or has a non-finite entry; names the
-        first, with its squared norm.
+        If a or b has no axis, their last axes differ or are empty, or their
+        stacks do not broadcast; or if a state of a or b is zero or has a
+        non-finite entry (names the first, with its squared norm).
     """
     a, b = _floats("a", a, complex_ok=True), _floats("b", b, complex_ok=True)
+    _shapes_fit("states a and b", a, b, holds=min(a.ndim, b.ndim) > 0 and a.shape[-1] == b.shape[-1] > 0)
     with np.errstate(all="ignore"):
         norm_a, norm_b = _inner(a, a).real, _inner(b, b).real
         overlap, product = np.abs(_inner(a, b)) ** 2, norm_a * norm_b

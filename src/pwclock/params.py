@@ -287,6 +287,18 @@ def _finite(name: str, values) -> np.ndarray:
     return values
 
 
+def _shapes_fit(names: str, *values, holds: bool = True) -> None:
+    """Raise ValidationError naming ``names`` with the values' shapes unless they broadcast
+    together and ``holds``."""
+    shapes = [np.shape(value) for value in values]
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        holds = False
+    if not holds:
+        raise ValidationError(f"{names} do not match: shapes {' and '.join(map(str, shapes))}")
+
+
 def _overflow_checked(name: str, values, form: str, formula):
     """``formula(values)`` as a scalar or array, with no warning; ValidationError names the
     first of ``values`` at which the result, the closed form ``form``, is not finite."""

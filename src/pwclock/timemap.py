@@ -62,17 +62,6 @@ class TimeMapResult:
     rel_error_linear: float | np.ndarray
 
 
-def _monotone_floor(params: ClockParams) -> float:
-    """<x>(n_reset), the lowest reading, once Omega * n_reset < pi/2 is checked: on that
-    window the mean falls strictly."""
-    if params.damped_frequency * params.n_reset >= pi / 2.0:
-        raise ValidationError(
-            f"Omega * n_reset = {params.damped_frequency * params.n_reset} >= pi/2; "
-            "the position map is not guaranteed invertible on this window"
-        )
-    return position_expectation(params.n_reset, params)
-
-
 def n_from_x_exact(x, params: ClockParams):
     """Unique n in [0, n_reset) with position_expectation(n) = x, per reading.
 
@@ -98,7 +87,13 @@ def n_from_x_exact(x, params: ClockParams):
         If Omega * n_reset >= pi/2, or if any x > A or x <= <x>(n_reset), or
         is NaN; names the first.
     """
-    n_reset, amp, floor = params.n_reset, params.amplitude, _monotone_floor(params)
+    n_reset, amp = params.n_reset, params.amplitude
+    if params.damped_frequency * n_reset >= pi / 2.0:
+        raise ValidationError(
+            f"Omega * n_reset = {params.damped_frequency * n_reset} >= pi/2; "
+            "the position map is not guaranteed invertible on this window"
+        )
+    floor = position_expectation(n_reset, params)  # the lowest reading: the mean falls strictly
     x = _floats("x", x)
     interval = f"the attained interval ({floor}, {amp}]"
     inside = (x > floor) & (x <= amp)
@@ -191,11 +186,9 @@ def linearization_report(params: ClockParams, grid_size: int) -> TimeMapResult:
     Raises
     ------
     ValidationError
-        If grid_size is not a whole number in [2, 2**24], r = 0, or
-        Omega * n_reset >= pi/2.
+        If grid_size is not a whole number in [2, 2**24], Omega * n_reset
+        >= pi/2, or r = 0 (the log and linear forms are undefined there).
     """
     grid_size = _checked_whole("grid_size", grid_size, 2)
-    if params.damping == 0.0:
-        raise ValidationError("linearization report undefined for r = 0")
     step = params.n_reset / grid_size
     return invert_position(position_expectation(np.arange(grid_size) * step, params), params)

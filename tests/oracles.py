@@ -17,7 +17,6 @@ from pwclock import (
     ClockParams,
     SystemSpec,
     position_expectation,
-    position_given_n,
     wavefunction,
     width,
 )
@@ -33,7 +32,7 @@ def quadrature_moments(params: ClockParams, n: float, mean_hint: float, width_hi
         mean_hint + QUAD_SIGMA_SPAN * width_hint,
         QUAD_POINTS,
     )
-    dens = position_given_n(xs, n, params)
+    dens = wavefunction(xs, n, params) ** 2
     norm = np.trapezoid(dens, xs)
     mean = np.trapezoid(xs * dens, xs) / norm
     var = np.trapezoid((xs - mean) ** 2 * dens, xs) / norm

@@ -48,7 +48,7 @@ def test_package_exports_exactly_what_module_all_declares():
 
 def test_result_records_are_returned_not_exported():
     names = exported_names()
-    assert len(names) == 25
+    assert len(names) == 24
     removed = {
         "StationaryDamping",
         "TimeMapResult",
@@ -59,6 +59,7 @@ def test_result_records_are_returned_not_exported():
         "check_abstract_time",
         "validate_clock_params",
         "validate_system_spec",
+        "position_given_n",
     }
     assert not removed & set(names)
 

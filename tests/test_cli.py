@@ -193,14 +193,19 @@ def test_an_unbounded_rescaled_generator_norm_is_null(tmp_path, name):
 
 def test_a_failing_derived_constant_writes_no_file(tmp_path, capsys):
     # The derived constants are computed with the table, before any file is written: here
-    # the generator's eigenvalues overflow, which clock-profile's table does not read.
+    # the generator's eigenvalues overflow, which clock-profile's table does not read. An
+    # undamped clock, whose norm 2*max|E|/(r*A) is null, forms the eigenvalues too.
     system = {"hamiltonian": [1.7e308, 1.7e308, 1.7e308, -1.7e308], "initial_state": [1.0, 0.0]}
     out = tmp_path / "out"
-    argv = ["clock-profile", "--out", str(out), "--config", write_config(tmp_path, {"system": system})]
-    assert main(argv) == 1
-    [line] = capsys.readouterr().err.splitlines()
-    assert json.loads(line)["error"]["type"] == "NumericalError"
-    assert not out.exists()
+    for clock in ({}, {"damping": 0.0}):
+        doc = {"clock": clock, "system": system}
+        argv = ["clock-profile", "--out", str(out), "--config", write_config(tmp_path, doc)]
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "NumericalError"
+        assert error["message"].startswith("eigenvalues of the generator overflow")
+        assert not out.exists()
 
 
 def test_sweep_with_tied_reset_horizon(tmp_path):
@@ -224,6 +229,16 @@ def test_sweep_grid_refinement_on_posterior(tmp_path):
         )
         norms.append(meta["norm_raw"])
     assert abs(norms[1] - norms[0]) / norms[0] <= 1e-6
+
+
+def test_a_grid_size_sweep_refuses_a_grid_override(tmp_path, capsys):
+    message = "a grid_size sweep takes no grid override, got grid = 64"
+    out = tmp_path / "sw"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        sweep("clock-profile", None, "grid_size", [16, 32], out=str(out), grid=64)
+    assert main(["clock-profile", "--out", str(out), "--grid", "64", "--sweep", "grid_size=16,32"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": {"type": "ValidationError", "message": message}}
+    assert not out.exists()
 
 
 def test_sweep_rejects_empty_values(tmp_path):
@@ -494,6 +509,14 @@ def test_config_parts_must_be_json_objects(tmp_path, capsys, doc, name):
     assert error["type"] == "ValidationError"
     assert error["message"].startswith(f"{name} must be a JSON object")
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_a_null_config_file_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["oracle-check", "--out", str(out), "--config", write_config(tmp_path, None)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "ValidationError", "message": "config must be a JSON object, got NoneType"}}
+    assert not out.exists()
 
 
 def test_unknown_option_is_named(tmp_path, capsys):

@@ -19,9 +19,7 @@ from pwclock import (
     default_qubit_spec,
     ideal_limit_concentration,
     n_from_x_exact,
-    n_from_x_log,
     position_expectation,
-    position_given_n,
     posterior_over_n,
     wavefunction,
     width,
@@ -92,12 +90,12 @@ def test_position_density_peak_and_one_sigma():
     n = 0.7
     mean = position_expectation(n, params)
     delta = width(n, params)
-    peak = position_given_n(mean, n, params)
+    peak = wavefunction(mean, n, params) ** 2
     assert peak == pytest.approx(1.0 / (delta * math.sqrt(2.0 * math.pi)), rel=1e-12)
-    assert position_given_n(mean + delta, n, params) == pytest.approx(
+    assert wavefunction(mean + delta, n, params) ** 2 == pytest.approx(
         peak * math.exp(-0.5), rel=1e-12
     )
-    assert position_given_n(mean - delta, n, params) == pytest.approx(
+    assert wavefunction(mean - delta, n, params) ** 2 == pytest.approx(
         peak * math.exp(-0.5), rel=1e-12
     )
 
@@ -110,7 +108,7 @@ def test_position_density_normalized_over_x():
         mean = position_expectation(n, params)
         delta = width(n, params)
         xs = np.linspace(mean - 12.0 * delta, mean + 12.0 * delta, 20001)
-        assert np.trapezoid(position_given_n(xs, n, params), xs) == pytest.approx(1.0, abs=1e-8)
+        assert np.trapezoid(wavefunction(xs, n, params) ** 2, xs) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_posterior_is_normalized_and_keeps_raw_integral():
@@ -121,7 +119,7 @@ def test_posterior_is_normalized_and_keeps_raw_integral():
     assert np.all(posterior.density >= 0.0)
     assert posterior.norm_raw > 0.0
     # density * norm_raw reproduces the literal unnormalized values
-    raw = position_given_n(x, posterior.grid, params)
+    raw = wavefunction(x, posterior.grid, params) ** 2
     np.testing.assert_allclose(posterior.density * posterior.norm_raw, raw, rtol=1e-12)
 
 
@@ -180,13 +178,25 @@ def test_concentration_ladder_monotone_and_crosses():
     assert fractions[IDEAL_LIMIT_SCALES.index(IDEAL_LIMIT_CROSSING_SCALE)] >= 0.99
 
 
-def test_concentration_support_mismatch():
-    # Reading below the attainable window: the envelope inversion places the
-    # window far outside the integration range.
-    params = narrow_clock()
-    assert position_expectation(params.n_reset, params) > 0.05
-    fraction = ideal_limit_concentration(0.05, params, IDEAL_LIMIT_WINDOW)
-    assert fraction <= 1e-6
+# A damped clock and an undamped one, each with its lowest reading <x>(n_reset).
+UNATTAINED_CLOCKS = {
+    "damped": narrow_clock(),
+    "undamped": ClockParams(damping=0.0, n_reset=1.0, alpha=1.0),
+}
+
+
+@pytest.mark.parametrize("clock", UNATTAINED_CLOCKS)
+def test_concentration_refuses_an_unattained_reading_on_every_clock(clock):
+    # A reading at or below <x>(n_reset) is never attained in the window, damped or not.
+    params = UNATTAINED_CLOCKS[clock]
+    floor, amp = position_expectation(params.n_reset, params), params.amplitude
+    assert 0.05 < floor
+    for x in (floor, 0.05, 0.0, -0.3, math.nan):
+        message = f"^{re.escape(f'reading x = {x} outside the attained interval ({floor}, {amp}]')}$"
+        with pytest.raises(ValidationError, match=message):
+            n_from_x_exact(x, params)
+        with pytest.raises(ValidationError, match=message):
+            ideal_limit_concentration(x, params, IDEAL_LIMIT_WINDOW, 256)
 
 
 def test_concentration_rejects_overshoot_reading():
@@ -197,48 +207,30 @@ def test_concentration_rejects_overshoot_reading():
         ideal_limit_concentration(amp * 1.01, params, 0.05)
 
 
-def caught_route(x, params, window, grid_size):
-    """The concentration as ideal_limit_concentration once found it: the exact inversion,
-    and the log form where that refused the reading and r > 0 and 0 < x <= A."""
-    try:
-        center = n_from_x_exact(x, params)
-    except ValidationError as error:
-        if not (str(error).startswith("reading x = ") and params.damping > 0.0
-                and 0.0 < x <= params.amplitude):
-            raise
-        center = n_from_x_log(x, params)
-    return posterior_over_n(x, params, grid_size).mass_within(center - window, center + window)
-
-
-def outcome(call, *args):
-    try:
-        return call(*args)
-    except ValidationError as error:
-        return type(error), str(error)
-
-
-# A narrow clock, an undamped one, and one past the window Omega * n_reset < pi/2.
-PAST_WINDOW_CLOCK = ClockParams(mass=1e4, damping=0.1, n_reset=6.28, alpha=math.sqrt(5000.0))
-ROUTE_CLOCKS = {
+# A narrow clock, an undamped one, and the ideal-limit clock at m*omega = 10.
+CENTRED_CLOCKS = {
     "narrow": narrow_clock(),
     "undamped": ClockParams(damping=0.0, n_reset=1.0, alpha=1.0),
-    "past the window": PAST_WINDOW_CLOCK,
+    "mass_omega=10": narrow_clock(10.0),
 }
 
 
-@pytest.mark.parametrize("clock", ROUTE_CLOCKS)
-def test_concentration_picks_the_route_the_caught_error_picked(clock):
-    params = ROUTE_CLOCKS[clock]
-    amp, floor = params.amplitude, position_expectation(params.n_reset, params)
-    interior = position_expectation(0.4 * params.n_reset, params)
-    for x in (amp, 1.01 * amp, floor, floor / 2.0, 0.0, -0.3, math.nan, interior):
+@pytest.mark.parametrize("clock", CENTRED_CLOCKS)
+def test_concentration_is_the_posterior_mass_around_the_exact_inversion(clock):
+    params = CENTRED_CLOCKS[clock]
+    times = np.array([0.0, 0.1, 0.4, 0.7, 0.999]) * params.n_reset
+    for x in position_expectation(times, params).tolist():
+        center = n_from_x_exact(x, params)
         for window in (0.05, 0.5):
-            expected = outcome(caught_route, x, params, window, 512)
-            assert outcome(ideal_limit_concentration, x, params, window, 512) == expected, x
+            expected = posterior_over_n(x, params, 512).mass_within(center - window, center + window)
+            assert ideal_limit_concentration(x, params, window, 512) == expected, (x, window)
+
+
+# A narrow clock past the window Omega * n_reset < pi/2.
+PAST_WINDOW_CLOCK = ClockParams(mass=1e4, damping=0.1, n_reset=6.28, alpha=math.sqrt(5000.0))
 
 
 def test_concentration_refuses_a_clock_past_the_window_before_any_route():
-    # Taking the log form here would give 0.25249626619928917 at K = 4096.
     params = PAST_WINDOW_CLOCK
     with pytest.raises(ValidationError, match=r"^Omega \* n_reset = 6\.272145087607589 >= pi/2; "):
         ideal_limit_concentration(position_expectation(params.n_reset, params), params, 0.05)

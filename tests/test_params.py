@@ -29,7 +29,6 @@ from pwclock import (
     n_from_x_linear,
     n_from_x_log,
     position_expectation,
-    position_given_n,
     posterior_over_n,
     recommend_damping,
     wavefunction,
@@ -411,7 +410,6 @@ SCALAR_TAKERS = {
         float,
     ),
     "wavefunction": (lambda n: wavefunction(reading(n), n, SCALAR_CLOCK), float),
-    "position_given_n": (lambda n: position_given_n(reading(n), n, SCALAR_CLOCK), float),
 }
 
 
@@ -591,11 +589,6 @@ BAD_ARGUMENTS = {
         ValidationError,
         "^n must be finite, got inf$",
     ),
-    "position_given_n(nan, 1.0)": (
-        lambda: position_given_n(math.nan, 1.0, SCALAR_CLOCK),
-        ValidationError,
-        "^x must be finite, got nan$",
-    ),
     "wavefunction(nan, 1.0)": (
         lambda: wavefunction(math.nan, 1.0, SCALAR_CLOCK),
         ValidationError,
@@ -605,6 +598,37 @@ BAD_ARGUMENTS = {
         lambda: wavefunction(np.array([0.5, math.inf]), 1.0, SCALAR_CLOCK),
         ValidationError,
         "^x must be finite, got inf$",
+    ),
+    # Shapes that do not fit are named, not met by numpy's broadcast, matmul or index error.
+    "wavefunction(2 readings, 3 times)": (
+        lambda: wavefunction([0.1, 0.2], [0.1, 0.2, 0.3], SCALAR_CLOCK),
+        ValidationError,
+        r"^x and n do not match: shapes \(2,\) and \(3,\)$",
+    ),
+    "fidelity(2 entries, 3 entries)": (
+        lambda: fidelity([1, 0], [1, 0, 0]),
+        ValidationError,
+        r"^states a and b do not match: shapes \(2,\) and \(3,\)$",
+    ),
+    "fidelity(2 entries, 1 entry)": (
+        lambda: fidelity([1, 0], [1]),
+        ValidationError,
+        r"^states a and b do not match: shapes \(2,\) and \(1,\)$",
+    ),
+    "fidelity(3 states, 4 states)": (
+        lambda: fidelity(np.ones((3, 2)), np.ones((4, 2))),
+        ValidationError,
+        r"^states a and b do not match: shapes \(3, 2\) and \(4, 2\)$",
+    ),
+    "fidelity(scalar, scalar)": (
+        lambda: fidelity(1.0, 1.0),
+        ValidationError,
+        r"^states a and b do not match: shapes \(\) and \(\)$",
+    ),
+    "fidelity(empty, empty)": (
+        lambda: fidelity([], []),
+        ValidationError,
+        r"^states a and b do not match: shapes \(0,\) and \(0,\)$",
     ),
     # A NaN reading now fails as bad input, not as an unreachable one.
     "posterior_over_n(nan)": (
@@ -654,10 +678,11 @@ BAD_ARGUMENTS = {
         ValidationError,
         r"^reading x = 1e-320 overflows \(2/r\)\*ln\(A/x\)$",
     ),
+    # A reading below <x>(n_reset) is refused, as on every clock.
     "ideal_limit_concentration(1e-320)": (
         lambda: ideal_limit_concentration(1e-320, SCALAR_CLOCK, 0.05, 64),
         ValidationError,
-        r"^reading x = 1e-320 overflows \(2/r\)\*ln\(A/x\)$",
+        r"^reading x = 1e-320 outside the attained interval \(",
     ),
     "n_from_x_linear(-1e308)": (
         lambda: n_from_x_linear(-1e308, SCALAR_CLOCK),
@@ -700,8 +725,6 @@ ONE_ARGUMENT_CALLS = {
     "n_from_x_log(x)": lambda v: n_from_x_log(v, SCALAR_CLOCK),
     "n_from_x_linear(x)": lambda v: n_from_x_linear(v, SCALAR_CLOCK),
     "invert_position(x)": lambda v: invert_position(v, SCALAR_CLOCK),
-    "position_given_n(x)": lambda v: position_given_n(v, 0.5, SCALAR_CLOCK),
-    "position_given_n(n)": lambda v: position_given_n(0.5, v, SCALAR_CLOCK),
     "posterior_over_n(x)": lambda v: posterior_over_n(v, SCALAR_CLOCK, 64),
     "ideal_limit_concentration(x)": lambda v: ideal_limit_concentration(v, SCALAR_CLOCK, 0.05, 64),
     "ideal_limit_concentration(window)": lambda v: ideal_limit_concentration(
@@ -769,7 +792,7 @@ def test_a_huge_finite_reading_has_a_zero_envelope():
         warnings.simplefilter("error")
         for x in (1e300, 1e308, -1e308):
             assert wavefunction(x, 0.5, clock) == 0.0
-            assert position_given_n(np.array([x, -x]), 0.5, clock).tolist() == [0.0, 0.0]
+            assert wavefunction(np.array([x, -x]), 0.5, clock).tolist() == [0.0, 0.0]
             unreachable = f"^{re.escape(f'reading x = {x} is unreachable: ')}"
             with pytest.raises(NumericalError, match=unreachable + "unnormalized integral 0.0$"):
                 posterior_over_n(x, clock, 64)

@@ -253,7 +253,8 @@ def test_zero_damping_linear_forms():
         n_from_x_linear(0.5, params)
     with pytest.raises(ValidationError, match="^log-form inversion undefined for r = 0$"):
         n_from_x_log(0.5, params)
-    with pytest.raises(ValidationError, match="^linearization report undefined for r = 0$"):
+    # The report holds the log form, which states the r = 0 rule.
+    with pytest.raises(ValidationError, match="^log-form inversion undefined for r = 0$"):
         linearization_report(params, 16)
     # The exact route stays available for undamped clocks.
     x = position_expectation(0.4, params)
