@@ -136,13 +136,15 @@ def wavefunction(x, n, params: ClockParams):
     check_abstract_time(n, params)
     x = _finite("x", x)
     _shapes_fit("x and n", x, n)
-    terms = _envelope_terms(n, params)
+    mean, neg_four_var, prefactor = _envelope_terms(n, params)
     with np.errstate(over="ignore"):  # an overflowing (x - <x>)^2 gives exp(-inf) = 0
-        return _scalar_or_array(_envelope(x, terms))
+        out = _envelope(x, (mean, neg_four_var))
+        return _scalar_or_array(np.multiply(prefactor, out, out=out))
 
 
 def _envelope_terms(n, params: ClockParams):
-    """Per-time terms of ``_envelope``: <x>(n), -4*delta^2 and (2*pi*delta^2)**(-1/4).
+    """Per-time terms of the amplitude: <x>(n) and -4*delta^2, which ``_envelope``
+    takes, and the prefactor (2*pi*delta^2)**(-1/4).
 
     The times' finiteness is checked by ``position_expectation`` and ``width``, the window by callers.
     """
@@ -152,21 +154,22 @@ def _envelope_terms(n, params: ClockParams):
 
 
 def _envelope(x, terms, out=None) -> np.ndarray:
-    """The Gaussian of ``wavefunction``, unchecked.
+    """The Gaussian factor of ``wavefunction``, unchecked, without its prefactor.
 
-    ``(2*pi*delta^2)**(-1/4) * exp((x - <x>)^2 / (-4*delta^2))`` from the
-    ``terms`` of ``_envelope_terms``, as a float64 array of the broadcast
-    shape of x and the terms, built in place on ``out`` (a new array if
-    None). The negation sits in the divisor, which IEEE division makes
-    exact: the value is that of ``-(x - <x>)^2 / (4*delta^2)``. Where the
-    square overflows the value is 0; callers silence that overflow warning.
+    ``exp((x - <x>)^2 / (-4*delta^2))`` from ``terms`` = (<x>, -4*delta^2),
+    the first two terms of ``_envelope_terms``, as a float64 array of the
+    broadcast shape of x and the terms, built in place on ``out`` (a new
+    array if None). The negation sits in the divisor, which IEEE division
+    makes exact: the value is that of ``-(x - <x>)^2 / (4*delta^2)``. Where
+    the square overflows the value is 0; callers silence that overflow
+    warning. ``wavefunction`` multiplies the prefactor onto the result, and
+    conditioning folds it into each grid point's weight once per call.
     """
-    mean, neg_four_var, prefactor = terms
+    mean, neg_four_var = terms
     out = np.asarray(np.subtract(np.asarray(x, dtype=float), mean, out=out))
     np.square(out, out=out)
     np.divide(out, neg_four_var, out=out)
     np.exp(out, out=out)
-    np.multiply(prefactor, out, out=out)
     return out
 
 

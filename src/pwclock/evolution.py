@@ -117,10 +117,11 @@ def evolve_exact(spec: SystemSpec, n) -> np.ndarray:
 
     ``n`` is an abstract time or an array of them; the result has one state
     per time along its last axis, (*n.shape, d). One eigendecomposition
-    serves every time, and each state is assembled on its own, so a row
-    equals the state a scalar call for its time returns. Unitarity holds to
-    rounding because the propagator is assembled from real eigenphases.
-    Rows with ``n == 0`` are the initial state itself.
+    serves every time, and each state is assembled on its own, by one
+    matrix-vector product per row, so a row equals the state a scalar call
+    for its time returns. Each eigenphase exp(+i*E*n) is assembled as
+    cos(E*n) + i*sin(E*n) from the real angle E*n, so unitarity holds to
+    rounding. Rows with ``n == 0`` are the initial state itself.
 
     Raises
     ------
@@ -132,7 +133,11 @@ def evolve_exact(spec: SystemSpec, n) -> np.ndarray:
     energies, modes = _eigensystem(spec)
     _overflow_checked("n", n, "E*n", lambda v: np.max(np.abs(energies)) * v)  # the largest |E*n|
     coeffs = modes.conj().T @ spec.initial_state
-    phased = np.exp(1j * energies * n[..., None]) * coeffs
+    angles = energies * n[..., None]
+    phased = np.empty(angles.shape, dtype=np.complex128)
+    np.cos(angles, out=phased.real)
+    np.sin(angles, out=phased.imag)
+    phased *= coeffs
     states = np.matmul(modes, phased[..., None])[..., 0]
     states[n == 0.0] = spec.initial_state
     return states

@@ -73,16 +73,21 @@ def coherent_overlap(n_a, n_b, params: ClockParams):
 def full_range_conditional(history, x, projector) -> np.ndarray:
     """<v|P|v> / <v|v> for each reading, with v summed over the whole grid.
 
-    The unbanded reference for conditioning: one row of clock amplitudes
-    over every grid point per reading, weighted in place and contracted in
-    ascending grid order, then clamped to [0, 1]. Readings are flattened;
-    ``projector`` is one (d, d) matrix.
+    The unbanded reference for conditioning, term by term the same
+    arithmetic: per reading, the bare Gaussian exp((x - mu_k)^2 / (-4*d_k^2))
+    over every grid point, from the public mean and width, dotted in
+    ascending grid order with the states' float view scaled by
+    w_k * (2*pi*d_k^2)^(-1/4), then clamped to [0, 1]. Readings are
+    flattened; ``projector`` is one (d, d) matrix.
     """
+    grid, clock = history.grid, history.clock_params
+    mean, spread = position_expectation(grid, clock), width(grid, clock)
+    prefactor = (2.0 * np.pi * spread**2) ** -0.25
+    scaled = (history.weights * prefactor)[:, None] * history.sys_states.view(np.float64)
     out = []
     for reading in np.asarray(x, dtype=float).reshape(-1):
-        weighted = wavefunction(np.array([[reading]]), history.grid, history.clock_params)
-        np.multiply(history.weights, weighted, out=weighted)
-        conditioned = weighted[0] @ history.sys_states
+        gaussian = np.exp((reading - mean) ** 2 / (-4.0 * spread**2))
+        conditioned = np.dot(gaussian, scaled).view(np.complex128)
         value = np.vdot(conditioned, projector @ conditioned) / np.vdot(conditioned, conditioned).real
         out.append(min(max(value.real, 0.0), 1.0))
     return np.array(out)

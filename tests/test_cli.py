@@ -1382,6 +1382,28 @@ def test_bundle_agrees_across_simd_levels(tmp_path):
         assert moves.max() <= SIMD_TOLERANCE, (name, moves.max())
 
 
+def test_large_grid_oracle_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The byte contract holds at every BLAS thread count: at grid 16,384, where
+    # a reading's band runs to thousands of grid points, children on one and
+    # on two BLAS threads write the same oracle-check bytes.
+    config = tmp_path / "readings.json"
+    config.write_text(json.dumps({"options": {"num_readings": 256}}), encoding="utf-8")
+    package_root = Path(pwclock.__file__).resolve().parent.parent
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(package_root),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "pwclock.cli", "oracle-check", "--grid", "16384",
+             "--seed", "5", "--config", str(config), "--out", str(out)],
+            capture_output=True, text=True, stdin=subprocess.DEVNULL, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append((out / "oracle-check.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_script_writes_the_bytes_main_writes(tmp_path):
     # Dev mode turns on every warning and -W error makes each one fatal, so a
     # warning raised while the process shuts down would show on stderr.

@@ -521,8 +521,8 @@ def test_projector_stack_matches_single_calls(history, fractions, names):
 @pytest.mark.parametrize("names", [None, ("plus",), ("plus", "minus"), tuple(sorted(PROJECTORS))])
 def test_conditioning_computes_amplitudes_once_per_reading_band(history, monkeypatch, names):
     # 257 readings over [0.05, 0.95] * n_reset at K = 2048. Each evaluates
-    # exactly its band, once and in reading order: 257 calls and 114,255
-    # amplitudes, against 526,336 for the whole grid.
+    # exactly its band, aligned to 16 grid points, once and in reading order:
+    # 257 calls and 117,600 amplitudes, against 526,336 for the whole grid.
     projector = PROJECTOR_PLUS if names is None else np.stack([PROJECTORS[n] for n in names])
     times = np.linspace(0.05, 0.95, 257) * history.clock_params.n_reset
     xs = position_expectation(times, history.clock_params)
@@ -530,7 +530,7 @@ def test_conditioning_computes_amplitudes_once_per_reading_band(history, monkeyp
     calls = record_amplitude_calls(monkeypatch)
     conditional_system_probability(history, xs, projector)
     assert calls == list(zip(xs.tolist(), (hi - lo).tolist()))
-    assert sum(size for _, size in calls) == 114_255
+    assert sum(size for _, size in calls) == 117_600
 
 
 def test_empty_readings_evaluate_no_amplitude(history, monkeypatch):
@@ -561,6 +561,43 @@ def test_bands_drop_only_terms_below_the_bound(history):
         assert np.sum(dropped) <= 2.0**-53 * np.max(row[first:last])
         assert np.argmax(row) in range(first, last)
     assert np.sum(hi - lo) < 0.3 * size * xs.size
+
+
+@pytest.mark.parametrize("grid_size", [2040, 2048])
+def test_bands_are_aligned_and_hold_the_derived_band(monkeypatch, grid_size):
+    # Every band edge is a multiple of 16 or the grid's end, and the band is
+    # the derived one (alignment 1) rounded outward to the nearest such edges.
+    clock = narrow_clock()
+    hist = build_history_state(default_qubit_spec(), clock, grid_size)
+    xs = np.concatenate([
+        position_expectation(np.linspace(0.0, 1.0, 101) * clock.n_reset, clock),
+        [clock.amplitude + 20.0 * width(0.0, clock)],
+    ])
+    mean = position_expectation(hist.grid, clock)
+    lo, hi = conditional._reading_bands(hist, xs, mean)
+    assert np.all(lo % 16 == 0) and np.all((hi % 16 == 0) | (hi == grid_size))
+    monkeypatch.setattr(conditional, "_BAND_ALIGNMENT", 1)
+    derived_lo, derived_hi = conditional._reading_bands(hist, xs, mean)
+    assert np.all((0 <= lo) & (lo <= derived_lo) & (derived_lo < derived_hi))
+    assert np.all((derived_hi <= hi) & (hi <= grid_size))
+    assert np.array_equal(lo, derived_lo // 16 * 16)
+    assert np.array_equal(hi, np.minimum(-(-derived_hi // 16) * 16, grid_size))
+    assert np.any(lo < derived_lo) and np.any(derived_hi < hi)
+    assert np.any(lo == 0) and np.any(hi == grid_size)
+
+
+@pytest.mark.parametrize("grid_size", [2040, 2048])
+def test_a_reading_conditions_alike_alone_and_in_any_batch_order(grid_size):
+    # A reading's value depends on that reading alone: bit for bit the same
+    # conditioned alone, in a sorted batch, and in a reversed or shuffled one.
+    clock = narrow_clock()
+    hist = build_history_state(default_qubit_spec(), clock, grid_size)
+    rng = np.random.default_rng(43)
+    xs = np.sort(position_expectation(rng.uniform(0.0, 1.0, 48) * clock.n_reset, clock))
+    stack = np.stack([PROJECTOR_PLUS, PROJECTOR_MINUS])
+    alone = np.stack([conditional_system_probability(hist, x, stack) for x in xs.tolist()], axis=1)
+    for order in (np.arange(xs.size), np.arange(xs.size)[::-1], rng.permutation(xs.size)):
+        assert np.array_equal(conditional_system_probability(hist, xs[order], stack), alone[:, order])
 
 
 @st.composite

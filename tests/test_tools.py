@@ -79,9 +79,9 @@ def test_csv_digests_keep_and_against(tmp_path):
 
 
 def test_csv_digests_do_not_depend_on_blas_threads_at_the_benchmark_grid():
-    # Each reading's v is one BLAS contraction over its band, so up to grid
-    # 8192 one and two BLAS threads give the same bytes. (From grid 16,384 a
-    # threaded BLAS sums in a different order and they differ.)
+    # Each reading's v is one real BLAS dot over its band, and one and two
+    # BLAS threads give the same bytes. tests/test_cli.py holds oracle-check
+    # at grid 16,384 to the same.
     command = [sys.executable, str(TOOLS / "csv_digests.py"),
                "--grid", "8192", "--readings", "256", "--large-grid", "8192", "--tables-grid", "512"]
     outputs = []

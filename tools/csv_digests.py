@@ -22,9 +22,8 @@ Run it once per checkout and compare the two outputs, e.g.
 ``--src`` is the package source to run (default: the ``src/`` beside this
 script); ``--grid``, ``--readings``, ``--large-grid`` and ``--tables-grid``
 shrink the set for a quick check. BLAS runs on one thread unless the
-environment already sets its thread count: at grid 65,536 a threaded BLAS
-sums in a different order and moves the last digits of the conditional
-probabilities.
+environment already sets its thread count; the digests are the same on one,
+two and four threads.
 
 ``--keep DIR`` writes the CSVs under DIR, best a new one, and keeps them.
 ``--against DIR`` compares this run's CSVs with those another run kept in
@@ -35,10 +34,10 @@ count of moved cells:
     python3 tools/csv_digests.py --src ../parent/src --keep parent-csvs > parent.json
     python3 tools/csv_digests.py --against parent-csvs > change.json
 
-The bytes hold for one numpy build, SIMD level and BLAS thread count, so
-the first stderr line names the first two: numpy's version, its compiled
-SIMD baseline and the dispatched targets this process enabled, which
-``NPY_DISABLE_CPU_FEATURES`` can narrow. stdout holds the digests only.
+The bytes hold for one numpy build and SIMD level, so the first stderr
+line names both: numpy's version, its compiled SIMD baseline and the
+dispatched targets this process enabled, which ``NPY_DISABLE_CPU_FEATURES``
+can narrow. stdout holds the digests only.
 """
 
 from __future__ import annotations
